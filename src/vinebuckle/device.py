@@ -11,18 +11,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import units
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
-    FailureMode,
-    ModelUsed,
+    PressureRow,
     RobotState,
-    Verdict,
-    KAPPA_STRAIGHT,
-    _classify,
+    predict_at_length,
+    solve_pressure_row,
+    tail_tension_to_invert,
 )
 
-_RPM = 2.0 * math.pi / 60.0
 _TIP_RING_AREA = math.pi * 0.016**2  # 3.2 cm diameter grounding ring
 
 
@@ -39,7 +38,7 @@ class DeviceSpec:
 
     max_motor_torque: float = 0.245           # N*m, per motor
     roller_radius: float = 0.012              # m
-    motor_speed_max: float = 33.0 * _RPM      # rad/s
+    motor_speed_max: float = units.rpm_to_rad_s(33.0)  # rad/s
     static_friction: Optional[float] = None
     roller_normal_force: Optional[float] = None   # N
     tip_ring_area: float = _TIP_RING_AREA         # m^2
@@ -213,6 +212,52 @@ def force_balance(
     )
 
 
+def device_assist(
+    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = 1.0
+) -> tuple[float, Optional[float]]:
+    """Apply the saturation rule at one pressure: (applied force, residual).
+
+    When the available force efficiency * F_max covers the zero-tension need
+    P*A + 2*F_I, the device applies that need and the residual is None: the
+    tail needs no tension from the base. Otherwise the device saturates at
+    the available force and the residual tail tension
+    P*A/2 + F_I - F_avail/2 must come from the base.
+    """
+    if not 0 <= efficiency <= 1:
+        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
+    available = efficiency * max_device_force(device)
+    needed = device_force_for_zero_tension(body, device, pressure)
+    if needed <= available:
+        return needed, None
+    return available, tail_tension_with_device(body, device, pressure, available)
+
+
+def solve_device_row(
+    body: BodySpec,
+    device: Optional[DeviceSpec],
+    pressure: float,
+    curvature: float,
+    efficiency: float = 1.0,
+) -> tuple[float, PressureRow]:
+    """Solve one pressure row with the retraction device, or bare when
+    ``device`` is None.
+
+    Returns the applied device force (0 without a device) and the row.
+    Where the device covers the zero-tension need the row is grounded: it
+    inverts at every length with zero required tension and an infinite
+    limit, since the force path is grounded at the tip. Otherwise it is the
+    ordinary model dispatch at the bare or residual tail tension (with a
+    saturated device, a model extension beyond the zero-tension regime).
+    """
+    if device is None:
+        required = tail_tension_to_invert(body, pressure)
+        return 0.0, solve_pressure_row(body, pressure, curvature, required)
+    force, residual = device_assist(body, device, pressure, efficiency)
+    if residual is None:
+        return force, solve_pressure_row(body, pressure, curvature, 0.0, grounded=True)
+    return force, solve_pressure_row(body, pressure, curvature, residual)
+
+
 def predict_with_device(
     body: BodySpec, device: DeviceSpec, state: RobotState, efficiency: float = 1.0
 ) -> BehaviorPrediction:
@@ -225,33 +270,12 @@ def predict_with_device(
     must come from the base, and the ordinary model comparison runs with
     that residual (a model extension beyond the zero-tension regime).
     """
-    if not 0 <= efficiency <= 1:
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
-    available = efficiency * max_device_force(device)
-    needed = device_force_for_zero_tension(body, device, state.pressure)
-    if needed <= available:
-        extrapolated = state.curvature > 0 and state.curvature * state.length > math.pi
-        model = (
-            ModelUsed.STRAIGHT
-            if state.curvature < KAPPA_STRAIGHT
-            else ModelUsed.CURVED
-        )
-        return BehaviorPrediction(
-            verdict=Verdict.INVERT,
-            mode=FailureMode.NONE,
-            required_tension=0.0,
-            limiting_force=math.inf,
-            margin=math.inf,
-            model_used=model,
-            extrapolated=extrapolated,
-        )
-    residual = tail_tension_with_device(body, device, state.pressure, available)
-    return _classify(body, state, residual)
+    _, row = solve_device_row(body, device, state.pressure, state.curvature, efficiency)
+    return predict_at_length(row, state.length)
 
 
 def applied_device_force(
     body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = 1.0
 ) -> float:
     """Force the device actually applies: the zero-tension need, capped at available."""
-    available = efficiency * max_device_force(device)
-    return min(device_force_for_zero_tension(body, device, pressure), available)
+    return device_assist(body, device, pressure, efficiency)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 # Curvatures below this are treated as exactly straight; the curved closed
 # form is numerically meaningless there and the straight model applies.
@@ -88,12 +88,9 @@ class RobotState:
     curvature: float = 0.0      # 1/m, >= 0
 
     def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError(f"length must be >= 0, got {self.length}")
-        if self.pressure < 0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure}")
-        if self.curvature < 0:
-            raise ValueError(f"curvature must be >= 0, got {self.curvature}")
+        _check_length(self.length)
+        _check_pressure(self.pressure)
+        _check_curvature(self.curvature)
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,36 @@ class BehaviorPrediction:
     margin: float               # N
     model_used: ModelUsed
     extrapolated: bool = False
+
+
+class PressureRow(NamedTuple):
+    """The length-independent part of a prediction at one pressure.
+
+    The model choice, the transition length and the extrapolation hint
+    depend on (body, pressure, curvature, required tension) and never on
+    length, so a phase-diagram row or a constant-pressure episode solves
+    them once (``solve_pressure_row``) and evaluates ``predict_at_length``
+    per length. ``transition`` is None when no length inverts and inf when
+    every length does. ``extrapolated`` is set when the curved model had no
+    reachable buckling point. A ``grounded`` row has no finite buckling
+    limit at any length: the tail force path is grounded at the tip, as
+    when the retraction device covers the whole zero-tension need.
+    """
+
+    body: BodySpec
+    pressure: float              # Pa
+    curvature: float             # 1/m
+    required_tension: float      # N
+    model_used: ModelUsed
+    transition: Optional[float]  # m
+    extrapolated: bool = False
+    grounded: bool = False
+
+    @property
+    def critical_length(self) -> Optional[float]:
+        """The finite transition length, or None when there is none to draw."""
+        transition = self.transition
+        return None if transition is None or math.isinf(transition) else transition
 
 
 def tail_tension_to_invert(body: BodySpec, pressure: float) -> float:
@@ -140,14 +167,23 @@ def axial_buckling_force(body: BodySpec, pressure: float, length: float) -> floa
     _check_pressure(pressure)
     if length <= 0:
         raise ValueError(f"length must be > 0, got {length}")
-    num = _axial_numerator(body, pressure)
-    den = _axial_den_const(body) + _axial_den_slope(body, pressure) * length * length
-    return num / den
+    return _axial_force(body, pressure, length)
 
 
 def min_inversion_pressure(body: BodySpec) -> float:
     """Pressure below which inversion is impossible at any length: 2*F_I/A."""
     return 2.0 * body.inversion_force / body.cross_section_area
+
+
+def clamped_moment_arm(body: BodySpec, curvature: float, length: float) -> float:
+    """Moment arm as the predictors use it: held at its maximum R + 2/kappa
+    beyond kappa*L = pi, so that a triggered buckling verdict persists
+    instead of oscillating."""
+    if curvature <= 0:
+        raise ValueError(f"curvature must be > 0, got {curvature}")
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    return _moment_arm_clamped(body, curvature, length)
 
 
 def moment_arm(body: BodySpec, curvature: float, length: float) -> float:
@@ -242,14 +278,8 @@ def transition_length(
     body: BodySpec, pressure: float, curvature: float = 0.0
 ) -> Optional[float]:
     """Critical length under whichever model the dispatcher would apply."""
-    _check_pressure(pressure)
-    if curvature < 0:
-        raise ValueError(f"curvature must be >= 0, got {curvature}")
     required = tail_tension_to_invert(body, pressure)
-    _, transition, _ = _select_model(body, pressure, curvature, required)
-    if transition is None or math.isinf(transition):
-        return None
-    return transition
+    return solve_pressure_row(body, pressure, curvature, required).critical_length
 
 
 def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
@@ -261,7 +291,74 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
     which case the body behaves as straight. Exact ties classify as BUCKLE.
     """
     required = tail_tension_to_invert(body, state.pressure)
-    return _classify(body, state, required)
+    row = solve_pressure_row(body, state.pressure, state.curvature, required)
+    return predict_at_length(row, state.length)
+
+
+def solve_pressure_row(
+    body: BodySpec,
+    pressure: float,
+    curvature: float,
+    required_tension: float,
+    grounded: bool = False,
+) -> PressureRow:
+    """Solve the model dispatch once for every length at one pressure.
+
+    ``required_tension`` is the tail tension the base must supply: the bare
+    ``tail_tension_to_invert`` or a device's residual. A curved body is
+    modeled as straight when the transverse model has no transition or
+    predicts a longer one than the straight model. A ``grounded`` row skips
+    the dispatch: it inverts at every length, and its model is named by the
+    straightness threshold alone. Raises ValueError for a negative or
+    non-finite pressure or curvature.
+    """
+    _check_pressure(pressure)
+    _check_curvature(curvature)
+    if grounded:
+        model = ModelUsed.STRAIGHT if curvature < KAPPA_STRAIGHT else ModelUsed.CURVED
+        return PressureRow(body, pressure, curvature, required_tension, model, math.inf, False, True)
+    model, transition, extrapolated = _select_model(body, pressure, curvature, required_tension)
+    return PressureRow(body, pressure, curvature, required_tension, model, transition, extrapolated)
+
+
+def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
+    """Evaluate a solved row at one length: the limiting force of the row's
+    model there, the verdict, and the kappa*L > pi extrapolation flag.
+
+    Raises ValueError for a negative or non-finite length.
+    """
+    _check_length(length)
+    body, pressure, curvature, required, model, _, extrapolated, grounded = row
+    if curvature > 0 and curvature * length > math.pi:
+        extrapolated = True
+
+    if grounded:
+        mode, limit = FailureMode.NONE, math.inf
+    elif model is ModelUsed.STRAIGHT:
+        mode, limit = FailureMode.CRUSH, pressure * body.cross_section_area
+        if length > 0:
+            axial = _axial_force(body, pressure, length)
+            if axial < limit:
+                mode, limit = FailureMode.AXIAL_BUCKLE, axial
+    else:
+        mode = FailureMode.TRANSVERSE_BUCKLE
+        limit = (
+            pressure
+            * body.cross_section_area
+            * body.radius
+            / _moment_arm_clamped(body, curvature, length)
+        )
+
+    invert = required < limit
+    return BehaviorPrediction(
+        verdict=Verdict.INVERT if invert else Verdict.BUCKLE,
+        mode=FailureMode.NONE if invert else mode,
+        required_tension=required,
+        limiting_force=limit,
+        margin=limit - required,
+        model_used=model,
+        extrapolated=extrapolated,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +366,18 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
 
 
 def _check_pressure(pressure: float) -> None:
-    if pressure < 0:
-        raise ValueError(f"pressure must be >= 0, got {pressure}")
+    if not 0 <= pressure < math.inf:
+        raise ValueError(f"pressure must be finite and >= 0, got {pressure}")
+
+
+def _check_length(length: float) -> None:
+    if not 0 <= length < math.inf:
+        raise ValueError(f"length must be finite and >= 0, got {length}")
+
+
+def _check_curvature(curvature: float) -> None:
+    if not 0 <= curvature < math.inf:
+        raise ValueError(f"curvature must be finite and >= 0, got {curvature}")
 
 
 def _axial_numerator(body: BodySpec, pressure: float) -> float:
@@ -292,6 +399,12 @@ def _axial_den_const(body: BodySpec) -> float:
 def _axial_den_slope(body: BodySpec, pressure: float) -> float:
     # coefficient of L^2 in the buckling denominator
     return body.radius * pressure + body.shear_modulus * body.wall_thickness
+
+
+def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
+    num = _axial_numerator(body, pressure)
+    den = _axial_den_const(body) + _axial_den_slope(body, pressure) * length * length
+    return num / den
 
 
 def _moment_arm_unchecked(body: BodySpec, curvature: float, length: float) -> float:
@@ -426,36 +539,3 @@ def _select_model(
         return ModelUsed.STRAIGHT, straight, False
     return ModelUsed.CURVED, curved, False
 
-
-def _classify(body: BodySpec, state: RobotState, required: float) -> BehaviorPrediction:
-    pressure, length, curvature = state.pressure, state.length, state.curvature
-    model, _, extrapolated = _select_model(body, pressure, curvature, required)
-    if curvature > 0 and curvature * length > math.pi:
-        extrapolated = True
-
-    if model is ModelUsed.STRAIGHT:
-        mode = FailureMode.CRUSH
-        limit = crushing_force(body, pressure)
-        if length > 0:
-            axial = axial_buckling_force(body, pressure, length)
-            if axial < limit:
-                mode, limit = FailureMode.AXIAL_BUCKLE, axial
-    else:
-        mode = FailureMode.TRANSVERSE_BUCKLE
-        limit = (
-            pressure
-            * body.cross_section_area
-            * body.radius
-            / _moment_arm_clamped(body, curvature, length)
-        )
-
-    invert = required < limit
-    return BehaviorPrediction(
-        verdict=Verdict.INVERT if invert else Verdict.BUCKLE,
-        mode=FailureMode.NONE if invert else mode,
-        required_tension=required,
-        limiting_force=limit,
-        margin=limit - required,
-        model_used=model,
-        extrapolated=extrapolated,
-    )

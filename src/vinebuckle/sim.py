@@ -14,13 +14,8 @@ from enum import Enum
 from typing import Optional
 
 from . import units
-from .device import (
-    DeviceSpec,
-    applied_device_force,
-    predict_with_device,
-    retraction_kinematics,
-)
-from .mechanics import BehaviorPrediction, BodySpec, RobotState, Verdict, predict_behavior
+from .device import DeviceSpec, retraction_kinematics, solve_device_row
+from .mechanics import BodySpec, PressureRow, Verdict, predict_at_length
 
 
 class TerminalKind(Enum):
@@ -58,6 +53,16 @@ class Scenario:
     target_length: Optional[float] = None  # m, growth episodes
 
     def __post_init__(self) -> None:
+        for name in (
+            "initial_length", "step", "pressure", "curvature", "target_length", "motor_speed"
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.pressure_points is not None and not all(
+            math.isfinite(value) for point in self.pressure_points for value in point
+        ):
+            raise ValueError("pressure_points values must be finite")
         if self.initial_length < 0:
             raise ValueError(f"initial_length must be >= 0, got {self.initial_length}")
         if self.step <= 0:
@@ -127,6 +132,7 @@ def simulate_retraction(scenario: Scenario) -> EpisodeLog:
     A device commanded at zero motor speed stalls the episode.
     """
     tip_speed, takeup_speed = _speeds(scenario)
+    constant = _constant_row(scenario)
     records: list[StepRecord] = []
     k = 0
     while True:
@@ -137,7 +143,7 @@ def simulate_retraction(scenario: Scenario) -> EpisodeLog:
                 terminal=TerminalEvent(TerminalKind.FULLY_RETRACTED),
                 base_takeup_speed=takeup_speed,
             )
-        record = _evaluate(scenario, k, tip, tip_speed)
+        record = _evaluate(scenario, constant, k, tip, tip_speed)
         records.append(record)
         if record.verdict is Verdict.BUCKLE:
             return EpisodeLog(
@@ -166,6 +172,7 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
         raise ValueError("growth scenario needs target_length")
     target = scenario.target_length
     tip_speed, takeup_speed = _speeds(scenario)
+    constant = _constant_row(scenario)
     records: list[StepRecord] = []
     first_buckle: Optional[float] = None
     k = 1
@@ -176,7 +183,9 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
             tip = target
         if tip <= scenario.initial_length:
             break
-        record = _evaluate(scenario, k - 1, tip, tip_speed, grown_from=scenario.initial_length)
+        record = _evaluate(
+            scenario, constant, k - 1, tip, tip_speed, grown_from=scenario.initial_length
+        )
         records.append(record)
         if first_buckle is None and record.verdict is Verdict.BUCKLE:
             first_buckle = tip
@@ -225,25 +234,35 @@ def _speeds(scenario: Scenario) -> tuple[float, float]:
     return kin.tip_speed, kin.base_takeup_speed
 
 
+def _solve_row(scenario: Scenario, tip: float) -> tuple[float, PressureRow]:
+    """(applied device force, pressure row) at the pressure of a tip position."""
+    return solve_device_row(
+        scenario.body,
+        scenario.device,
+        scenario.pressure_at(tip),
+        scenario.curvature,
+        scenario.efficiency,
+    )
+
+
+def _constant_row(scenario: Scenario) -> Optional[tuple[float, PressureRow]]:
+    """A constant-pressure episode's one row, solved up front; None under a
+    pressure schedule, where each step solves the row at its own pressure."""
+    if scenario.pressure is None:
+        return None
+    return _solve_row(scenario, scenario.initial_length)
+
+
 def _evaluate(
     scenario: Scenario,
+    constant: Optional[tuple[float, PressureRow]],
     index: int,
     tip: float,
     tip_speed: float,
     grown_from: Optional[float] = None,
 ) -> StepRecord:
-    pressure = scenario.pressure_at(tip)
-    state = RobotState(length=tip, pressure=pressure, curvature=scenario.curvature)
-    if scenario.device is not None:
-        prediction: BehaviorPrediction = predict_with_device(
-            scenario.body, scenario.device, state, scenario.efficiency
-        )
-        force = applied_device_force(
-            scenario.body, scenario.device, pressure, scenario.efficiency
-        )
-    else:
-        prediction = predict_behavior(scenario.body, state)
-        force = 0.0
+    force, row = _solve_row(scenario, tip) if constant is None else constant
+    prediction = predict_at_length(row, tip)
     if grown_from is None:
         travelled = scenario.initial_length - tip
     else:
@@ -260,7 +279,7 @@ def _evaluate(
     return StepRecord(
         index=index,
         tip_position=tip,
-        pressure=pressure,
+        pressure=row.pressure,
         required_tension=prediction.required_tension,
         device_force=force,
         verdict=prediction.verdict,

@@ -1,9 +1,10 @@
 """Phase diagrams over (pressure, length) at fixed curvature.
 
-``classify_grid`` runs the predictor over a grid of cell centers and traces
-the invert/buckle transition curve from the closed-form solvers.
-``oracle_scan`` classifies the same grid by direct force comparison with a
-bisection-based dispatch, sharing no transition algebra with the closed
+``classify_grid`` solves the model dispatch once per pressure row, runs the
+predictor over the row's cell centers and takes the invert/buckle
+transition curve from the rows' closed-form solutions. ``oracle_scan``
+classifies the same grid by direct force comparison with a bisection-based
+dispatch, also once per row, sharing no transition algebra with the closed
 forms; the two must agree cell for cell. Diagrams serialize to CSV and to a
 deterministic standalone SVG.
 """
@@ -15,28 +16,20 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import units
-from .device import (
-    DeviceSpec,
-    device_force_for_zero_tension,
-    max_device_force,
-    predict_with_device,
-    tail_tension_with_device,
-)
+from .device import DeviceSpec, device_assist, solve_device_row
 from .mechanics import (
     KAPPA_STRAIGHT,
     BehaviorPrediction,
     BodySpec,
     FailureMode,
     ModelUsed,
-    RobotState,
     Verdict,
-    _select_model,
     axial_buckling_force,
+    clamped_moment_arm,
     crushing_force,
     moment_arm,
-    predict_behavior,
+    predict_at_length,
     tail_tension_to_invert,
-    transition_length,
 )
 from .version import __version__
 
@@ -88,26 +81,22 @@ class PhaseDiagram:
 
 
 def classify_grid(request: SweepRequest) -> PhaseDiagram:
-    """Classify every cell center and trace the modeled transition curve."""
+    """Classify every cell center and trace the modeled transition curve.
+
+    The dispatch and the transition length are solved once per pressure
+    row; each cell then only evaluates its length-dependent limit.
+    """
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
     grid = []
-    for pressure in pressures:
-        row = []
-        for length in lengths:
-            state = RobotState(length=length, pressure=pressure, curvature=request.curvature)
-            if request.device is not None:
-                row.append(
-                    predict_with_device(request.body, request.device, state, request.efficiency)
-                )
-            else:
-                row.append(predict_behavior(request.body, state))
-        grid.append(row)
-
     curve = []
     for pressure in pressures:
-        critical = _transition_at(request, pressure)
-        if critical is not None and math.isfinite(critical):
+        _, row = solve_device_row(
+            request.body, request.device, pressure, request.curvature, request.efficiency
+        )
+        grid.append([predict_at_length(row, length) for length in lengths])
+        critical = row.critical_length
+        if critical is not None:
             curve.append((pressure, critical))
 
     return PhaseDiagram(
@@ -128,12 +117,7 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     """
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
-    grid = []
-    for pressure in pressures:
-        row = []
-        for length in lengths:
-            row.append(_oracle_cell(request, pressure, length))
-        grid.append(row)
+    grid = [_oracle_row(request, pressure, lengths) for pressure in pressures]
     meta = _metadata(request)
     meta["oracle"] = True
     return PhaseDiagram(
@@ -197,49 +181,34 @@ def _metadata(request: SweepRequest) -> dict:
     }
 
 
-def _transition_at(request: SweepRequest, pressure: float) -> Optional[float]:
-    if request.device is None:
-        return transition_length(request.body, pressure, request.curvature)
-    available = request.efficiency * max_device_force(request.device)
-    needed = device_force_for_zero_tension(request.body, request.device, pressure)
-    if needed <= available:
-        return None  # inverts at every length; no transition to draw
-    residual = tail_tension_with_device(request.body, request.device, pressure, available)
-    _, transition, _ = _select_model(request.body, pressure, request.curvature, residual)
-    if transition is None or math.isinf(transition):
-        return None
-    return transition
-
-
-def _oracle_cell(request: SweepRequest, pressure: float, length: float) -> BehaviorPrediction:
+def _oracle_row(
+    request: SweepRequest, pressure: float, lengths: list[float]
+) -> list[BehaviorPrediction]:
     body, curvature = request.body, request.curvature
     if request.device is not None:
-        available = request.efficiency * max_device_force(request.device)
-        needed = device_force_for_zero_tension(body, request.device, pressure)
-        if needed <= available:
-            return _oracle_prediction(Verdict.INVERT, 0.0, math.inf, ModelUsed.STRAIGHT)
-        required = tail_tension_with_device(body, request.device, pressure, available)
+        _, required = device_assist(body, request.device, pressure, request.efficiency)
+        if required is None:
+            return [_oracle_cell(0.0, math.inf, ModelUsed.STRAIGHT)] * len(lengths)
     else:
         required = tail_tension_to_invert(body, pressure)
 
     model = _oracle_dispatch(body, pressure, curvature, required)
-    if model is ModelUsed.STRAIGHT:
-        limit = crushing_force(body, pressure)
-        if length > 0:
-            limit = min(limit, axial_buckling_force(body, pressure, length))
-    else:
-        limit = pressure * body.cross_section_area * body.radius / _arm_clamped(
-            body, curvature, length
-        )
-    verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
-    return _oracle_prediction(verdict, required, limit, model)
+    crush = crushing_force(body, pressure)
+    cells = []
+    for length in lengths:
+        if model is ModelUsed.CURVED:
+            limit = crush * body.radius / clamped_moment_arm(body, curvature, length)
+        elif length > 0:
+            limit = min(crush, axial_buckling_force(body, pressure, length))
+        else:
+            limit = crush
+        cells.append(_oracle_cell(required, limit, model))
+    return cells
 
 
-def _oracle_prediction(
-    verdict: Verdict, required: float, limit: float, model: ModelUsed
-) -> BehaviorPrediction:
+def _oracle_cell(required: float, limit: float, model: ModelUsed) -> BehaviorPrediction:
     return BehaviorPrediction(
-        verdict=verdict,
+        verdict=Verdict.INVERT if required < limit else Verdict.BUCKLE,
         mode=FailureMode.NONE,
         required_tension=required,
         limiting_force=limit,
@@ -247,12 +216,6 @@ def _oracle_prediction(
         model_used=model,
         extrapolated=False,
     )
-
-
-def _arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
-    if curvature * length > math.pi:
-        return body.radius + 2.0 / curvature
-    return moment_arm(body, curvature, length)
 
 
 def _oracle_dispatch(

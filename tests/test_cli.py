@@ -21,6 +21,20 @@ def run(capsys, *argv):
 
 
 class TestPredict:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pressure_exits_2(self, capsys, value):
+        # nan used to exit 0 with verdict buckle and a NaN in the JSON
+        code, out, err = run(
+            capsys, "predict", "--pressure-kpa", value, "--length-cm", "100", "--json"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_non_finite_transition_pressure_exits_2(self, capsys):
+        # nan used to exit 3, the cross-check failure code
+        code, out, _ = run(capsys, "transition", "--pressure-kpa", "nan", "--kappa-per-m", "0.444")
+        assert code == 2 and out == ""
+
     def test_invert_case(self, capsys):
         code, out, err = run(capsys, "predict", "--pressure-kpa", "2", "--length-cm", "100")
         assert code == 0 and err == ""

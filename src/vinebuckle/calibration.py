@@ -45,10 +45,8 @@ class TensionSample:
     tail_tension: float   # N
 
     def __post_init__(self) -> None:
-        if self.pressure < 0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure}")
-        if self.tail_tension < 0:
-            raise ValueError(f"tail_tension must be >= 0, got {self.tail_tension}")
+        units.check("pressure", self.pressure)
+        units.check("tail_tension", self.tail_tension)
 
 
 @dataclass(frozen=True)
@@ -58,10 +56,8 @@ class ApertureSample:
     shape_tag: ApertureShape = ApertureShape.CIRCULAR
 
     def __post_init__(self) -> None:
-        if self.aperture_area <= 0:
-            raise ValueError(f"aperture_area must be > 0, got {self.aperture_area}")
-        if self.inversion_force <= 0:
-            raise ValueError(f"inversion_force must be > 0, got {self.inversion_force}")
+        units.check("aperture_area", self.aperture_area, lo_open=True)
+        units.check("inversion_force", self.inversion_force, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,7 @@ def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> Invers
     tension - pressure*area/2 over all samples; duplicate trials count as
     individual equally weighted samples.
     """
-    if area <= 0:
-        raise ValueError(f"area must be > 0, got {area}")
+    units.check("area", area, lo_open=True)
     if not samples:
         raise ValueError("need at least one tension sample")
     offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])

@@ -4,7 +4,10 @@ Bench units at the boundary (kPa, cm, N, N*cm, RPM), SI inside. Built-in
 defaults reproduce the reference robot and device with zero configuration;
 a JSON config document overrides individual fields. Exit codes: 0 success,
 1 usage error, 2 input validation, 3 numeric cross-check failure. Errors go
-to stderr with an ``error:`` prefix.
+to stderr with an ``error:`` prefix. Every non-finite, out-of-range or
+wrongly typed input that a command uses exits 2, and so does a finite input
+so extreme that the model's arithmetic overflows or divides by an
+underflowed zero.
 """
 
 from __future__ import annotations
@@ -70,13 +73,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
+    except ArithmeticError as exc:  # overflow or underflow to zero from extreme inputs
+        print(f"error: inputs out of the model's numeric range ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def run(argv: Optional[list[str]] = None) -> int:
-    return main(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,7 @@ def load_config_from_doc(doc: dict) -> tuple[BodySpec, DeviceSpec, float, dict]:
         aperture_c2=dev_sec.get("c2_n", 3.3),
     )
     efficiency = dev_sec.get("efficiency", 1.0)
-    if not 0 < efficiency <= 1:
-        raise ValueError(f"device efficiency must be in (0, 1], got {efficiency}")
+    units.check("device efficiency", efficiency, hi=1.0, lo_open=True)
     defaults = doc.get("defaults", {})
     return body, device, efficiency, defaults
 
@@ -162,11 +163,17 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     for key, value in section.items():
         if key in ("mu_s", "normal_force_n") and value is None:
             continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"config field {name}.{key} must be a number, got {value!r}")
-        if value <= 0:
-            raise ValueError(f"config field {name}.{key} must be > 0, got {value}")
+        field = f"config field {name}.{key}"
+        units.check(field, _number(field, value), lo_open=True)
     return section
+
+
+def _number(field: str, value: Any) -> Any:
+    """``value`` when it is a JSON number. JSON types are tested here only;
+    the range is the library's check."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +271,7 @@ def _print_pairs(pairs: list[tuple[str, Any]]) -> None:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _prediction_doc(prediction: BehaviorPrediction) -> dict:
@@ -506,6 +513,15 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     mode = doc.get("mode", "retract")
     if mode not in ("retract", "grow"):
         raise ValueError(f"scenario mode must be retract or grow, got {mode!r}")
+    for key in (
+        "efficiency", "initial_length_cm", "target_length_cm", "kappa_per_m", "step_cm",
+        "motor_rpm",
+    ):
+        if key in doc:
+            _number(f"scenario field {key}", doc[key])
+    base_takeup = doc.get("base_takeup", True)
+    if not isinstance(base_takeup, bool):
+        raise ValueError(f"scenario field base_takeup must be a bool, got {base_takeup!r}")
 
     body, _, _, _ = load_config_from_doc({"body": doc.get("body", {})})
     device_field = doc.get("device", False)
@@ -524,12 +540,17 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     if "initial_length_cm" not in doc:
         raise ValueError("scenario needs initial_length_cm")
     pressure = doc.get("pressure_kpa")
+    if pressure is not None:
+        pressure = units.kpa_to_pa(_number("scenario field pressure_kpa", pressure))
     schedule = doc.get("pressure_schedule")
     points = None
     if schedule is not None:
         try:
             points = tuple(
-                (units.cm_to_m(float(tip)), units.kpa_to_pa(float(kpa)))
+                (
+                    units.cm_to_m(_number("tip_cm", tip)),
+                    units.kpa_to_pa(_number("kpa", kpa)),
+                )
                 for tip, kpa in schedule
             )
         except (TypeError, ValueError):
@@ -539,7 +560,7 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     scenario = sim.Scenario(
         body=body,
         initial_length=units.cm_to_m(doc["initial_length_cm"]),
-        pressure=None if pressure is None else units.kpa_to_pa(pressure),
+        pressure=pressure,
         pressure_points=points,
         curvature=doc.get("kappa_per_m", 0.0),
         device=device,
@@ -548,7 +569,7 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
         motor_speed=(
             units.rpm_to_rad_s(doc["motor_rpm"]) if "motor_rpm" in doc else None
         ),
-        base_takeup=doc.get("base_takeup", True),
+        base_takeup=base_takeup,
         target_length=(
             units.cm_to_m(doc["target_length_cm"]) if "target_length_cm" in doc else None
         ),

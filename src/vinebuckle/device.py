@@ -56,13 +56,11 @@ class DeviceSpec:
             "aperture_c1",
             "aperture_c2",
         ):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+            units.check(name, getattr(self, name), lo_open=True)
         for name in ("static_friction", "roller_normal_force"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be > 0 when given, got {value}")
+            if value is not None:
+                units.check(name, value, lo_open=True)
 
     @property
     def min_aperture_area(self) -> float:
@@ -92,8 +90,7 @@ def aperture_inversion_force(device: DeviceSpec, area: Optional[float] = None) -
     the body's bare inversion force whenever the device is present.
     """
     a = device.min_aperture_area if area is None else area
-    if a <= 0:
-        raise ValueError(f"aperture area must be > 0, got {a}")
+    units.check("aperture area", a, lo_open=True)
     return device.aperture_c1 / a + device.aperture_c2
 
 
@@ -105,10 +102,8 @@ def tail_tension_with_device(
     T_T = P*A/2 + F_I(device aperture) - F_d/2. May be negative when the
     device over-drives; clamping is a simulation policy, not done here.
     """
-    if pressure < 0:
-        raise ValueError(f"pressure must be >= 0, got {pressure}")
-    if device_force < 0:
-        raise ValueError(f"device_force must be >= 0, got {device_force}")
+    units.check("pressure", pressure)
+    units.check("device_force", device_force)
     return (
         0.5 * pressure * body.cross_section_area
         + aperture_inversion_force(device)
@@ -120,8 +115,7 @@ def device_force_for_zero_tension(
     body: BodySpec, device: DeviceSpec, pressure: float
 ) -> float:
     """Device force that inverts the body with zero tail tension: P*A + 2*F_I."""
-    if pressure < 0:
-        raise ValueError(f"pressure must be >= 0, got {pressure}")
+    units.check("pressure", pressure)
     return pressure * body.cross_section_area + 2.0 * aperture_inversion_force(device)
 
 
@@ -149,9 +143,9 @@ def max_zero_tension_pressure(
     defaults to the aperture model value; pass ``body.inversion_force`` for
     the device-free bare offset.
     """
-    if not 0 < efficiency <= 1:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+    units.check("efficiency", efficiency, hi=1.0, lo_open=True)
     f_i = aperture_inversion_force(device) if inversion_force is None else inversion_force
+    units.check("inversion_force", f_i, lo=-math.inf)
     ceiling = (efficiency * max_device_force(device) - 2.0 * f_i) / body.cross_section_area
     return max(ceiling, 0.0)
 
@@ -164,8 +158,7 @@ def efficiency_for_pressure_ceiling(
     Back-solves ``max_zero_tension_pressure`` for efficiency, so field data on
     the highest self-retraction pressure calibrates the drivetrain losses.
     """
-    if max_pressure < 0:
-        raise ValueError(f"max_pressure must be >= 0, got {max_pressure}")
+    units.check("max_pressure", max_pressure)
     needed = device_force_for_zero_tension(body, device, max_pressure)
     return needed / max_device_force(device)
 
@@ -184,12 +177,7 @@ def retraction_kinematics(device: DeviceSpec, motor_speed: float) -> RetractionK
     units of tail per unit of tip travel, so the tip moves at half that and
     the base must take up the full roller surface speed to hold slack.
     """
-    if motor_speed < 0:
-        raise ValueError(f"motor_speed must be >= 0, got {motor_speed}")
-    if motor_speed > device.motor_speed_max:
-        raise ValueError(
-            f"motor_speed {motor_speed} exceeds motor_speed_max {device.motor_speed_max}"
-        )
+    units.check("motor_speed", motor_speed, hi=device.motor_speed_max)
     surface = motor_speed * device.roller_radius
     return RetractionKinematics(
         roller_surface_speed=surface,
@@ -223,8 +211,7 @@ def device_assist(
     the available force and the residual tail tension
     P*A/2 + F_I - F_avail/2 must come from the base.
     """
-    if not 0 <= efficiency <= 1:
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
+    units.check("efficiency", efficiency, hi=1.0)
     available = efficiency * max_device_force(device)
     needed = device_force_for_zero_tension(body, device, pressure)
     if needed <= available:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
+from . import units
+
 # Curvatures below this are treated as exactly straight; the curved closed
 # form is numerically meaningless there and the straight model applies.
 KAPPA_STRAIGHT = 1e-6
@@ -62,16 +64,9 @@ class BodySpec:
     inversion_force: float = 3.5      # N, tip deformation force offset
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
-        if self.wall_thickness <= 0:
-            raise ValueError(f"wall_thickness must be > 0, got {self.wall_thickness}")
-        if self.youngs_modulus <= 0:
-            raise ValueError(f"youngs_modulus must be > 0, got {self.youngs_modulus}")
-        if self.shear_modulus <= 0:
-            raise ValueError(f"shear_modulus must be > 0, got {self.shear_modulus}")
-        if self.inversion_force < 0:
-            raise ValueError(f"inversion_force must be >= 0, got {self.inversion_force}")
+        for name in ("radius", "wall_thickness", "youngs_modulus", "shear_modulus"):
+            units.check(name, getattr(self, name), lo_open=True)
+        units.check("inversion_force", self.inversion_force)
 
     @property
     def cross_section_area(self) -> float:
@@ -88,9 +83,9 @@ class RobotState:
     curvature: float = 0.0      # 1/m, >= 0
 
     def __post_init__(self) -> None:
-        _check_length(self.length)
-        _check_pressure(self.pressure)
-        _check_curvature(self.curvature)
+        units.check("length", self.length)
+        units.check("pressure", self.pressure)
+        units.check("curvature", self.curvature)
 
 
 @dataclass(frozen=True)
@@ -148,13 +143,13 @@ def tail_tension_to_invert(body: BodySpec, pressure: float) -> float:
     Affine in pressure with slope equal to half the cross-sectional area,
     offset by the tip deformation force.
     """
-    _check_pressure(pressure)
+    units.check("pressure", pressure)
     return 0.5 * pressure * body.cross_section_area + body.inversion_force
 
 
 def crushing_force(body: BodySpec, pressure: float) -> float:
     """Axial load that collapses the wall by crushing: P*A, length independent."""
-    _check_pressure(pressure)
+    units.check("pressure", pressure)
     return pressure * body.cross_section_area
 
 
@@ -164,9 +159,8 @@ def axial_buckling_force(body: BodySpec, pressure: float, length: float) -> floa
     Strictly decreasing in length; tends to P*A + pi*R*G*t as length -> 0.
     Raises ValueError for length <= 0.
     """
-    _check_pressure(pressure)
-    if length <= 0:
-        raise ValueError(f"length must be > 0, got {length}")
+    units.check("pressure", pressure)
+    units.check("length", length, lo_open=True)
     return _axial_force(body, pressure, length)
 
 
@@ -179,10 +173,8 @@ def clamped_moment_arm(body: BodySpec, curvature: float, length: float) -> float
     """Moment arm as the predictors use it: held at its maximum R + 2/kappa
     beyond kappa*L = pi, so that a triggered buckling verdict persists
     instead of oscillating."""
-    if curvature <= 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
+    units.check("curvature", curvature, lo_open=True)
+    units.check("length", length)
     return _moment_arm_clamped(body, curvature, length)
 
 
@@ -193,14 +185,9 @@ def moment_arm(body: BodySpec, curvature: float, length: float) -> float:
     Below the straightness threshold this is R exactly. 1 - cos is evaluated
     as 2*sin^2(x/2) to stay accurate near zero curvature.
     """
-    if curvature <= 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    if curvature * length > math.pi:
-        raise ValueError(
-            f"moment arm undefined for kappa*L > pi, got {curvature * length}"
-        )
+    units.check("curvature", curvature, lo_open=True)
+    units.check("length", length)
+    units.check("kappa*L", curvature * length, hi=math.pi)
     return _moment_arm_unchecked(body, curvature, length)
 
 
@@ -208,7 +195,7 @@ def curved_buckling_force(
     body: BodySpec, pressure: float, curvature: float, length: float
 ) -> float:
     """Tail tension that transversely buckles a curved body: P*A*R / D."""
-    _check_pressure(pressure)
+    units.check("pressure", pressure)
     return pressure * body.cross_section_area * body.radius / moment_arm(
         body, curvature, length
     )
@@ -220,8 +207,7 @@ def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:
     Equals R at the minimum inversion pressure and approaches 2R at high
     pressure. Requires pressure > 0.
     """
-    if pressure <= 0:
-        raise ValueError(f"pressure must be > 0, got {pressure}")
+    units.check("pressure", pressure, lo_open=True)
     pa = pressure * body.cross_section_area
     return pa * body.radius / (0.5 * pa + body.inversion_force)
 
@@ -233,9 +219,8 @@ def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> 
     gone slack and the body is in the crushing regime. With no device force
     the sign flips exactly at the minimum inversion pressure.
     """
-    _check_pressure(pressure)
-    if device_force < 0:
-        raise ValueError(f"device_force must be >= 0, got {device_force}")
+    units.check("pressure", pressure)
+    units.check("device_force", device_force)
     return (
         0.5 * pressure * body.cross_section_area
         - body.inversion_force
@@ -250,7 +235,7 @@ def straight_transition_length(body: BodySpec, pressure: float) -> Optional[floa
     length inverts; crushing binds already at zero length). The closed form
     is cross-checked against bisection on every call.
     """
-    _check_pressure(pressure)
+    units.check("pressure", pressure)
     result = _straight_transition_for(body, pressure, tail_tension_to_invert(body, pressure))
     return None if result is None or math.isinf(result) else result
 
@@ -265,9 +250,8 @@ def curved_transition_length(
     exceeds its maximum R + 2/kappa within the valid range (buckling
     unreachable). Cross-checked against bisection on every call.
     """
-    _check_pressure(pressure)
-    if curvature <= 0:
-        raise ValueError(f"curvature must be > 0, got {curvature}")
+    units.check("pressure", pressure)
+    units.check("curvature", curvature, lo_open=True)
     result = _curved_transition_for(
         body, pressure, curvature, tail_tension_to_invert(body, pressure)
     )
@@ -310,10 +294,11 @@ def solve_pressure_row(
     predicts a longer one than the straight model. A ``grounded`` row skips
     the dispatch: it inverts at every length, and its model is named by the
     straightness threshold alone. Raises ValueError for a negative or
-    non-finite pressure or curvature.
+    non-finite pressure or curvature, or a non-finite required tension.
     """
-    _check_pressure(pressure)
-    _check_curvature(curvature)
+    units.check("pressure", pressure)
+    units.check("curvature", curvature)
+    units.check("required_tension", required_tension, lo=-math.inf)
     if grounded:
         model = ModelUsed.STRAIGHT if curvature < KAPPA_STRAIGHT else ModelUsed.CURVED
         return PressureRow(body, pressure, curvature, required_tension, model, math.inf, False, True)
@@ -327,7 +312,7 @@ def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
 
     Raises ValueError for a negative or non-finite length.
     """
-    _check_length(length)
+    units.check("length", length)
     body, pressure, curvature, required, model, _, extrapolated, grounded = row
     if curvature > 0 and curvature * length > math.pi:
         extrapolated = True
@@ -361,23 +346,37 @@ def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
     )
 
 
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A root of ``f`` in [lo, hi] by bisection, to adjacent floats or 200 halvings.
+
+    An end point where ``f`` is exactly 0 is returned as it is. Raises
+    CrossCheckError when ``f`` has the same sign at both ends, since every
+    caller builds its bracket to straddle a root.
+    """
+    f_lo = f(lo)
+    f_hi = f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        raise CrossCheckError(
+            f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # internals
-
-
-def _check_pressure(pressure: float) -> None:
-    if not 0 <= pressure < math.inf:
-        raise ValueError(f"pressure must be finite and >= 0, got {pressure}")
-
-
-def _check_length(length: float) -> None:
-    if not 0 <= length < math.inf:
-        raise ValueError(f"length must be finite and >= 0, got {length}")
-
-
-def _check_curvature(curvature: float) -> None:
-    if not 0 <= curvature < math.inf:
-        raise ValueError(f"curvature must be finite and >= 0, got {curvature}")
 
 
 def _axial_numerator(body: BodySpec, pressure: float) -> float:
@@ -423,35 +422,12 @@ def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> floa
     return _moment_arm_unchecked(body, curvature, length)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise CrossCheckError(
-            f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 def _cross_check(
     closed: float, f: Callable[[float], float], lo: float, hi: float
 ) -> float:
     if abs(f(closed)) <= _RESIDUAL_TOL_N:
         return closed
-    root = _bisect(f, lo, hi)
+    root = bisect_root(f, lo, hi)
     if abs(root - closed) > _TRANSITION_TOL_M:
         raise CrossCheckError(
             f"closed-form transition {closed} m disagrees with bisection {root} m"
@@ -483,7 +459,9 @@ def _straight_transition_for(
     hi = max(2.0 * closed, 1.0)
     while f(hi) > 0:
         hi *= 2.0
-    return _cross_check(closed, f, 1e-12, hi)
+    # f(0) = P*A + pi*R*G*t - required > 0; at extreme pressures the root
+    # lies below any fixed positive lower bracket.
+    return _cross_check(closed, f, 0.0, hi)
 
 
 def _curved_transition_for(

@@ -17,6 +17,11 @@ from . import units
 from .device import DeviceSpec, retraction_kinematics, solve_device_row
 from .mechanics import BodySpec, PressureRow, Verdict, predict_at_length
 
+# Most steps one episode may take, ceil(span / step), so that no scenario
+# can run for hours: the retraction span is initial_length, the growth span
+# target_length - initial_length.
+MAX_EPISODE_STEPS = 10**6
+
 
 class TerminalKind(Enum):
     FULLY_RETRACTED = "fully_retracted"
@@ -38,6 +43,7 @@ class Scenario:
     position (``pressure_points`` as (tip m, Pa) breakpoints; evaluation
     outside their span is an error). ``target_length`` is only used by
     growth episodes. ``motor_speed`` defaults to the device maximum.
+    Neither span may take more than ``MAX_EPISODE_STEPS`` steps.
     """
 
     body: BodySpec
@@ -53,41 +59,34 @@ class Scenario:
     target_length: Optional[float] = None  # m, growth episodes
 
     def __post_init__(self) -> None:
-        for name in (
-            "initial_length", "step", "pressure", "curvature", "target_length", "motor_speed"
-        ):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.pressure_points is not None and not all(
-            math.isfinite(value) for point in self.pressure_points for value in point
-        ):
-            raise ValueError("pressure_points values must be finite")
-        if self.initial_length < 0:
-            raise ValueError(f"initial_length must be >= 0, got {self.initial_length}")
-        if self.step <= 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.curvature < 0:
-            raise ValueError(f"curvature must be >= 0, got {self.curvature}")
-        if not 0 <= self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if (self.pressure is None) == (self.pressure_points is None):
             raise ValueError("give exactly one of pressure or pressure_points")
-        if self.pressure is not None and self.pressure < 0:
-            raise ValueError(f"pressure must be >= 0, got {self.pressure}")
+        units.check("initial_length", self.initial_length)
+        units.check("step", self.step, lo_open=True)
+        units.check("curvature", self.curvature)
+        units.check("efficiency", self.efficiency, hi=1.0)
+        for name in ("pressure", "target_length", "motor_speed"):
+            value = getattr(self, name)
+            if value is not None:
+                units.check(name, value)
         if self.pressure_points is not None:
             points = self.pressure_points
             if len(points) < 2:
                 raise ValueError("pressure_points needs at least two breakpoints")
+            for position, pressure in points:
+                units.check("pressure_points position", position, lo=-math.inf)
+                units.check("pressure_points pressure", pressure)
             positions = [p for p, _ in points]
             if any(b <= a for a, b in zip(positions, positions[1:])):
                 raise ValueError("pressure_points positions must be strictly increasing")
-            if any(p < 0 for _, p in points):
-                raise ValueError("pressure_points pressures must be >= 0")
-        if self.target_length is not None and self.target_length < 0:
-            raise ValueError(f"target_length must be >= 0, got {self.target_length}")
-        if self.motor_speed is not None and self.motor_speed < 0:
-            raise ValueError(f"motor_speed must be >= 0, got {self.motor_speed}")
+        span = self.initial_length
+        if self.target_length is not None:
+            span = max(span, self.target_length - self.initial_length)
+        if span / self.step > MAX_EPISODE_STEPS:
+            raise ValueError(
+                f"episode of {span} m in steps of {self.step} m exceeds "
+                f"{MAX_EPISODE_STEPS} steps"
+            )
 
     def pressure_at(self, tip: float) -> float:
         if self.pressure is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from . import units
 from .device import DeviceSpec, device_assist, solve_device_row
@@ -25,9 +25,9 @@ from .mechanics import (
     ModelUsed,
     Verdict,
     axial_buckling_force,
+    bisect_root,
     clamped_moment_arm,
     crushing_force,
-    moment_arm,
     predict_at_length,
     tail_tension_to_invert,
 )
@@ -43,10 +43,9 @@ class AxisRange:
     steps: int
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"axis range needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.steps < 1:
-            raise ValueError(f"axis range needs steps >= 1, got {self.steps}")
+        units.check("axis lo", self.lo, lo=-math.inf)
+        units.check("axis hi", self.hi, lo=self.lo, lo_open=True)
+        units.check("axis steps", self.steps, lo=1)
 
     def centers(self) -> list[float]:
         width = (self.hi - self.lo) / self.steps
@@ -63,10 +62,8 @@ class SweepRequest:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.curvature < 0:
-            raise ValueError(f"curvature must be >= 0, got {self.curvature}")
-        if not 0 <= self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
+        units.check("curvature", self.curvature)
+        units.check("efficiency", self.efficiency, hi=1.0)
 
 
 @dataclass
@@ -248,13 +245,17 @@ def _straight_transition_bisect(
     hi = 1.0
     while gap(hi) > 0:
         hi *= 2.0
-    return _bisect_root(gap, 1e-12, hi)
+    # the smallest positive length, where the gap is P*A + pi*R*G*t - required > 0
+    return bisect_root(gap, math.ulp(0.0), hi)
 
 
 def _curved_transition_bisect(
     body: BodySpec, pressure: float, curvature: float, required: float
 ) -> Optional[float]:
-    """Curved transition by bisection on the moment balance over [0, pi/kappa]."""
+    """Curved transition by bisection on the moment balance over [0, pi/kappa].
+
+    The arm is the clamped one because kappa * (pi/kappa) may round past pi.
+    """
     pa = pressure * body.cross_section_area
     if required > pa:
         return None
@@ -266,25 +267,9 @@ def _curved_transition_bisect(
         return math.inf
 
     def gap(length: float) -> float:
-        return pa * body.radius / moment_arm(body, curvature, length) - required
+        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
 
-    return _bisect_root(gap, 0.0, math.pi / curvature)
-
-
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    f_lo = f(lo)
-    if f_lo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f_lo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = f(lo)
-    return 0.5 * (lo + hi)
+    return bisect_root(gap, 0.0, math.pi / curvature)
 
 
 def _fmt_force(value: float) -> str:

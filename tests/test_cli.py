@@ -13,6 +13,9 @@ DATA = """pressure_kpa,tension_n
 10.0,31.9
 """
 
+DEVICE_INFO = ("device", "info")
+PREDICT = ("predict", "--pressure-kpa", "2", "--length-cm", "100")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -221,6 +224,14 @@ class TestFit:
         assert code == 2
         assert "row 2" in err
 
+    def test_non_finite_row_exits_2_and_names_row(self, capsys, tmp_path):
+        # it used to exit 0 with "f_i_n": NaN
+        path = tmp_path / "nan.csv"
+        path.write_text("pressure_kpa,tension_n\nnan,3\n")
+        code, out, err = run(capsys, "fit", "inversion", "--csv", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: row 1:")
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "inversion", "--csv", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -275,6 +286,22 @@ class TestSimulate:
         assert doc["terminal"] == "buckled"
         assert doc["terminal_length_cm"] == pytest.approx(240.0, abs=1.1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"pressure_kpa": "2"},  # used to escape as a TypeError traceback
+            {"pressure_kpa": 2.0, "base_takeup": "no"},  # used to count as true
+            {"pressure_kpa": 2.0, "efficiency": None},
+            {"pressure_schedule": [[0, "1"], [100, 2]]},
+            {"pressure_kpa": 2.0, "initial_length_cm": 1e8, "step_cm": 1e-7},  # 10^15 steps
+        ],
+    )
+    def test_bad_field_exits_2(self, capsys, tmp_path, fields):
+        path = self.scenario_path(tmp_path, {"initial_length_cm": 100, **fields})
+        code, out, err = run(capsys, "simulate", "--scenario", path, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         path = self.scenario_path(tmp_path, {"initial_length_cm": 10, "psi": 3})
         code, _, err = run(capsys, "simulate", "--scenario", path)
@@ -310,6 +337,27 @@ class TestConfig:
         config.write_text(json.dumps({"device": {"torque_ncm": -1.0}}))
         code, _, _ = run(capsys, "device", "info", "--config", str(config))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            # used to print "max_device_force_n": NaN
+            ('{"device": {"torque_ncm": NaN}}', DEVICE_INFO),
+            # used to give an infinite radius and verdict buckle
+            ('{"body": {"radius_cm": 1e400}}', PREDICT),
+            ('{"body": {"e_mpa": "300"}}', PREDICT),
+            ('{"device": {"efficiency": 1.5}}', DEVICE_INFO),
+            # R**4 overflowed, pi*R*R underflowed to a division by zero: tracebacks
+            ('{"body": {"radius_cm": 1e100}}', PREDICT),
+            ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, tmp_path, text, argv):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(config), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_device_config_changes_info(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -250,6 +250,7 @@ class TestDeviceValidation:
             {"tip_ring_area": 0.0},
             {"aperture_c1": -1.0},
             {"static_friction": 0.0},
+            {"max_motor_torque": math.nan},
         ],
     )
     def test_bad_device(self, kwargs):

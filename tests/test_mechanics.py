@@ -17,6 +17,7 @@ from vinebuckle import (
     RobotState,
     Verdict,
     axial_buckling_force,
+    bisect_root,
     crushing_force,
     curved_buckling_force,
     curved_transition_length,
@@ -377,6 +378,24 @@ class TestTransitionCrossCheck:
         with pytest.raises(CrossCheckError, match="disagrees"):
             _cross_check(1.0, gap, 1e-12, 10.0)  # true root is near 2.39 m
 
+    def test_root_finder(self):
+        from vinebuckle.mechanics import CrossCheckError
+
+        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert bisect_root(lambda x: x - 3.0, 0.0, 3.0) == 3.0  # a root at an end point
+        with pytest.raises(CrossCheckError, match="straddle"):
+            bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+
+    def test_extreme_pressure_is_not_a_cross_check_failure(self, body):
+        # the root lies below 1e-12 m, the old fixed lower bracket of the
+        # closed-form cross-check and of the oracle
+        from vinebuckle import AxisRange, SweepRequest, classify_grid, diagrams_agree, oracle_scan
+
+        assert straight_transition_length(body, 1.287245690944424e29) < 1e-12
+        request = SweepRequest(body, K_MEDIUM, AxisRange(0.0, 1e30, 2), AxisRange(0.0, 1.0, 2))
+        assert diagrams_agree(classify_grid(request), oracle_scan(request))
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -387,6 +406,7 @@ class TestValidation:
             {"youngs_modulus": 0.0},
             {"shear_modulus": -1.0},
             {"inversion_force": -0.1},
+            {"radius": math.nan},
         ],
     )
     def test_bad_body(self, kwargs):

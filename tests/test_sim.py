@@ -15,6 +15,7 @@ from vinebuckle import (
     simulate_growth,
     simulate_retraction,
 )
+from vinebuckle.sim import MAX_EPISODE_STEPS
 
 EPISODE_HEADER = "step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"
 
@@ -214,8 +215,21 @@ class TestScenarioValidation:
             {"initial_length": 1.0, "pressure": 1e3, "step": 0.0},
             {"initial_length": 1.0, "pressure": -5.0},
             {"initial_length": 1.0, "pressure": 1e3, "efficiency": 1.5},
+            # ~10^15 steps; only the constructor runs
+            {"initial_length": 1e6, "pressure": 1e3, "step": 1e-9},
+            {"initial_length": 0.0, "pressure": 1e3, "target_length": 1e4, "step": 1e-3},
         ],
     )
     def test_bad_fields(self, body, kwargs):
         with pytest.raises(ValueError):
             Scenario(body=body, **kwargs)
+
+    def test_step_ceiling_is_inclusive(self, body):
+        step = 2.0**-10  # exact binary fractions: span / step is exact
+        ceiling = MAX_EPISODE_STEPS * step
+        Scenario(body=body, initial_length=ceiling, pressure=1e3, step=step)
+        Scenario(
+            body=body, initial_length=1.0, target_length=1.0 + ceiling, pressure=1e3, step=step
+        )
+        with pytest.raises(ValueError, match="exceeds"):
+            Scenario(body=body, initial_length=ceiling + step, pressure=1e3, step=step)

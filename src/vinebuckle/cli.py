@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import calibration, sim, sweep, units
 from .calibration import ApertureShape
@@ -84,26 +84,112 @@ def main(argv: Optional[list[str]] = None) -> int:
 # ---------------------------------------------------------------------------
 # configuration document
 
-_BODY_KEYS = {"radius_cm", "thickness_um", "e_mpa", "g_mpa", "f_i_n"}
-_DEVICE_KEYS = {
-    "torque_ncm",
-    "roller_radius_cm",
-    "rpm_max",
-    "tip_ring_diameter_cm",
-    "routing_aperture_cm2",
-    "c1_ncm2",
-    "c2_n",
-    "efficiency",
-    "mu_s",
-    "normal_force_n",
+def _number(label: str, value: Any) -> Any:
+    """``value`` when it is a JSON number. JSON types are tested here only;
+    the range is the library's check."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    return value
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _positive(to_si: Callable[[Any], Any] = _same) -> Callable[[str, Any], Any]:
+    """Reader of a positive JSON number in bench units, converted by ``to_si``."""
+    return lambda label, value: to_si(units.check(label, _number(label, value), lo_open=True))
+
+
+def _numeric(to_si: Callable[[Any], Any] = _same) -> Callable[[str, Any], Any]:
+    """Reader of a JSON number whose range the built dataclass checks."""
+    return lambda label, value: to_si(_number(label, value))
+
+
+def _or_null(read: Callable[[str, Any], Any]) -> Callable[[str, Any], Any]:
+    """``read``, except that a JSON null gives None, the field's default."""
+    return lambda label, value: None if value is None else read(label, value)
+
+
+def _efficiency(label: str, value: Any) -> float:
+    return units.check(label, _number(label, value), hi=1.0)
+
+
+def _ring_area(diameter_cm: float) -> float:
+    radius = units.cm_to_m(diameter_cm) / 2.0
+    return math.pi * radius * radius
+
+
+def _schedule(label: str, value: Any) -> tuple[tuple[float, float], ...]:
+    try:
+        return tuple(
+            (units.cm_to_m(_number("tip_cm", tip)), units.kpa_to_pa(_number("kpa", kpa)))
+            for tip, kpa in value
+        )
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be a list of [tip_cm, kpa] pairs") from None
+
+
+def _flag(label: str, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{label} must be a bool, got {value!r}")
+    return value
+
+
+# Each document key: (dataclass field, reader of its JSON value into SI).
+# A reader type-checks the value and converts it from bench units; absent
+# keys take the dataclass defaults. Config efficiency is not a DeviceSpec
+# field and is returned apart.
+_BODY_KEYS = {
+    "radius_cm": ("radius", _positive(units.cm_to_m)),
+    "thickness_um": ("wall_thickness", _positive(units.um_to_m)),
+    "e_mpa": ("youngs_modulus", _positive(units.mpa_to_pa)),
+    "g_mpa": ("shear_modulus", _positive(units.mpa_to_pa)),
+    "f_i_n": ("inversion_force", _positive()),
 }
+_DEVICE_KEYS = {
+    "torque_ncm": ("max_motor_torque", _positive(units.ncm_to_nm)),
+    "roller_radius_cm": ("roller_radius", _positive(units.cm_to_m)),
+    "rpm_max": ("motor_speed_max", _positive(units.rpm_to_rad_s)),
+    "tip_ring_diameter_cm": ("tip_ring_area", _positive(_ring_area)),
+    "routing_aperture_cm2": ("routing_aperture_area", _positive(units.cm2_to_m2)),
+    "c1_ncm2": ("aperture_c1", _positive(units.ncm2_to_nm2)),
+    "c2_n": ("aperture_c2", _positive()),
+    "mu_s": ("static_friction", _or_null(_positive())),
+    "normal_force_n": ("roller_normal_force", _or_null(_positive())),
+    "efficiency": ("efficiency", _efficiency),
+}
+# "mode", "body" and "device" are read apart.
+_SCENARIO_KEYS = {
+    "initial_length_cm": ("initial_length", _numeric(units.cm_to_m)),  # required
+    "target_length_cm": ("target_length", _numeric(units.cm_to_m)),  # growth only
+    "pressure_kpa": ("pressure", _or_null(_numeric(units.kpa_to_pa))),
+    "pressure_schedule": ("pressure_points", _or_null(_schedule)),  # [[tip_cm, kpa], ...]
+    "kappa_per_m": ("curvature", _numeric()),
+    "step_cm": ("step", _numeric(units.cm_to_m)),
+    "motor_rpm": ("motor_speed", _numeric(units.rpm_to_rad_s)),  # device episodes only
+    "efficiency": ("efficiency", _numeric()),
+    "base_takeup": ("base_takeup", _flag),
+}
+
+
+def _read(doc: dict, table: dict, label: str) -> dict:
+    """Dataclass keyword arguments from the keys of ``doc`` that ``table``
+    names; errors name a key as ``label`` + key."""
+    fields = {}
+    for key, value in doc.items():
+        if key in table:
+            field, read = table[key]
+            fields[field] = read(label + key, value)
+    return fields
 
 
 def load_config(path: Optional[str]) -> tuple[BodySpec, DeviceSpec, float, dict]:
     """Build body and device from a JSON config document.
 
-    Missing fields take the built-in reference values; all present fields
-    must be positive numbers. Returns (body, device, efficiency, defaults).
+    Missing fields take the BodySpec and DeviceSpec defaults; present fields
+    must be positive numbers, with the efficiency in [0, 1]. Returns (body,
+    device, efficiency, defaults).
     """
     if path is None:
         doc: dict = {}
@@ -119,61 +205,25 @@ def load_config_from_doc(doc: dict) -> tuple[BodySpec, DeviceSpec, float, dict]:
     unknown_sections = set(doc) - {"body", "device", "defaults"}
     if unknown_sections:
         raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
-    body_sec = _section(doc, "body", _BODY_KEYS)
-    dev_sec = _section(doc, "device", _DEVICE_KEYS)
-
-    body = BodySpec(
-        radius=units.cm_to_m(body_sec.get("radius_cm", 4.25)),
-        wall_thickness=units.um_to_m(body_sec.get("thickness_um", 74.0)),
-        youngs_modulus=units.mpa_to_pa(body_sec.get("e_mpa", 300.0)),
-        shear_modulus=units.mpa_to_pa(body_sec.get("g_mpa", 210.0)),
-        inversion_force=body_sec.get("f_i_n", 3.5),
-    )
-    ring_radius = units.cm_to_m(dev_sec.get("tip_ring_diameter_cm", 3.2)) / 2.0
-    ring_area = math.pi * ring_radius * ring_radius
-    routing_area = (
-        units.cm2_to_m2(dev_sec["routing_aperture_cm2"])
-        if "routing_aperture_cm2" in dev_sec
-        else ring_area
-    )
-    device = DeviceSpec(
-        max_motor_torque=units.ncm_to_nm(dev_sec.get("torque_ncm", 24.5)),
-        roller_radius=units.cm_to_m(dev_sec.get("roller_radius_cm", 1.2)),
-        motor_speed_max=units.rpm_to_rad_s(dev_sec.get("rpm_max", 33.0)),
-        static_friction=dev_sec.get("mu_s"),
-        roller_normal_force=dev_sec.get("normal_force_n"),
-        tip_ring_area=ring_area,
-        routing_aperture_area=routing_area,
-        aperture_c1=units.ncm2_to_nm2(dev_sec.get("c1_ncm2", 6.1)),
-        aperture_c2=dev_sec.get("c2_n", 3.3),
-    )
-    efficiency = dev_sec.get("efficiency", 1.0)
-    units.check("device efficiency", efficiency, hi=1.0, lo_open=True)
-    defaults = doc.get("defaults", {})
-    return body, device, efficiency, defaults
+    body = BodySpec(**_section(doc, "body", _BODY_KEYS))
+    fields = _section(doc, "device", _DEVICE_KEYS)
+    efficiency = fields.pop("efficiency", sweep.SweepRequest.efficiency)
+    # The CLI's own 3.2 cm ring, whose pi*r*r is 1 ulp off DeviceSpec's
+    # pi*0.016**2; it stays until perfbench/digests.json is re-recorded. The
+    # routing aperture defaults to the tip ring.
+    fields.setdefault("tip_ring_area", _ring_area(3.2))
+    fields.setdefault("routing_aperture_area", fields["tip_ring_area"])
+    return body, DeviceSpec(**fields), efficiency, doc.get("defaults", {})
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+def _section(doc: dict, name: str, table: dict) -> dict:
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(table)
     if unknown:
         raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    for key, value in section.items():
-        if key in ("mu_s", "normal_force_n") and value is None:
-            continue
-        field = f"config field {name}.{key}"
-        units.check(field, _number(field, value), lo_open=True)
-    return section
-
-
-def _number(field: str, value: Any) -> Any:
-    """``value`` when it is a JSON number. JSON types are tested here only;
-    the range is the library's check."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    return value
+    return _read(section, table, f"config field {name}.")
 
 
 # ---------------------------------------------------------------------------
@@ -484,97 +534,33 @@ def _cmd_fit_aperture(args: argparse.Namespace) -> int:
 def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     """Build a Scenario from its JSON document; returns (scenario, mode).
 
-    Schema (bench units):
-    {
-      "mode": "retract" | "grow",              default "retract"
-      "body": {...},                            same fields as config body
-      "device": true | false | {...},           same fields as config device
-      "efficiency": 1.0,
-      "initial_length_cm": 100.0,
-      "target_length_cm": 300.0,                growth only
-      "kappa_per_m": 0.0,
-      "pressure_kpa": 2.0,                      or pressure_schedule
-      "pressure_schedule": [[tip_cm, kpa], ...],
-      "step_cm": 1.0,
-      "motor_rpm": 33.0,                        device episodes only
-      "base_takeup": true
-    }
+    The document holds the keys of ``_SCENARIO_KEYS`` in bench units, plus
+    ``mode`` ("retract" or "grow", default "retract"), ``body`` (config body
+    fields) and ``device`` (true, false or config device fields). Absent keys
+    take the Scenario defaults; without its own efficiency the episode takes
+    the device's.
     """
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
-    known = {
-        "mode", "body", "device", "efficiency", "initial_length_cm",
-        "target_length_cm", "kappa_per_m", "pressure_kpa", "pressure_schedule",
-        "step_cm", "motor_rpm", "base_takeup",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_SCENARIO_KEYS) - {"mode", "body", "device"}
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     mode = doc.get("mode", "retract")
     if mode not in ("retract", "grow"):
         raise ValueError(f"scenario mode must be retract or grow, got {mode!r}")
-    for key in (
-        "efficiency", "initial_length_cm", "target_length_cm", "kappa_per_m", "step_cm",
-        "motor_rpm",
-    ):
-        if key in doc:
-            _number(f"scenario field {key}", doc[key])
-    base_takeup = doc.get("base_takeup", True)
-    if not isinstance(base_takeup, bool):
-        raise ValueError(f"scenario field base_takeup must be a bool, got {base_takeup!r}")
-
+    if "initial_length_cm" not in doc:
+        raise ValueError("scenario needs initial_length_cm")
+    fields = _read(doc, _SCENARIO_KEYS, "scenario field ")
     body, _, _, _ = load_config_from_doc({"body": doc.get("body", {})})
     device_field = doc.get("device", False)
-    efficiency = doc.get("efficiency", 1.0)
-    device: Optional[DeviceSpec]
-    if device_field is False or device_field is None:
-        device = None
-    else:
+    device: Optional[DeviceSpec] = None
+    if device_field is not False and device_field is not None:
         dev_doc = {} if device_field is True else device_field
         if not isinstance(dev_doc, dict):
             raise ValueError("scenario device must be true, false or an object")
-        _, device, cfg_eff, _ = load_config_from_doc({"device": dev_doc})
-        if "efficiency" not in doc:
-            efficiency = cfg_eff
-
-    if "initial_length_cm" not in doc:
-        raise ValueError("scenario needs initial_length_cm")
-    pressure = doc.get("pressure_kpa")
-    if pressure is not None:
-        pressure = units.kpa_to_pa(_number("scenario field pressure_kpa", pressure))
-    schedule = doc.get("pressure_schedule")
-    points = None
-    if schedule is not None:
-        try:
-            points = tuple(
-                (
-                    units.cm_to_m(_number("tip_cm", tip)),
-                    units.kpa_to_pa(_number("kpa", kpa)),
-                )
-                for tip, kpa in schedule
-            )
-        except (TypeError, ValueError):
-            raise ValueError(
-                "pressure_schedule must be a list of [tip_cm, kpa] pairs"
-            ) from None
-    scenario = sim.Scenario(
-        body=body,
-        initial_length=units.cm_to_m(doc["initial_length_cm"]),
-        pressure=pressure,
-        pressure_points=points,
-        curvature=doc.get("kappa_per_m", 0.0),
-        device=device,
-        efficiency=efficiency,
-        step=units.cm_to_m(doc.get("step_cm", 1.0)),
-        motor_speed=(
-            units.rpm_to_rad_s(doc["motor_rpm"]) if "motor_rpm" in doc else None
-        ),
-        base_takeup=base_takeup,
-        target_length=(
-            units.cm_to_m(doc["target_length_cm"]) if "target_length_cm" in doc else None
-        ),
-    )
-    return scenario, mode
+        _, device, efficiency, _ = load_config_from_doc({"device": dev_doc})
+        fields.setdefault("efficiency", efficiency)
+    return sim.Scenario(body=body, device=device, **fields), mode
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

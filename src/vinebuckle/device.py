@@ -139,11 +139,11 @@ def max_zero_tension_pressure(
 ) -> float:
     """Highest pressure at which the device alone can retract the body.
 
-    (efficiency * F_max - 2*F_I) / A, floored at zero. ``inversion_force``
-    defaults to the aperture model value; pass ``body.inversion_force`` for
-    the device-free bare offset.
+    (efficiency * F_max - 2*F_I) / A for efficiency in [0, 1], floored at
+    zero. ``inversion_force`` defaults to the aperture model value; pass
+    ``body.inversion_force`` for the device-free bare offset.
     """
-    units.check("efficiency", efficiency, hi=1.0, lo_open=True)
+    units.check("efficiency", efficiency, hi=1.0)
     f_i = aperture_inversion_force(device) if inversion_force is None else inversion_force
     units.check("inversion_force", f_i, lo=-math.inf)
     ceiling = (efficiency * max_device_force(device) - 2.0 * f_i) / body.cross_section_area

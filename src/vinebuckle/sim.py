@@ -1,9 +1,11 @@
 """Quasistatic retraction and growth episodes.
 
-Each step is an independent static verdict at the current tip position; no
-dynamic state carries over beyond position, elapsed time and tail slack.
-Buckling is terminal: the post-buckling shape is outside the model, so the
-episode ends at the first buckle verdict.
+Retraction is growth run backwards: the tip moves along the same body and
+each position gets the same independent static invert/buckle verdict, so
+both directions share one stepping loop. No dynamic state carries over
+beyond position, elapsed time and tail slack. Buckling ends a retraction,
+since the post-buckling shape is outside the model; growth logs every
+length and reports the first one that buckles.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import units
 from .device import DeviceSpec, retraction_kinematics, solve_device_row
-from .mechanics import BodySpec, PressureRow, Verdict, predict_at_length
+from .mechanics import BodySpec, Verdict, predict_at_length
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -130,33 +132,15 @@ def simulate_retraction(scenario: Scenario) -> EpisodeLog:
     accumulates at twice the retracted length unless base take-up runs.
     A device commanded at zero motor speed stalls the episode.
     """
-    tip_speed, takeup_speed = _speeds(scenario)
-    constant = _constant_row(scenario)
-    records: list[StepRecord] = []
-    k = 0
-    while True:
-        tip = scenario.initial_length - k * scenario.step
-        if tip <= 0.0:
-            return EpisodeLog(
-                steps=tuple(records),
-                terminal=TerminalEvent(TerminalKind.FULLY_RETRACTED),
-                base_takeup_speed=takeup_speed,
-            )
-        record = _evaluate(scenario, constant, k, tip, tip_speed)
-        records.append(record)
-        if record.verdict is Verdict.BUCKLE:
-            return EpisodeLog(
-                steps=tuple(records),
-                terminal=TerminalEvent(TerminalKind.BUCKLED, length=tip),
-                base_takeup_speed=takeup_speed,
-            )
-        if scenario.device is not None and tip_speed == 0.0:
-            return EpisodeLog(
-                steps=tuple(records),
-                terminal=TerminalEvent(TerminalKind.STALLED),
-                base_takeup_speed=takeup_speed,
-            )
-        k += 1
+    start, step = scenario.initial_length, scenario.step
+
+    def tips():
+        k = 0
+        while (tip := start - k * step) > 0.0:
+            yield tip
+            k += 1
+
+    return _episode(scenario, tips(), retracting=True)
 
 
 def simulate_growth(scenario: Scenario) -> EpisodeLog:
@@ -169,33 +153,17 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
     """
     if scenario.target_length is None:
         raise ValueError("growth scenario needs target_length")
-    target = scenario.target_length
-    tip_speed, takeup_speed = _speeds(scenario)
-    constant = _constant_row(scenario)
-    records: list[StepRecord] = []
-    first_buckle: Optional[float] = None
-    k = 1
-    while True:
-        tip = scenario.initial_length + k * scenario.step
-        last = tip >= target
-        if last:
-            tip = target
-        if tip <= scenario.initial_length:
-            break
-        record = _evaluate(
-            scenario, constant, k - 1, tip, tip_speed, grown_from=scenario.initial_length
-        )
-        records.append(record)
-        if first_buckle is None and record.verdict is Verdict.BUCKLE:
-            first_buckle = tip
-        if last:
-            break
-        k += 1
-    if first_buckle is not None:
-        terminal = TerminalEvent(TerminalKind.BUCKLED, length=first_buckle)
-    else:
-        terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
-    return EpisodeLog(steps=tuple(records), terminal=terminal, base_takeup_speed=takeup_speed)
+    start, step, target = scenario.initial_length, scenario.step, scenario.target_length
+
+    def tips():
+        k = 1
+        while (tip := start + k * step) < target:
+            yield tip
+            k += 1
+        if target > start:
+            yield target
+
+    return _episode(scenario, tips(), retracting=False)
 
 
 def emit_episode_csv(log: EpisodeLog) -> bytes:
@@ -221,67 +189,63 @@ def emit_episode_csv(log: EpisodeLog) -> bytes:
 # internals
 
 
-def _speeds(scenario: Scenario) -> tuple[float, float]:
-    if scenario.device is None:
-        return math.nan, 0.0
-    speed = (
-        scenario.device.motor_speed_max
-        if scenario.motor_speed is None
-        else scenario.motor_speed
+def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> EpisodeLog:
+    """Record the verdict at each tip position and decide the terminal event.
+
+    Travel is measured from initial_length either way. A retraction ends at
+    its first buckle, or after its first step when the device stalls at
+    zero motor speed; only a retraction pays out tail slack. A
+    constant-pressure episode solves its one row up front; under a pressure
+    schedule each step solves the row at its own pressure.
+    """
+    body, device, curvature, efficiency = (
+        scenario.body, scenario.device, scenario.curvature, scenario.efficiency
     )
-    kin = retraction_kinematics(scenario.device, speed)
-    return kin.tip_speed, kin.base_takeup_speed
-
-
-def _solve_row(scenario: Scenario, tip: float) -> tuple[float, PressureRow]:
-    """(applied device force, pressure row) at the pressure of a tip position."""
-    return solve_device_row(
-        scenario.body,
-        scenario.device,
-        scenario.pressure_at(tip),
-        scenario.curvature,
-        scenario.efficiency,
+    tip_speed, takeup_speed = math.nan, 0.0
+    if device is not None:
+        speed = scenario.motor_speed
+        kin = retraction_kinematics(device, device.motor_speed_max if speed is None else speed)
+        tip_speed, takeup_speed = kin.tip_speed, kin.base_takeup_speed
+    stalls = retracting and device is not None and tip_speed == 0.0
+    pays_out = retracting and device is not None and not scenario.base_takeup
+    constant = (
+        None
+        if scenario.pressure is None
+        else solve_device_row(body, device, scenario.pressure, curvature, efficiency)
     )
-
-
-def _constant_row(scenario: Scenario) -> Optional[tuple[float, PressureRow]]:
-    """A constant-pressure episode's one row, solved up front; None under a
-    pressure schedule, where each step solves the row at its own pressure."""
-    if scenario.pressure is None:
-        return None
-    return _solve_row(scenario, scenario.initial_length)
-
-
-def _evaluate(
-    scenario: Scenario,
-    constant: Optional[tuple[float, PressureRow]],
-    index: int,
-    tip: float,
-    tip_speed: float,
-    grown_from: Optional[float] = None,
-) -> StepRecord:
-    force, row = _solve_row(scenario, tip) if constant is None else constant
-    prediction = predict_at_length(row, tip)
-    if grown_from is None:
-        travelled = scenario.initial_length - tip
-    else:
-        travelled = tip - grown_from
-    if scenario.device is not None and not math.isnan(tip_speed):
-        elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
-    else:
-        elapsed = math.nan
-    slack = (
-        2.0 * travelled
-        if scenario.device is not None and not scenario.base_takeup and grown_from is None
-        else 0.0
-    )
-    return StepRecord(
-        index=index,
-        tip_position=tip,
-        pressure=row.pressure,
-        required_tension=prediction.required_tension,
-        device_force=force,
-        verdict=prediction.verdict,
-        time=elapsed,
-        slack=slack,
-    )
+    start = scenario.initial_length
+    records: list[StepRecord] = []
+    terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
+    for index, tip in enumerate(tips):
+        force, row = (
+            solve_device_row(body, device, scenario.pressure_at(tip), curvature, efficiency)
+            if constant is None
+            else constant
+        )
+        prediction = predict_at_length(row, tip)
+        travelled = abs(tip - start)
+        if device is None:
+            elapsed = math.nan
+        else:
+            elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
+        records.append(
+            StepRecord(
+                index=index,
+                tip_position=tip,
+                pressure=row.pressure,
+                required_tension=prediction.required_tension,
+                device_force=force,
+                verdict=prediction.verdict,
+                time=elapsed,
+                slack=2.0 * travelled if pays_out else 0.0,
+            )
+        )
+        if prediction.verdict is Verdict.BUCKLE:
+            if terminal.kind is TerminalKind.FULLY_RETRACTED:
+                terminal = TerminalEvent(TerminalKind.BUCKLED, length=tip)
+            if retracting:
+                break
+        if stalls:
+            terminal = TerminalEvent(TerminalKind.STALLED)
+            break
+    return EpisodeLog(steps=tuple(records), terminal=terminal, base_takeup_speed=takeup_speed)

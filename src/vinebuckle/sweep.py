@@ -33,6 +33,10 @@ from .mechanics import (
 )
 from .version import __version__
 
+# Most cells one diagram may hold, pressure steps x length steps, so that no
+# request can exhaust memory building its cell centers and grid.
+MAX_GRID_CELLS = 10**6
+
 
 @dataclass(frozen=True)
 class AxisRange:
@@ -64,6 +68,9 @@ class SweepRequest:
     def __post_init__(self) -> None:
         units.check("curvature", self.curvature)
         units.check("efficiency", self.efficiency, hi=1.0)
+        cells = self.pressure_range.steps * self.length_range.steps
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS} cells")
 
 
 @dataclass

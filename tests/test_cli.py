@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from vinebuckle import cli, mechanics
+from vinebuckle import BodySpec, DeviceSpec, Scenario, cli, mechanics
 
 DATA = """pressure_kpa,tension_n
 0.0,3.4
@@ -181,6 +182,14 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--p", "10:0:5", "--l", "0:300:5")
         assert code == 2
 
+    def test_grid_above_the_cell_ceiling_exits_2(self, capsys):
+        # refused before any cell center is built
+        code, out, err = run(
+            capsys, "sweep", "--p", "0:10:1000000000000000000", "--l", "0:300:5", "--json"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestFit:
     def test_inversion_fit_from_csv(self, capsys, tmp_path):
@@ -302,6 +311,11 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_absent_fields_take_the_scenario_defaults(self):
+        scenario, mode = cli.scenario_from_json({"initial_length_cm": 100, "pressure_kpa": 2})
+        assert scenario == Scenario(BodySpec(), 1.0, pressure=2e3)
+        assert mode == "retract"
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         path = self.scenario_path(tmp_path, {"initial_length_cm": 10, "psi": 3})
         code, _, err = run(capsys, "simulate", "--scenario", path)
@@ -310,6 +324,23 @@ class TestSimulate:
 
 
 class TestConfig:
+    def test_no_config_takes_the_library_defaults(self):
+        body, device, efficiency, defaults = cli.load_config(None)
+        assert body == BodySpec()
+        # the CLI's 3.2 cm tip ring is 1 ulp off DeviceSpec's; the routing aperture follows it
+        assert device.tip_ring_area == pytest.approx(DeviceSpec().tip_ring_area, rel=1e-15)
+        assert device.routing_aperture_area == device.tip_ring_area
+        rings = {"tip_ring_area": 1.0, "routing_aperture_area": 1.0}
+        assert replace(device, **rings) == replace(DeviceSpec(), **rings)
+        assert efficiency == 1.0 and defaults == {}
+
+    def test_efficiency_zero_is_accepted(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"device": {"efficiency": 0}}))
+        code, out, _ = run(capsys, "device", "info", "--config", str(config), "--json")
+        assert code == 0
+        assert json.loads(out)["max_zero_tension_aperture_kpa"] == 0.0
+
     def test_overrides_flow_through(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"body": {"radius_cm": 2.0, "f_i_n": 1.0}}))

@@ -64,7 +64,6 @@ GT0 = (0.0, INF, True)
 ANY = (-INF, INF, False)
 BELOW_1E300 = (-INF, math.nextafter(1e300, -INF), False)
 UNIT = (0.0, 1.0, False)
-UNIT_OPEN = (0.0, 1.0, True)
 
 
 def within(value, rule):
@@ -140,7 +139,7 @@ FUNCTIONS = {
     "device_force_for_zero_tension": (
         lambda p: device_force_for_zero_tension(BODY, DEVICE, p), [GE0]),
     "max_zero_tension_pressure": (
-        lambda e, f: max_zero_tension_pressure(BODY, DEVICE, e, f), [UNIT_OPEN, ANY]),
+        lambda e, f: max_zero_tension_pressure(BODY, DEVICE, e, f), [UNIT, ANY]),
     "efficiency_for_pressure_ceiling": (
         lambda p: efficiency_for_pressure_ceiling(BODY, DEVICE, p), [GE0]),
     "retraction_kinematics": (
@@ -310,5 +309,5 @@ class TestCliProperties:
         path.write_text(json.dumps({name: {key: value}}))  # NaN/Infinity as Python writes them
         code, out, err = run_cli(*command, "--config", str(path), "--json")
         assert_exit_0_or_2(code, out, err)
-        if not within(value, GT0):
+        if not within(value, UNIT if key == "efficiency" else GT0):
             assert code == 2

@@ -147,8 +147,11 @@ class TestZeroTensionPressureCeiling:
         )
 
     def test_bad_efficiency_rejected(self, body, device):
-        with pytest.raises(ValueError):
-            max_zero_tension_pressure(body, device, efficiency=0.0)
+        # one efficiency range, [0, 1], as in device_assist, SweepRequest and Scenario
+        for efficiency in (-0.1, -5e-324, 1.0000000000000002, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                max_zero_tension_pressure(body, device, efficiency=efficiency)
+        assert max_zero_tension_pressure(body, device, efficiency=0.0) == 0.0
 
 
 class TestKinematics:

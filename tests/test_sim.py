@@ -161,6 +161,17 @@ class TestGrowth:
         assert log.terminal.kind is TerminalKind.FULLY_RETRACTED
         assert all(s.verdict is Verdict.INVERT for s in log.steps)
 
+    def test_stationary_device_neither_stalls_nor_pays_out_slack(self, body, device):
+        log = simulate_growth(
+            Scenario(
+                body=body, initial_length=0.0, pressure=2e3, target_length=3.0,
+                device=device, motor_speed=0.0, base_takeup=False,
+            )
+        )
+        assert log.terminal.kind is TerminalKind.FULLY_RETRACTED
+        assert len(log.steps) == 300
+        assert all(s.time == 0.0 and s.slack == 0.0 for s in log.steps)
+
     def test_zero_length_target(self, body):
         log = simulate_growth(
             Scenario(body=body, initial_length=0.0, pressure=2e3, target_length=0.0)

@@ -17,6 +17,7 @@ from vinebuckle import (
     min_inversion_pressure,
     oracle_scan,
 )
+from vinebuckle.sweep import MAX_GRID_CELLS
 
 GRID_HEADER = "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
 
@@ -208,6 +209,21 @@ class TestValidation:
     def test_axis_needs_positive_steps(self):
         with pytest.raises(ValueError):
             AxisRange(0.0, 1.0, 0)
+
+    def test_grid_cell_ceiling(self):
+        def request(p_steps, l_steps):
+            return SweepRequest(
+                body=BodySpec(),
+                curvature=0.0,
+                pressure_range=AxisRange(0.0, 1e3, p_steps),
+                length_range=AxisRange(0.0, 1.0, l_steps),
+            )
+
+        request(1000, MAX_GRID_CELLS // 1000)  # only built: the ceiling is inclusive
+        with pytest.raises(ValueError, match="cells"):
+            request(1000, MAX_GRID_CELLS // 1000 + 1)
+        with pytest.raises(ValueError, match="cells"):
+            request(10**18, 1)
 
     def test_negative_curvature_rejected(self):
         with pytest.raises(ValueError):

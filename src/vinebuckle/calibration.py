@@ -5,6 +5,9 @@ squares with the slope pinned to half the cross-sectional area), and the
 aperture force constants from pull-through tests at zero pressure (ordinary
 least squares against inverse aperture area). Measurement CSVs use bench
 units (kPa, cm^2, N); everything returned is SI.
+
+numpy is imported by the two fits when they run, not with the module, so
+importing the package (and every CLI command but ``fit``) does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from . import units
 
@@ -83,6 +84,8 @@ def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> Invers
     units.check("area", area, lo_open=True)
     if not samples:
         raise ValueError("need at least one tension sample")
+    import numpy as np
+
     offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])
     f_i = float(np.mean(offsets))
     return InversionFit(
@@ -99,6 +102,8 @@ def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
     """
     if len({s.aperture_area for s in samples}) < 2:
         raise ValueError("need samples at two or more distinct aperture areas")
+    import numpy as np
+
     x = np.array([1.0 / s.aperture_area for s in samples])
     y = np.array([0.5 * s.inversion_force for s in samples])
     c1, c2 = np.polyfit(x, y, 1)

@@ -11,6 +11,7 @@ are SI (m, Pa, N) and all functions here are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -23,7 +24,11 @@ KAPPA_STRAIGHT = 1e-6
 
 # Closed-form transition residual (N) above which the bisection fallback runs,
 # and the max closed-form vs bisection disagreement (m) before we declare a bug.
+# The residual tolerance grows with the force scale (64 machine epsilons of
+# it) once rounding alone can exceed 1e-9 N: above ~7e4 N, or ~25 MPa on
+# the reference body.
 _RESIDUAL_TOL_N = 1e-9
+_RESIDUAL_TOL_REL = 64 * sys.float_info.epsilon
 _TRANSITION_TOL_M = 1e-6
 
 
@@ -423,9 +428,12 @@ def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> floa
 
 
 def _cross_check(
-    closed: float, f: Callable[[float], float], lo: float, hi: float
+    closed: float, f: Callable[[float], float], lo: float, hi: float, force: float
 ) -> float:
-    if abs(f(closed)) <= _RESIDUAL_TOL_N:
+    """``closed`` once its residual ``f(closed)`` is within rounding of the
+    force scale ``force`` (or 1e-9 N), else once bisection confirms it."""
+    tolerance = max(_RESIDUAL_TOL_N, _RESIDUAL_TOL_REL * abs(force))
+    if abs(f(closed)) <= tolerance:
         return closed
     root = bisect_root(f, lo, hi)
     if abs(root - closed) > _TRANSITION_TOL_M:
@@ -461,7 +469,7 @@ def _straight_transition_for(
         hi *= 2.0
     # f(0) = P*A + pi*R*G*t - required > 0; at extreme pressures the root
     # lies below any fixed positive lower bracket.
-    return _cross_check(closed, f, 0.0, hi)
+    return _cross_check(closed, f, 0.0, hi, required)
 
 
 def _curved_transition_for(
@@ -491,7 +499,7 @@ def _curved_transition_for(
     def f(length: float) -> float:
         return pa * body.radius / _moment_arm_unchecked(body, curvature, length) - required
 
-    return _cross_check(closed, f, 0.0, math.pi / curvature)
+    return _cross_check(closed, f, 0.0, math.pi / curvature, required)
 
 
 def _select_model(

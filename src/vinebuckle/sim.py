@@ -149,19 +149,24 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
 
     Growth itself is unconditionally stable here; the terminal event reports
     the envelope: BUCKLED at the first length that could no longer retract,
-    FULLY_RETRACTED when every grown length stays retractable.
+    FULLY_RETRACTED when every grown length stays retractable. Raises
+    ValueError without a target_length beyond initial_length.
     """
     if scenario.target_length is None:
         raise ValueError("growth scenario needs target_length")
     start, step, target = scenario.initial_length, scenario.step, scenario.target_length
+    if target <= start:
+        raise ValueError(
+            f"nothing to grow: target_length {target} m is not beyond "
+            f"initial_length {start} m"
+        )
 
     def tips():
         k = 1
         while (tip := start + k * step) < target:
             yield tip
             k += 1
-        if target > start:
-            yield target
+        yield target
 
     return _episode(scenario, tips(), retracting=False)
 

@@ -295,6 +295,18 @@ class TestSimulate:
         assert doc["terminal"] == "buckled"
         assert doc["terminal_length_cm"] == pytest.approx(240.0, abs=1.1)
 
+    @pytest.mark.parametrize("target_cm", [300, 100])
+    def test_growth_target_not_beyond_start_exits_2(self, capsys, tmp_path, target_cm):
+        # used to exit 0 with no step and fully_retracted
+        path = self.scenario_path(
+            tmp_path,
+            {"mode": "grow", "initial_length_cm": 300, "target_length_cm": target_cm,
+             "pressure_kpa": 2.0},
+        )
+        code, out, err = run(capsys, "simulate", "--scenario", path, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "nothing to grow" in err
+
     @pytest.mark.parametrize(
         "fields",
         [

@@ -376,7 +376,24 @@ class TestTransitionCrossCheck:
             return axial_buckling_force(body, 2e3, length) - tail_tension_to_invert(body, 2e3)
 
         with pytest.raises(CrossCheckError, match="disagrees"):
-            _cross_check(1.0, gap, 1e-12, 10.0)  # true root is near 2.39 m
+            # true root is near 2.39 m
+            _cross_check(1.0, gap, 1e-12, 10.0, tail_tension_to_invert(body, 2e3))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.444])
+    @pytest.mark.parametrize("pressure", [1e9, 3.3e9, 1e10, 7.7e10, 1e11, 5.5e11, 1e12])
+    def test_rounding_at_high_pressure_needs_no_bisection(
+        self, body, monkeypatch, kappa, pressure
+    ):
+        # an absolute 1e-9 N residual tolerance sent these closed forms,
+        # whose residuals are a few ulps of a ~1e6-1e9 N force, into bisection
+        from vinebuckle import mechanics
+
+        calls = []
+        monkeypatch.setattr(
+            mechanics, "bisect_root", lambda *a: calls.append(a) or bisect_root(*a)
+        )
+        assert transition_length(body, pressure, kappa) > 0
+        assert calls == []
 
     def test_root_finder(self):
         from vinebuckle.mechanics import CrossCheckError

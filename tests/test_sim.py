@@ -173,11 +173,18 @@ class TestGrowth:
         assert all(s.time == 0.0 and s.slack == 0.0 for s in log.steps)
 
     def test_zero_length_target(self, body):
-        log = simulate_growth(
-            Scenario(body=body, initial_length=0.0, pressure=2e3, target_length=0.0)
-        )
-        assert log.steps == ()
-        assert log.terminal.kind is TerminalKind.FULLY_RETRACTED
+        with pytest.raises(ValueError, match="nothing to grow.*target_length"):
+            simulate_growth(
+                Scenario(body=body, initial_length=0.0, pressure=2e3, target_length=0.0)
+            )
+
+    def test_target_below_a_buckling_start_is_refused(self, body):
+        # used to log no step and report fully_retracted, though a 3 m body
+        # at 2 kPa buckles (transition ~2.39 m)
+        scenario = Scenario(body, 3.0, pressure=2e3, target_length=1.0)
+        assert simulate_retraction(scenario).terminal.kind is TerminalKind.BUCKLED
+        with pytest.raises(ValueError, match="nothing to grow.*target_length"):
+            simulate_growth(scenario)
 
     def test_growth_needs_a_target(self, body):
         with pytest.raises(ValueError, match="target_length"):

@@ -2,7 +2,9 @@
 
 Bench units at the boundary (kPa, cm, N, N*cm, RPM), SI inside. Built-in
 defaults reproduce the reference robot and device with zero configuration;
-a JSON config document overrides individual fields. Exit codes: 0 success,
+a JSON config document overrides individual fields. Each command builds one
+document, printed as JSON with ``--json`` and otherwise as aligned
+``key  value`` lines (null shows as ``none``). Exit codes: 0 success,
 1 usage error, 2 input validation, 3 numeric cross-check failure. Errors go
 to stderr with an ``error:`` prefix. Every non-finite, out-of-range or
 wrongly typed input that a command uses exits 2, and so does a finite input
@@ -66,7 +68,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
-        return args.handler(args)
+        output = _render(args.handler(args), args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -79,6 +81,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(output)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +238,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="vinebuckle", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="print one JSON document")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="JSON config document")
+    both = [config, as_json]
 
-    p = sub.add_parser("predict", help="invert/buckle verdict at one operating point")
+    p = sub.add_parser("predict", parents=both,
+                       help="invert/buckle verdict at one operating point")
     p.add_argument("--pressure-kpa", type=float, required=True)
     p.add_argument("--length-cm", type=float, required=True)
     p.add_argument("--kappa-per-m", type=float, default=0.0)
     p.add_argument("--device", action="store_true", help="retraction device at the tip")
     p.add_argument("--efficiency", type=float, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_predict)
 
-    p = sub.add_parser("transition", help="critical length at a pressure and curvature")
+    p = sub.add_parser("transition", parents=both,
+                       help="critical length at a pressure and curvature")
     p.add_argument("--pressure-kpa", type=float, required=True)
     p.add_argument("--kappa-per-m", type=float, default=0.0)
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_transition)
 
-    p = sub.add_parser("sweep", help="phase diagram over pressure and length")
+    p = sub.add_parser("sweep", parents=both, help="phase diagram over pressure and length")
     p.add_argument("--kappa-per-m", type=float, default=0.0)
     p.add_argument("--p", required=True, metavar="MIN:MAX:STEPS", help="pressure range, kPa")
     p.add_argument("--l", required=True, metavar="MIN:MAX:STEPS", help="length range, cm")
@@ -263,65 +270,73 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-transition-csv", default=None)
     p.add_argument("--oracle-check", action="store_true",
                    help="re-classify by direct force comparison and compare")
-    p.add_argument("--config", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("device", help="retraction device analysis")
     dev_sub = p.add_subparsers(dest="device_command", required=True)
-    d = dev_sub.add_parser("info", help="force, pressure ceiling and speed limits")
-    d.add_argument("--config", default=None)
-    d.add_argument("--json", action="store_true")
+    d = dev_sub.add_parser("info", parents=both,
+                           help="force, pressure ceiling and speed limits")
     d.set_defaults(handler=_cmd_device_info)
 
     p = sub.add_parser("fit", help="calibrate model constants from CSV data")
     fit_sub = p.add_subparsers(dest="fit_command", required=True)
-    f = fit_sub.add_parser("inversion", help="tip force from tension vs pressure data")
+    f = fit_sub.add_parser("inversion", parents=both,
+                           help="tip force from tension vs pressure data")
     f.add_argument("--csv", required=True)
-    f.add_argument("--config", default=None)
-    f.add_argument("--json", action="store_true")
     f.set_defaults(handler=_cmd_fit_inversion)
-    f = fit_sub.add_parser("aperture", help="aperture force constants from pull tests")
+    f = fit_sub.add_parser("aperture", parents=[as_json],
+                           help="aperture force constants from pull tests")
     f.add_argument("--csv", required=True)
     f.add_argument("--shape", choices=[s.value for s in ApertureShape], default=None,
                    help="fit only samples with this shape tag")
-    f.add_argument("--json", action="store_true")
     f.set_defaults(handler=_cmd_fit_aperture)
 
-    p = sub.add_parser("simulate", help="run a retraction or growth episode")
+    p = sub.add_parser("simulate", parents=[as_json], help="run a retraction or growth episode")
     p.add_argument("--scenario", required=True, help="scenario JSON document")
     p.add_argument("--out-csv", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
+
+
+def _render(doc: dict, as_json: bool) -> str:
+    """The command's document as indented JSON, or as one aligned
+    ``key  value`` line per field with the ``input`` echo's fields first.
+
+    Both renderings run the strict JSON encoding, so a non-finite value
+    exits 2 whichever is asked for.
+    """
+    try:
+        encoded = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ArithmeticError("a result is not finite") from None
+    if as_json:
+        return encoded
+    pairs = [*doc.get("input", {}).items(), *((k, v) for k, v in doc.items() if k != "input")]
+    width = max(len(key) for key, _ in pairs)
+    return "\n".join(f"{key:<{width}}  {_word(value)}" for key, value in pairs)
+
+
+def _word(value: Any) -> str:
+    """A JSON value as text: null is ``none``, floats take six significant
+    digits and a list is comma-joined (``none`` when empty)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    if isinstance(value, list):
+        return ", ".join(map(_word, value)) or "none"
+    return str(value)
 
 
 def _num(value: float) -> Optional[float]:
     return None if math.isinf(value) or math.isnan(value) else value
-
-
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return f"{value:.6g}"
-
-
-def _print_pairs(pairs: list[tuple[str, Any]]) -> None:
-    width = max(len(key) for key, _ in pairs)
-    for key, value in pairs:
-        text = _fmt(value) if isinstance(value, (float, type(None))) else str(value)
-        print(f"{key:<{width}}  {text}")
-
-
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _prediction_doc(prediction: BehaviorPrediction) -> dict:
@@ -340,7 +355,7 @@ def _prediction_doc(prediction: BehaviorPrediction) -> dict:
 # handlers
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> dict:
     body, device, cfg_eff, _ = load_config(args.config)
     efficiency = cfg_eff if args.efficiency is None else args.efficiency
     state = RobotState(
@@ -359,54 +374,17 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         "device": args.device,
         "efficiency": efficiency if args.device else None,
     }
-    if args.json:
-        _emit_json({"input": echo, **_prediction_doc(prediction)})
-        return EXIT_OK
-    doc = _prediction_doc(prediction)
-    _print_pairs(
-        [
-            ("pressure_kpa", echo["pressure_kpa"]),
-            ("length_cm", echo["length_cm"]),
-            ("kappa_per_m", echo["kappa_per_m"]),
-            ("device", str(args.device).lower()),
-            ("verdict", doc["verdict"]),
-            ("mode", doc["mode"]),
-            ("required_n", prediction.required_tension),
-            ("limit_n", prediction.limiting_force),
-            ("margin_n", prediction.margin),
-            ("model", doc["model"]),
-            ("extrapolated", str(prediction.extrapolated).lower()),
-        ]
-    )
-    return EXIT_OK
+    return {"input": echo, **_prediction_doc(prediction)}
 
 
-def _cmd_transition(args: argparse.Namespace) -> int:
+def _cmd_transition(args: argparse.Namespace) -> dict:
     body, _, _, _ = load_config(args.config)
     pressure = units.kpa_to_pa(args.pressure_kpa)
     critical = transition_length(body, pressure, args.kappa_per_m)
-    critical_cm = None if critical is None else units.m_to_cm(critical)
-    if args.json:
-        _emit_json(
-            {
-                "input": {
-                    "pressure_kpa": units.pa_to_kpa(pressure),
-                    "kappa_per_m": args.kappa_per_m,
-                },
-                "critical_length_cm": critical_cm,
-            }
-        )
-        return EXIT_OK
-    _print_pairs(
-        [
-            ("pressure_kpa", units.pa_to_kpa(pressure)),
-            ("kappa_per_m", args.kappa_per_m),
-            ("critical_length_cm", critical_cm),
-        ]
-    )
-    if critical_cm is None:
-        print("no inverting length at this pressure (at or below minimum inversion pressure)")
-    return EXIT_OK
+    return {
+        "input": {"pressure_kpa": units.pa_to_kpa(pressure), "kappa_per_m": args.kappa_per_m},
+        "critical_length_cm": None if critical is None else units.m_to_cm(critical),
+    }
 
 
 def _parse_axis(text: str, name: str, to_si) -> sweep.AxisRange:
@@ -421,7 +399,7 @@ def _parse_axis(text: str, name: str, to_si) -> sweep.AxisRange:
     return sweep.AxisRange(lo=to_si(lo), hi=to_si(hi), steps=steps)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> dict:
     body, device, cfg_eff, _ = load_config(args.config)
     efficiency = cfg_eff if args.efficiency is None else args.efficiency
     request = sweep.SweepRequest(
@@ -453,7 +431,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         1 for row in diagram.grid for cell in row if cell.verdict.value == "invert"
     )
     total = len(diagram.pressures) * len(diagram.lengths)
-    summary = {
+    return {
+        "input": diagram.metadata,
         "cells": total,
         "invert": invert,
         "buckle": total - invert,
@@ -461,14 +440,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "oracle_check": "ok" if args.oracle_check else "skipped",
         "written": written,
     }
-    if args.json:
-        _emit_json({"input": diagram.metadata, **summary})
-    else:
-        _print_pairs([(k, str(v)) for k, v in summary.items()])
-    return EXIT_OK
 
 
-def _cmd_device_info(args: argparse.Namespace) -> int:
+def _cmd_device_info(args: argparse.Namespace) -> dict:
     body, device, efficiency, _ = load_config(args.config)
     force = max_device_force(device)
     ceiling_bare = max_zero_tension_pressure(
@@ -476,7 +450,7 @@ def _cmd_device_info(args: argparse.Namespace) -> int:
     )
     ceiling_aperture = max_zero_tension_pressure(body, device, efficiency=efficiency)
     kin = retraction_kinematics(device, device.motor_speed_max)
-    doc = {
+    return {
         "max_device_force_n": force,
         "max_zero_tension_kpa": units.pa_to_kpa(ceiling_bare),
         "max_zero_tension_aperture_kpa": units.pa_to_kpa(ceiling_aperture),
@@ -487,48 +461,33 @@ def _cmd_device_info(args: argparse.Namespace) -> int:
         "min_inversion_pressure_kpa": units.pa_to_kpa(min_inversion_pressure(body)),
         "efficiency": efficiency,
     }
-    if args.json:
-        _emit_json(doc)
-    else:
-        _print_pairs(list(doc.items()))
-    return EXIT_OK
 
 
-def _cmd_fit_inversion(args: argparse.Namespace) -> int:
+def _cmd_fit_inversion(args: argparse.Namespace) -> dict:
     body, _, _, _ = load_config(args.config)
     samples = calibration.load_measurements(args.csv, "tension")
     fit = calibration.fit_inversion_force(samples, body.cross_section_area)
-    doc = {
+    return {
         "samples": len(samples),
         "f_i_n": fit.inversion_force,
         "residual_rms_n": fit.residual_rms,
         "slope_n_per_kpa": units.kpa_to_pa(0.5 * body.cross_section_area),
     }
-    if args.json:
-        _emit_json(doc)
-    else:
-        _print_pairs(list(doc.items()))
-    return EXIT_OK
 
 
-def _cmd_fit_aperture(args: argparse.Namespace) -> int:
+def _cmd_fit_aperture(args: argparse.Namespace) -> dict:
     samples = calibration.load_measurements(args.csv, "aperture")
     if args.shape is not None:
         samples = calibration.filter_by_shape(samples, ApertureShape(args.shape))
         if not samples:
             raise ValueError(f"no samples with shape {args.shape!r} in {args.csv}")
     fit = calibration.fit_aperture_constants(samples)
-    doc = {
+    return {
         "samples": len(samples),
         "c1_ncm2": units.nm2_to_ncm2(fit.c1),
         "c2_n": fit.c2,
         "residual_rms_n": fit.residual_rms,
     }
-    if args.json:
-        _emit_json(doc)
-    else:
-        _print_pairs(list(doc.items()))
-    return EXIT_OK
 
 
 def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
@@ -563,7 +522,7 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     return sim.Scenario(body=body, device=device, **fields), mode
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     scenario, mode = scenario_from_json(doc)
     if mode == "grow":
@@ -572,7 +531,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         log = sim.simulate_retraction(scenario)
     if args.out_csv:
         Path(args.out_csv).write_bytes(sim.emit_episode_csv(log))
-    summary = {
+    return {
         "mode": mode,
         "steps": len(log.steps),
         "terminal": log.terminal.kind.value,
@@ -581,19 +540,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ),
         "written": [args.out_csv] if args.out_csv else [],
     }
-    if args.json:
-        _emit_json(summary)
-    else:
-        _print_pairs(
-            [
-                ("mode", summary["mode"]),
-                ("steps", str(summary["steps"])),
-                ("terminal", summary["terminal"]),
-                ("terminal_length_cm", summary["terminal_length_cm"]),
-                ("written", ", ".join(summary["written"]) or "none"),
-            ]
-        )
-    return EXIT_OK
 
 
 if __name__ == "__main__":

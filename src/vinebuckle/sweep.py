@@ -73,7 +73,7 @@ class SweepRequest:
             raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS} cells")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseDiagram:
     """Grid of predictions plus the transition curve, row-major in pressure."""
 

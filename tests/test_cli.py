@@ -17,6 +17,15 @@ DATA = """pressure_kpa,tension_n
 DEVICE_INFO = ("device", "info")
 PREDICT = ("predict", "--pressure-kpa", "2", "--length-cm", "100")
 
+SCENARIOS = {
+    # the README's scenario document
+    "scenario.json": {"mode": "retract", "initial_length_cm": 300, "pressure_kpa": 2.0,
+                      "kappa_per_m": 0.0, "step_cm": 1.0, "device": True, "efficiency": 1.0,
+                      "motor_rpm": 33, "base_takeup": True},
+    "grow.json": {"mode": "grow", "initial_length_cm": 0, "target_length_cm": 300,
+                  "pressure_schedule": [[0, 1.5], [300, 3.0]]},
+}
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -102,6 +111,81 @@ class TestPredict:
         code, _, err = run(capsys, "prediction")
         assert code == 1
         assert err.startswith("error:")
+
+
+def text_of(doc):
+    """The text rendering of a JSON document, written out apart from the CLI:
+    one ``key  value`` line per field, keys padded to the longest, the
+    ``input`` fields first."""
+
+    def word(value):
+        if value is True or value is False:
+            return str(value).lower()
+        if value is None:
+            return "none"
+        if isinstance(value, float):
+            return format(value, ".6g")
+        if isinstance(value, list):
+            return ", ".join(word(v) for v in value) if value else "none"
+        return str(value)
+
+    pairs = list(doc.pop("input", {}).items()) + list(doc.items())
+    width = max(len(key) for key, _ in pairs)
+    return "".join(key.ljust(width) + "  " + word(value) + "\n" for key, value in pairs)
+
+
+class TestRendering:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the README's CLI examples
+            PREDICT,
+            ("predict", "--pressure-kpa", "2", "--length-cm", "50", "--kappa-per-m", "0.444"),
+            ("transition", "--pressure-kpa", "2", "--kappa-per-m", "0.444"),
+            ("sweep", "--kappa-per-m", "0.22", "--p", "0:10:50", "--l", "0:300:50",
+             "--out-csv", "grid.csv", "--out-svg", "grid.svg",
+             "--out-transition-csv", "transition.csv", "--oracle-check"),
+            DEVICE_INFO,
+            ("fit", "inversion", "--csv", "{data}/tension_sweep.csv"),
+            ("fit", "aperture", "--csv", "{data}/aperture_force.csv", "--shape", "circle"),
+            ("simulate", "--scenario", "scenario.json", "--out-csv", "episode.csv"),
+            # a grounded device row: limit and margin are null
+            ("predict", "--pressure-kpa", "1.4", "--length-cm", "300", "--device"),
+            # below the minimum inversion pressure: no critical length
+            ("transition", "--pressure-kpa", "1"),
+            ("sweep", "--p", "0:10:10", "--l", "0:300:10", "--device", "--efficiency", "0.5"),
+            ("simulate", "--scenario", "grow.json"),
+        ],
+        ids=lambda argv: "-".join(a for a in argv[:4] if "/" not in a),
+    )
+    def test_text_is_the_json_document(self, capsys, tmp_path, monkeypatch, data_dir, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in SCENARIOS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [a.format(data=data_dir) for a in argv]
+        code, out_json, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        code, out_text, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out_text == text_of(json.loads(out_json))
+
+    def test_predict_text(self, capsys):
+        code, out, _ = run(capsys, *PREDICT)
+        assert code == 0
+        assert out == (
+            "pressure_kpa  2\n"
+            "length_cm     100\n"
+            "kappa_per_m   0\n"
+            "device        false\n"
+            "efficiency    none\n"
+            "verdict       invert\n"
+            "mode          none\n"
+            "required_n    9.1745\n"
+            "limit_n       11.349\n"
+            "margin_n      2.1745\n"
+            "model         straight\n"
+            "extrapolated  false\n"
+        )
 
 
 class TestTransition:
@@ -399,6 +483,16 @@ class TestConfig:
         config = tmp_path / "config.json"
         config.write_text(text)
         code, out, err = run(capsys, *argv, "--config", str(config), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rendering", [["--json"], []], ids=["json", "text"])
+    def test_non_finite_result_exits_2_in_both_renderings(self, capsys, tmp_path, rendering):
+        # the force overflows to inf: text printed "inf" and exited 0, --json exited 2
+        config = tmp_path / "config.json"
+        overflow = {"device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-300}}
+        config.write_text(json.dumps(overflow))
+        code, out, err = run(capsys, *DEVICE_INFO, "--config", str(config), *rendering)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 

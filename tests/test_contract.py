@@ -267,6 +267,19 @@ def assert_exit_0_or_2(code, out, err):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def run_both_renderings(*argv):
+    """Exit code of ``argv``, run with ``--json`` and as text; the two must
+    agree, and a text run that exits 2 prints nothing on stdout either."""
+    code, out, err = run_cli(*argv, "--json")
+    assert_exit_0_or_2(code, out, err)
+    text_code, text_out, text_err = run_cli(*argv)
+    assert text_code == code
+    if code == 2:
+        assert text_out == ""
+        assert text_err.startswith("error:") and text_err.count("\n") == 1
+    return code
+
+
 @pytest.fixture(scope="module")
 def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
@@ -277,10 +290,9 @@ class TestCliProperties:
     def test_predict(self, pressure, length, kappa, efficiency, device):
         argv = [
             "predict", f"--pressure-kpa={pressure!r}", f"--length-cm={length!r}",
-            f"--kappa-per-m={kappa!r}", f"--efficiency={efficiency!r}", "--json",
+            f"--kappa-per-m={kappa!r}", f"--efficiency={efficiency!r}",
         ]
-        code, out, err = run_cli(*argv, *(["--device"] if device else []))
-        assert_exit_0_or_2(code, out, err)
+        code = run_both_renderings(*argv, *(["--device"] if device else []))
         if not all(math.isfinite(v) for v in (pressure, length, kappa)):
             assert code == 2
         if device and not within(efficiency, UNIT):
@@ -288,10 +300,9 @@ class TestCliProperties:
 
     @given(pressure=FLOATS, kappa=FLOATS)
     def test_transition(self, pressure, kappa):
-        code, out, err = run_cli(
-            "transition", f"--pressure-kpa={pressure!r}", f"--kappa-per-m={kappa!r}", "--json"
+        code = run_both_renderings(
+            "transition", f"--pressure-kpa={pressure!r}", f"--kappa-per-m={kappa!r}"
         )
-        assert_exit_0_or_2(code, out, err)
         if not (math.isfinite(pressure) and math.isfinite(kappa)):
             assert code == 2
 
@@ -307,7 +318,6 @@ class TestCliProperties:
         name, key = section
         path = config_dir / "config.json"
         path.write_text(json.dumps({name: {key: value}}))  # NaN/Infinity as Python writes them
-        code, out, err = run_cli(*command, "--config", str(path), "--json")
-        assert_exit_0_or_2(code, out, err)
+        code = run_both_renderings(*command, "--config", str(path))
         if not within(value, UNIT if key == "efficiency" else GT0):
             assert code == 2

@@ -50,6 +50,8 @@ COMMANDS = [
      "--out-transition-csv", "transition.csv", "--oracle-check", "--json"],
     ["sweep", "--p", "0:10:10", "--l", "0:300:10", "--device", "--efficiency", "0.5",
      "--out-csv", "device.csv", "--oracle-check"],
+    ["sweep", "--p", "0:10:20", "--l", "0:300:20", "--out-csv", "bare.csv",
+     "--out-svg", "bare.svg", "--out-transition-csv", "bare_transition.csv", "--oracle-check"],
     ["simulate", "--scenario", "retract.json", "--out-csv", "retract.csv", "--json"],
     ["simulate", "--scenario", "grow.json", "--out-csv", "grow.csv"],
 ]
@@ -90,6 +92,7 @@ def test_non_fit_commands_need_no_numpy(tmp_path):
     assert blocked == free
     assert not numpy_loaded
     assert set(blocked_files) == set(free_files) >= {
-        "grid.csv", "grid.svg", "transition.csv", "device.csv", "retract.csv", "grow.csv"
+        "grid.csv", "grid.svg", "transition.csv", "device.csv", "bare.csv", "bare.svg",
+        "bare_transition.csv", "retract.csv", "grow.csv",
     }
     assert blocked_files == free_files

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vinebuckle import (
     AxisRange,
@@ -42,6 +44,24 @@ def random_request(rng: random.Random) -> SweepRequest:
         device=DeviceSpec() if rng.random() < 0.4 else None,
         efficiency=rng.uniform(0.2, 1.0),
     )
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+# Bodies over two to three decades around the reference body in every
+# constant; curvature 0 or 1e-5..~32 1/m; the pressure axis reaches up to
+# ~30x the body's own minimum inversion pressure, so most grids hold both
+# verdicts.
+RANDOM_BODIES = st.builds(
+    BodySpec,
+    radius=log_uniform(-2.4, -0.4),
+    wall_thickness=log_uniform(-5.0, -3.0),
+    youngs_modulus=log_uniform(7.0, 10.0),
+    shear_modulus=log_uniform(6.7, 9.7),
+    inversion_force=log_uniform(-1.3, 1.7),
+)
 
 
 def first_buckle_index(diagram, column: int):
@@ -144,6 +164,30 @@ class TestOracleScan:
         for _ in range(30):
             request = random_request(rng)
             assert diagrams_agree(classify_grid(request), oracle_scan(request))
+
+    @settings(max_examples=60)
+    @given(
+        body=RANDOM_BODIES,
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.5),
+        p_scale=log_uniform(0.0, 1.5),
+        l_hi=log_uniform(-1.3, 1.0),
+        p_steps=st.integers(1, 15),
+        l_steps=st.integers(1, 15),
+        efficiency=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_matches_on_random_bodies(
+        self, body, curvature, p_scale, l_hi, p_steps, l_steps, efficiency
+    ):
+        # efficiency None: bare body; otherwise the reference device at that efficiency
+        request = SweepRequest(
+            body=body,
+            curvature=curvature,
+            pressure_range=AxisRange(0.0, min_inversion_pressure(body) * p_scale, p_steps),
+            length_range=AxisRange(0.0, l_hi, l_steps),
+            device=None if efficiency is None else DeviceSpec(),
+            efficiency=1.0 if efficiency is None else efficiency,
+        )
+        assert diagrams_agree(classify_grid(request), oracle_scan(request))
 
     def test_single_cell_matches_predictor(self):
         request = SweepRequest(

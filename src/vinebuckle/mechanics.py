@@ -93,14 +93,14 @@ class RobotState:
         units.check("curvature", self.curvature)
 
 
-@dataclass(frozen=True)
-class BehaviorPrediction:
+class BehaviorPrediction(NamedTuple):
     """Outcome of a retraction attempt at one operating point.
 
     ``margin == limiting_force - required_tension`` and the verdict is
     INVERT exactly when the margin is positive. ``extrapolated`` is set when
     the curved moment arm was evaluated past its validity range (kappa*L > pi)
-    or the curved model had no reachable buckling point.
+    or the curved model had no reachable buckling point. A named tuple, since
+    a phase diagram builds one per cell; hot paths build it by position.
     """
 
     verdict: Verdict
@@ -339,15 +339,12 @@ def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
             / _moment_arm_clamped(body, curvature, length)
         )
 
-    invert = required < limit
+    if required < limit:
+        return BehaviorPrediction(
+            Verdict.INVERT, FailureMode.NONE, required, limit, limit - required, model, extrapolated
+        )
     return BehaviorPrediction(
-        verdict=Verdict.INVERT if invert else Verdict.BUCKLE,
-        mode=FailureMode.NONE if invert else mode,
-        required_tension=required,
-        limiting_force=limit,
-        margin=limit - required,
-        model_used=model,
-        extrapolated=extrapolated,
+        Verdict.BUCKLE, mode, required, limit, limit - required, model, extrapolated
     )
 
 

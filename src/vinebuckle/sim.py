@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import units
 from .device import DeviceSpec, retraction_kinematics, solve_device_row
@@ -106,8 +106,10 @@ class Scenario:
         return points[-1][1]
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One episode step. A named tuple, since an episode builds one per
+    step; the stepping loop builds it by position."""
+
     index: int
     tip_position: float        # m
     pressure: float            # Pa
@@ -173,19 +175,10 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
 
 def emit_episode_csv(log: EpisodeLog) -> bytes:
     lines = ["step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"]
-    for record in log.steps:
+    for index, tip, pressure, required, device_force, verdict, time, _ in log.steps:
         lines.append(
-            ",".join(
-                (
-                    str(record.index),
-                    repr(units.m_to_cm(record.tip_position)),
-                    repr(units.pa_to_kpa(record.pressure)),
-                    repr(record.required_tension),
-                    repr(record.device_force),
-                    record.verdict.value,
-                    repr(record.time),
-                )
-            )
+            f"{index},{units.m_to_cm(tip)!r},{units.pa_to_kpa(pressure)!r},{required!r},"
+            f"{device_force!r},{verdict.value},{time!r}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -233,16 +226,11 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             elapsed = math.nan
         else:
             elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
+        slack = 2.0 * travelled if pays_out else 0.0
         records.append(
             StepRecord(
-                index=index,
-                tip_position=tip,
-                pressure=row.pressure,
-                required_tension=prediction.required_tension,
-                device_force=force,
-                verdict=prediction.verdict,
-                time=elapsed,
-                slack=2.0 * travelled if pays_out else 0.0,
+                index, tip, row.pressure, prediction.required_tension, force,
+                prediction.verdict, elapsed, slack,
             )
         )
         if prediction.verdict is Verdict.BUCKLE:

@@ -211,15 +211,8 @@ def _oracle_row(
 
 
 def _oracle_cell(required: float, limit: float, model: ModelUsed) -> BehaviorPrediction:
-    return BehaviorPrediction(
-        verdict=Verdict.INVERT if required < limit else Verdict.BUCKLE,
-        mode=FailureMode.NONE,
-        required_tension=required,
-        limiting_force=limit,
-        margin=limit - required,
-        model_used=model,
-        extrapolated=False,
-    )
+    verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
+    return BehaviorPrediction(verdict, FailureMode.NONE, required, limit, limit - required, model)
 
 
 def _oracle_dispatch(
@@ -279,31 +272,20 @@ def _curved_transition_bisect(
     return bisect_root(gap, 0.0, math.pi / curvature)
 
 
-def _fmt_force(value: float) -> str:
-    return "inf" if math.isinf(value) else repr(value)
-
-
 def _emit_csv(diagram: PhaseDiagram) -> bytes:
+    # Every emitted force is finite or +inf, and repr(math.inf) is "inf".
     lines = [
         "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
     ]
-    for i, pressure in enumerate(diagram.pressures):
-        for j, length in enumerate(diagram.lengths):
-            cell = diagram.grid[i][j]
+    lengths_cm = [repr(units.m_to_cm(length)) for length in diagram.lengths]
+    for pressure, row in zip(diagram.pressures, diagram.grid):
+        kpa = repr(units.pa_to_kpa(pressure))
+        for cm, (verdict, mode, required, limit, margin, model, extrapolated) in zip(
+            lengths_cm, row
+        ):
             lines.append(
-                ",".join(
-                    (
-                        repr(units.pa_to_kpa(pressure)),
-                        repr(units.m_to_cm(length)),
-                        cell.verdict.value,
-                        cell.mode.value,
-                        _fmt_force(cell.required_tension),
-                        _fmt_force(cell.limiting_force),
-                        _fmt_force(cell.margin),
-                        cell.model_used.value,
-                        "true" if cell.extrapolated else "false",
-                    )
-                )
+                f"{kpa},{cm},{verdict.value},{mode.value},{required!r},{limit!r},{margin!r},"
+                f"{model.value},{'true' if extrapolated else 'false'}"
             )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -374,19 +356,24 @@ def _emit_svg(diagram: PhaseDiagram) -> bytes:
     )
 
     # grid markers: circles invert, crosses buckle
-    for i, pressure in enumerate(diagram.pressures):
-        for j, length in enumerate(diagram.lengths):
-            x = sx(units.pa_to_kpa(pressure))
-            y = sy(units.m_to_cm(length))
-            if diagram.grid[i][j].verdict is Verdict.INVERT:
+    # each coordinate is formatted once per row (x) or column (y)
+    columns = []
+    for length in diagram.lengths:
+        y = sy(units.m_to_cm(length))
+        columns.append((f(y), f(y - 3), f(y + 3)))
+    for pressure, row in zip(diagram.pressures, diagram.grid):
+        x = sx(units.pa_to_kpa(pressure))
+        cx, left, right = f(x), f(x - 3), f(x + 3)
+        for (cy, top, bottom), cell in zip(columns, row):
+            if cell.verdict is Verdict.INVERT:
                 parts.append(
-                    f'<circle cx="{f(x)}" cy="{f(y)}" r="3" fill="none" '
+                    f'<circle cx="{cx}" cy="{cy}" r="3" fill="none" '
                     'stroke="#1a9641" stroke-width="1.2" class="invert"/>'
                 )
             else:
                 parts.append(
-                    f'<path d="M {f(x - 3)} {f(y - 3)} L {f(x + 3)} {f(y + 3)} '
-                    f'M {f(x - 3)} {f(y + 3)} L {f(x + 3)} {f(y - 3)}" '
+                    f'<path d="M {left} {top} L {right} {bottom} '
+                    f'M {left} {bottom} L {right} {top}" '
                     'stroke="#d7191c" stroke-width="1.2" class="buckle"/>'
                 )
 

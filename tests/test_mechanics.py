@@ -11,7 +11,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from vinebuckle import (
+    BehaviorPrediction,
     BodySpec,
+    DeviceSpec,
     FailureMode,
     ModelUsed,
     RobotState,
@@ -24,7 +26,10 @@ from vinebuckle import (
     min_buckling_moment_arm,
     min_inversion_pressure,
     moment_arm,
+    predict_at_length,
     predict_behavior,
+    solve_device_row,
+    solve_pressure_row,
     straight_transition_length,
     tail_tension_to_invert,
     transition_length,
@@ -343,6 +348,101 @@ class TestPredictBehavior:
         assert flips <= 1
         if flips == 1:
             assert verdicts[0] is Verdict.INVERT and verdicts[-1] is Verdict.BUCKLE
+
+
+class TestPredictionRecord:
+    # the hot paths build BehaviorPrediction by position, so the field order
+    # is part of its contract
+    FIELDS = (
+        "verdict",
+        "mode",
+        "required_tension",
+        "limiting_force",
+        "margin",
+        "model_used",
+        "extrapolated",
+    )
+
+    def test_fields_in_order(self):
+        assert BehaviorPrediction._fields == self.FIELDS
+        assert BehaviorPrediction._field_defaults == {"extrapolated": False}
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_are_read_only(self, body, name):
+        prediction = predict_behavior(body, RobotState(length=1.0, pressure=2e3))
+        with pytest.raises(AttributeError):
+            setattr(prediction, name, getattr(prediction, name))
+
+    def test_unpacks_in_field_order_and_equals_its_tuple(self, body):
+        prediction = predict_behavior(body, RobotState(length=1.0, pressure=2e3))
+        verdict, mode, required, limit, margin, model, extrapolated = prediction
+        assert (verdict, mode, required, limit, margin, model, extrapolated) == tuple(
+            getattr(prediction, name) for name in self.FIELDS
+        )
+        assert prediction == tuple(prediction)
+
+    def test_straight_invert_row(self, body):
+        pressure, length = 2e3, 1.0
+        required = tail_tension_to_invert(body, pressure)
+        row = solve_pressure_row(body, pressure, 0.0, required)
+        limit = crushing_force(body, pressure)  # crushing binds at 1 m
+        expected = BehaviorPrediction(
+            verdict=Verdict.INVERT,
+            mode=FailureMode.NONE,
+            required_tension=required,
+            limiting_force=limit,
+            margin=limit - required,
+            model_used=ModelUsed.STRAIGHT,
+            extrapolated=False,
+        )
+        actual = predict_at_length(row, length)
+        assert type(actual) is BehaviorPrediction
+        assert actual == expected
+
+    def test_axial_buckle_row(self, body):
+        pressure, length = 2e3, 3.0
+        required = tail_tension_to_invert(body, pressure)
+        row = solve_pressure_row(body, pressure, 0.0, required)
+        limit = axial_buckling_force(body, pressure, length)
+        expected = BehaviorPrediction(
+            verdict=Verdict.BUCKLE,
+            mode=FailureMode.AXIAL_BUCKLE,
+            required_tension=required,
+            limiting_force=limit,
+            margin=limit - required,
+            model_used=ModelUsed.STRAIGHT,
+            extrapolated=False,
+        )
+        assert predict_at_length(row, length) == expected
+
+    def test_transverse_buckle_row(self, body):
+        pressure, length = 2e3, 0.5
+        required = tail_tension_to_invert(body, pressure)
+        row = solve_pressure_row(body, pressure, K_MEDIUM, required)
+        limit = curved_buckling_force(body, pressure, K_MEDIUM, length)
+        expected = BehaviorPrediction(
+            verdict=Verdict.BUCKLE,
+            mode=FailureMode.TRANSVERSE_BUCKLE,
+            required_tension=required,
+            limiting_force=limit,
+            margin=limit - required,
+            model_used=ModelUsed.CURVED,
+            extrapolated=False,
+        )
+        assert predict_at_length(row, length) == expected
+
+    def test_grounded_device_row(self, body):
+        _, row = solve_device_row(body, DeviceSpec(), 2e3, 0.0)
+        assert row.grounded
+        expected = BehaviorPrediction(
+            verdict=Verdict.INVERT,
+            mode=FailureMode.NONE,
+            required_tension=0.0,
+            limiting_force=math.inf,
+            margin=math.inf,
+            model_used=ModelUsed.STRAIGHT,
+        )
+        assert predict_at_length(row, 1.0) == expected
 
 
 class TestTransitionCrossCheck:

@@ -4,17 +4,26 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from vinebuckle import (
+    BodySpec,
+    DeviceSpec,
+    RobotState,
     Scenario,
+    StepRecord,
     TerminalKind,
     Verdict,
+    device_assist,
     emit_episode_csv,
     max_device_force,
+    predict_with_device,
     retraction_kinematics,
     simulate_growth,
     simulate_retraction,
 )
+from vinebuckle import units
 from vinebuckle.sim import MAX_EPISODE_STEPS
 
 EPISODE_HEADER = "step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"
@@ -204,6 +213,127 @@ class TestEpisodeCsv:
         assert emit_episode_csv(simulate_retraction(scenario)) == emit_episode_csv(
             simulate_retraction(scenario)
         )
+
+
+def reference_episode_csv(log) -> bytes:
+    """The episode CSV written out field by field, one join per step."""
+    lines = [EPISODE_HEADER]
+    for record in log.steps:
+        lines.append(
+            ",".join(
+                (
+                    str(record.index),
+                    repr(units.m_to_cm(record.tip_position)),
+                    repr(units.pa_to_kpa(record.pressure)),
+                    repr(record.required_tension),
+                    repr(record.device_force),
+                    record.verdict.value,
+                    repr(record.time),
+                )
+            )
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestEpisodeCsvMatchesReference:
+    @given(
+        grow=st.booleans(),
+        initial_length=st.floats(0.0, 3.0),
+        span=st.floats(0.01, 2.0),
+        step=st.floats(0.01, 0.1),
+        pressures=st.tuples(st.floats(0.0, 12e3), st.none() | st.floats(0.0, 12e3)),
+        curvature=st.just(0.0) | st.floats(1e-5, 2.0),
+        efficiency=st.none() | st.floats(0.0, 1.0),
+        motor_speed=st.none() | st.just(0.0),
+        base_takeup=st.booleans(),
+    )
+    @example(  # a buckling retraction under a falling schedule
+        grow=False, initial_length=2.0, span=0.01, step=0.01,
+        pressures=(0.5e3, 2e3), curvature=0.0, efficiency=None,
+        motor_speed=None, base_takeup=True,
+    )
+    @example(  # a curved growth past the transition, with the device saturating
+        grow=True, initial_length=0.0, span=3.0, step=0.02,
+        pressures=(4e3, None), curvature=1 / 0.72, efficiency=0.05,
+        motor_speed=None, base_takeup=False,
+    )
+    def test_matches_reference(
+        self, grow, initial_length, span, step, pressures, curvature, efficiency,
+        motor_speed, base_takeup,
+    ):
+        # pressures (p, None): constant; (p0, p1): a schedule over the whole travel
+        target = initial_length + span
+        start_p, end_p = pressures
+        schedule = (
+            {"pressure": start_p}
+            if end_p is None
+            else {"pressure_points": ((0.0, start_p), (target, end_p))}
+        )
+        scenario = Scenario(
+            body=BodySpec(),
+            initial_length=initial_length,
+            curvature=curvature,
+            device=None if efficiency is None else DeviceSpec(),
+            efficiency=1.0 if efficiency is None else efficiency,
+            step=step,
+            motor_speed=motor_speed,
+            base_takeup=base_takeup,
+            target_length=target,
+            **schedule,
+        )
+        log = simulate_growth(scenario) if grow else simulate_retraction(scenario)
+        assert emit_episode_csv(log) == reference_episode_csv(log)
+
+
+class TestStepRecord:
+    # the stepping loop builds StepRecord by position, so the field order is
+    # part of its contract
+    FIELDS = (
+        "index",
+        "tip_position",
+        "pressure",
+        "required_tension",
+        "device_force",
+        "verdict",
+        "time",
+        "slack",
+    )
+
+    def test_fields_in_order(self):
+        assert StepRecord._fields == self.FIELDS
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_are_read_only(self, body, name):
+        record = simulate_retraction(Scenario(body=body, initial_length=0.1, pressure=2e3)).steps[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+    def test_step_equals_keyword_record(self, body, device):
+        # a saturated device without base take-up: every field differs
+        pressure, efficiency, start, step = 1e3, 0.3, 0.5, 0.1
+        scenario = Scenario(
+            body=body, initial_length=start, pressure=pressure, device=device,
+            efficiency=efficiency, step=step, base_takeup=False,
+        )
+        tip = start - 1 * step
+        travelled = abs(tip - start)
+        force, required = device_assist(body, device, pressure, efficiency)
+        tip_speed = retraction_kinematics(device, device.motor_speed_max).tip_speed
+        expected = StepRecord(
+            index=1,
+            tip_position=tip,
+            pressure=pressure,
+            required_tension=required,
+            device_force=force,
+            verdict=predict_with_device(
+                body, device, RobotState(length=tip, pressure=pressure), efficiency
+            ).verdict,
+            time=travelled / tip_speed,
+            slack=2.0 * travelled,
+        )
+        record = simulate_retraction(scenario).steps[1]
+        assert type(record) is StepRecord
+        assert record == expected
 
 
 class TestScenarioValidation:

@@ -1,9 +1,11 @@
 """Phase diagram engine: grid classification, oracle agreement, emission."""
 
+import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vinebuckle import (
@@ -19,6 +21,7 @@ from vinebuckle import (
     min_inversion_pressure,
     oracle_scan,
 )
+from vinebuckle import units
 from vinebuckle.sweep import MAX_GRID_CELLS
 
 GRID_HEADER = "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
@@ -243,6 +246,104 @@ class TestEmission:
         diagram = classify_grid(straight_request(2, 2))
         with pytest.raises(ValueError, match="format"):
             emit_diagram(diagram, "png")
+
+
+def reference_csv(diagram) -> bytes:
+    """The grid CSV written out cell by cell, one join per cell."""
+
+    def force(value):
+        return "inf" if math.isinf(value) else repr(value)
+
+    lines = [GRID_HEADER]
+    for i, pressure in enumerate(diagram.pressures):
+        for j, length in enumerate(diagram.lengths):
+            cell = diagram.grid[i][j]
+            lines.append(
+                ",".join(
+                    (
+                        repr(units.pa_to_kpa(pressure)),
+                        repr(units.m_to_cm(length)),
+                        cell.verdict.value,
+                        cell.mode.value,
+                        force(cell.required_tension),
+                        force(cell.limiting_force),
+                        force(cell.margin),
+                        cell.model_used.value,
+                        "true" if cell.extrapolated else "false",
+                    )
+                )
+            )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_svg(diagram) -> bytes:
+    """The SVG with its markers written out cell by cell. The frame (axes,
+    labels, transition polyline) is the same diagram's SVG without cells;
+    the markers go before the polyline, or before the end without one."""
+    frame = emit_diagram(replace(diagram, pressures=[], lengths=[], grid=[]), "svg")
+    lines = frame.decode().split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith(("<polyline", "</svg>")))
+    p_lo, p_hi = diagram.metadata["pressure_kpa"][:2]
+    l_lo, l_hi = diagram.metadata["length_cm"][:2]
+
+    def f(value):
+        return f"{value:.2f}"
+
+    markers = []
+    for i, pressure in enumerate(diagram.pressures):
+        for j, length in enumerate(diagram.lengths):
+            # 720x540 canvas, plot area inset 72 left, 24 right, 24 top, 58 bottom
+            x = 72.0 + (units.pa_to_kpa(pressure) - p_lo) / (p_hi - p_lo) * 624.0
+            y = 482.0 - (units.m_to_cm(length) - l_lo) / (l_hi - l_lo) * 458.0
+            if diagram.grid[i][j].verdict is Verdict.INVERT:
+                markers.append(
+                    f'<circle cx="{f(x)}" cy="{f(y)}" r="3" fill="none" '
+                    'stroke="#1a9641" stroke-width="1.2" class="invert"/>'
+                )
+            else:
+                markers.append(
+                    f'<path d="M {f(x - 3)} {f(y - 3)} L {f(x + 3)} {f(y + 3)} '
+                    f'M {f(x - 3)} {f(y + 3)} L {f(x + 3)} {f(y - 3)}" '
+                    'stroke="#d7191c" stroke-width="1.2" class="buckle"/>'
+                )
+    return "\n".join(lines[:at] + markers + lines[at:]).encode("utf-8")
+
+
+class TestEmissionMatchesReference:
+    @settings(max_examples=60)
+    @given(
+        body=st.just(BodySpec()) | RANDOM_BODIES,
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.5),
+        p_scale=log_uniform(0.0, 1.5),
+        l_hi=log_uniform(-1.3, 1.0),
+        p_steps=st.integers(1, 15),
+        l_steps=st.integers(1, 15),
+        efficiency=st.none() | st.floats(0.0, 1.0),
+        oracle=st.booleans(),
+    )
+    @example(  # grounded rows (inf forces), extrapolated cells, a transition curve
+        body=BodySpec(), curvature=1 / 0.72, p_scale=8.0, l_hi=3.0,
+        p_steps=12, l_steps=12, efficiency=1.0, oracle=False,
+    )
+    @example(  # the same grid from the oracle
+        body=BodySpec(), curvature=1 / 0.72, p_scale=8.0, l_hi=3.0,
+        p_steps=12, l_steps=12, efficiency=1.0, oracle=True,
+    )
+    def test_csv_and_svg(
+        self, body, curvature, p_scale, l_hi, p_steps, l_steps, efficiency, oracle
+    ):
+        # efficiency None: bare body; otherwise the reference device at that efficiency
+        request = SweepRequest(
+            body=body,
+            curvature=curvature,
+            pressure_range=AxisRange(0.0, min_inversion_pressure(body) * p_scale, p_steps),
+            length_range=AxisRange(0.0, l_hi, l_steps),
+            device=None if efficiency is None else DeviceSpec(),
+            efficiency=1.0 if efficiency is None else efficiency,
+        )
+        diagram = (oracle_scan if oracle else classify_grid)(request)
+        assert emit_diagram(diagram, "csv") == reference_csv(diagram)
+        assert emit_diagram(diagram, "svg") == reference_svg(diagram)
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from . import units
@@ -73,10 +74,32 @@ class BodySpec:
             units.check(name, getattr(self, name), lo_open=True)
         units.check("inversion_force", self.inversion_force)
 
-    @property
+    # Derived constants are computed on first use and kept in the instance
+    # ``__dict__``, which no field, ``==``, ``hash`` or ``repr`` reads. Each
+    # product is evaluated left to right, as the formulas would be inline, so
+    # every force keeps its bits.
+
+    @cached_property
     def cross_section_area(self) -> float:
         """Cross-sectional area pi*R^2 in m^2."""
         return math.pi * self.radius * self.radius
+
+    @cached_property
+    def _constants(self) -> tuple[float, float, float, float]:
+        """(k1, k2, den_const, g_t): the pressure-free terms of the axial
+        buckling force (k1*P + k2) / (den_const + (R*P + g_t)*L^2),
+        k1 = E*pi^3*R^4*t, k2 = E*G*pi^3*R^3*t^2, den_const = E*pi^2*R^2*t,
+        g_t = G*t.
+        """
+        e, g = self.youngs_modulus, self.shear_modulus
+        r, t = self.radius, self.wall_thickness
+        pi3 = math.pi**3
+        return (
+            e * pi3 * r**4 * t,
+            e * g * pi3 * r**3 * t * t,
+            e * math.pi**2 * r**2 * t,
+            g * t,
+        )
 
 
 @dataclass(frozen=True)
@@ -381,31 +404,9 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 # internals
 
 
-def _axial_numerator(body: BodySpec, pressure: float) -> float:
-    e, g = body.youngs_modulus, body.shear_modulus
-    r, t = body.radius, body.wall_thickness
-    pi3 = math.pi**3
-    return e * pi3 * r**4 * t * pressure + e * g * pi3 * r**3 * t * t
-
-
-def _axial_den_const(body: BodySpec) -> float:
-    return (
-        body.youngs_modulus
-        * math.pi**2
-        * body.radius**2
-        * body.wall_thickness
-    )
-
-
-def _axial_den_slope(body: BodySpec, pressure: float) -> float:
-    # coefficient of L^2 in the buckling denominator
-    return body.radius * pressure + body.shear_modulus * body.wall_thickness
-
-
 def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
-    num = _axial_numerator(body, pressure)
-    den = _axial_den_const(body) + _axial_den_slope(body, pressure) * length * length
-    return num / den
+    k1, k2, den_const, g_t = body._constants
+    return (k1 * pressure + k2) / (den_const + (body.radius * pressure + g_t) * length * length)
 
 
 def _moment_arm_unchecked(body: BodySpec, curvature: float, length: float) -> float:
@@ -448,18 +449,17 @@ def _straight_transition_for(
     None: no inverting length exists (crushing binds at zero length).
     inf: no buckling length exists (inverts at every length).
     """
-    crush = pressure * body.cross_section_area
-    if required >= crush:
+    if required >= pressure * body.cross_section_area:
         return None
     if required <= 0:
         return math.inf
-    num = _axial_numerator(body, pressure)
-    l_sq = (num / required - _axial_den_const(body)) / _axial_den_slope(body, pressure)
-    closed = math.sqrt(l_sq)
+    k1, k2, den_const, g_t = body._constants
+    num = k1 * pressure + k2
+    den_slope = body.radius * pressure + g_t
+    closed = math.sqrt((num / required - den_const) / den_slope)
 
     def f(length: float) -> float:
-        den = _axial_den_const(body) + _axial_den_slope(body, pressure) * length * length
-        return num / den - required
+        return num / (den_const + den_slope * length * length) - required
 
     hi = max(2.0 * closed, 1.0)
     while f(hi) > 0:

@@ -174,11 +174,27 @@ def simulate_growth(scenario: Scenario) -> EpisodeLog:
 
 
 def emit_episode_csv(log: EpisodeLog) -> bytes:
+    # A column is formatted again only when its step holds a different object
+    # than the step above: a constant-pressure episode repeats one pressure,
+    # required tension and device force object on every step, and a bare
+    # episode one NaN time. Identity, not equality, so -0.0 after 0.0 and
+    # each NaN stay exact.
     lines = ["step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"]
+    pressure_at = required_at = device_at = verdict_at = time_at = object()
     for index, tip, pressure, required, device_force, verdict, time, _ in log.steps:
+        if pressure is not pressure_at:
+            pressure_at, kpa = pressure, f"{units.pa_to_kpa(pressure)!r}"
+        if required is not required_at:
+            required_at, required_text = required, f"{required!r}"
+        if device_force is not device_at:
+            device_at, device_text = device_force, f"{device_force!r}"
+        if verdict is not verdict_at:
+            verdict_at, verdict_text = verdict, verdict.value
+        if time is not time_at:
+            time_at, time_text = time, f"{time!r}"
         lines.append(
-            f"{index},{units.m_to_cm(tip)!r},{units.pa_to_kpa(pressure)!r},{required!r},"
-            f"{device_force!r},{verdict.value},{time!r}"
+            f"{index},{units.m_to_cm(tip)!r},{kpa},{required_text},{device_text},"
+            f"{verdict_text},{time_text}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

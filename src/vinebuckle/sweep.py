@@ -274,18 +274,32 @@ def _curved_transition_bisect(
 
 def _emit_csv(diagram: PhaseDiagram) -> bytes:
     # Every emitted force is finite or +inf, and repr(math.inf) is "inf".
+    # The columns whose cells share objects (a row's one required tension
+    # object, and the enum members) are formatted again only when the object
+    # differs from the cell above. Identity, not equality, so -0.0 after 0.0
+    # and each NaN stay exact. Limits and margins are new floats in almost
+    # every cell and are formatted inline.
     lines = [
         "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
     ]
     lengths_cm = [repr(units.m_to_cm(length)) for length in diagram.lengths]
+    verdict_at = mode_at = required_at = model_at = object()
     for pressure, row in zip(diagram.pressures, diagram.grid):
         kpa = repr(units.pa_to_kpa(pressure))
         for cm, (verdict, mode, required, limit, margin, model, extrapolated) in zip(
             lengths_cm, row
         ):
+            if verdict is not verdict_at:
+                verdict_at, verdict_text = verdict, verdict.value
+            if mode is not mode_at:
+                mode_at, mode_text = mode, mode.value
+            if required is not required_at:
+                required_at, required_text = required, f"{required!r}"
+            if model is not model_at:
+                model_at, model_text = model, model.value
             lines.append(
-                f"{kpa},{cm},{verdict.value},{mode.value},{required!r},{limit!r},{margin!r},"
-                f"{model.value},{'true' if extrapolated else 'false'}"
+                f"{kpa},{cm},{verdict_text},{mode_text},{required_text},{limit!r},{margin!r},"
+                f"{model_text},{'true' if extrapolated else 'false'}"
             )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

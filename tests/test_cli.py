@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from vinebuckle import BodySpec, DeviceSpec, Scenario, cli, mechanics
+from vinebuckle import BodySpec, DeviceSpec, Scenario, cli, device_assist, mechanics
 
 DATA = """pressure_kpa,tension_n
 0.0,3.4
@@ -495,6 +495,33 @@ class TestConfig:
         code, out, err = run(capsys, *DEVICE_INFO, "--config", str(config), *rendering)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rendering", [["--json"], []], ids=["json", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--pressure-kpa", "2", "--length-cm", "100"),
+            ("sweep", "--p", "0:10:4", "--l", "0:300:4"),
+        ],
+        ids=["predict", "sweep"],
+    )
+    def test_overflowing_device_at_zero_efficiency_exits_2(
+        self, capsys, tmp_path, argv, rendering
+    ):
+        # efficiency 0 times an infinite device force is NaN: the saturated
+        # path's device_force check names it, in both renderings
+        config = tmp_path / "config.json"
+        overflow = {"device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-300}}
+        config.write_text(json.dumps(overflow))
+        code, out, err = run(
+            capsys, *argv, "--device", "--efficiency", "0", "--config", str(config), *rendering
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "device_force" in err
+        device = cli.load_config(str(config))[1]
+        with pytest.raises(ValueError, match="device_force"):
+            device_assist(BodySpec(), device, 2e3, 0.0)
 
     def test_device_config_changes_info(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -5,9 +5,12 @@ formulas, bisection on the force balances for the transitions) and frozen.
 """
 
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vinebuckle import (
@@ -23,6 +26,7 @@ from vinebuckle import (
     crushing_force,
     curved_buckling_force,
     curved_transition_length,
+    device_assist,
     min_buckling_moment_arm,
     min_inversion_pressure,
     moment_arm,
@@ -545,3 +549,152 @@ class TestValidation:
     def test_body_is_immutable(self, body):
         with pytest.raises(AttributeError):
             body.radius = 0.05  # type: ignore[misc]
+
+
+# The formulas as they were evaluated before BodySpec cached its constants,
+# each product left to right from the fields. The cached constants must give
+# the same bits.
+
+
+def reference_area(body):
+    return math.pi * body.radius * body.radius
+
+
+def reference_axial_terms(body, pressure):
+    e, g = body.youngs_modulus, body.shear_modulus
+    r, t = body.radius, body.wall_thickness
+    pi3 = math.pi**3
+    numerator = e * pi3 * r**4 * t * pressure + e * g * pi3 * r**3 * t * t
+    den_const = body.youngs_modulus * math.pi**2 * body.radius**2 * body.wall_thickness
+    den_slope = body.radius * pressure + body.shear_modulus * body.wall_thickness
+    return numerator, den_const, den_slope
+
+
+def reference_axial_force(body, pressure, length):
+    numerator, den_const, den_slope = reference_axial_terms(body, pressure)
+    return numerator / (den_const + den_slope * length * length)
+
+
+def reference_tail_tension(body, pressure):
+    return 0.5 * pressure * reference_area(body) + body.inversion_force
+
+
+def reference_straight_transition(body, pressure):
+    required = reference_tail_tension(body, pressure)
+    if required >= pressure * reference_area(body):
+        return None
+    numerator, den_const, den_slope = reference_axial_terms(body, pressure)
+    return math.sqrt((numerator / required - den_const) / den_slope)
+
+
+def reference_device_assist(body, device, pressure, efficiency):
+    available = efficiency * (2.0 * device.max_motor_torque / device.roller_radius)
+    aperture = device.aperture_c1 / min(
+        device.tip_ring_area, device.routing_aperture_area
+    ) + device.aperture_c2
+    needed = pressure * reference_area(body) + 2.0 * aperture
+    if needed <= available:
+        return needed, None
+    return available, 0.5 * pressure * reference_area(body) + aperture - 0.5 * available
+
+
+def bits(value):
+    """Exact text of a float (or None), so that -0.0 and 0.0 differ."""
+    return None if value is None else float.hex(value)
+
+
+def decades(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+class TestCachedConstants:
+    BODY_FIELDS = {
+        "radius": decades(-2.4, -0.4),
+        "wall_thickness": decades(-5.0, -3.0),
+        "youngs_modulus": decades(7.0, 10.0),
+        "shear_modulus": decades(6.7, 9.7),
+        "inversion_force": decades(-1.3, 1.7),
+    }
+
+    @settings(max_examples=200)
+    @given(
+        fields=st.fixed_dictionaries(BODY_FIELDS),
+        pressure=st.just(0.0) | decades(0.0, 6.0),
+        length=decades(-3.0, 1.5),
+        efficiency=st.floats(0.0, 1.0),
+        torque=decades(-3.0, 2.0),
+    )
+    def test_same_bits_as_inline_formulas(self, fields, pressure, length, efficiency, torque):
+        body = BodySpec(**fields)
+        assert bits(body.cross_section_area) == bits(reference_area(body))
+        assert bits(tail_tension_to_invert(body, pressure)) == bits(
+            reference_tail_tension(body, pressure)
+        )
+        assert bits(axial_buckling_force(body, pressure, length)) == bits(
+            reference_axial_force(body, pressure, length)
+        )
+        assert bits(straight_transition_length(body, pressure)) == bits(
+            reference_straight_transition(body, pressure)
+        )
+        device = DeviceSpec(max_motor_torque=torque)
+        assert tuple(map(bits, device_assist(body, device, pressure, efficiency))) == tuple(
+            map(bits, reference_device_assist(body, device, pressure, efficiency))
+        )
+
+    def test_device_assist_where_pressure_times_area_overflows(self):
+        # P*A is inf here while (0.5*P)*A is finite, so the residual tail
+        # tension must not be derived from the overflowed P*A
+        body, device = BodySpec(radius=1.0), DeviceSpec()
+        force, residual = device_assist(body, device, 1e308, 1.0)
+        assert math.isfinite(residual)
+        assert (bits(force), bits(residual)) == tuple(
+            map(bits, reference_device_assist(body, device, 1e308, 1.0))
+        )
+
+    @given(fields=st.fixed_dictionaries(BODY_FIELDS), factor=decades(-1.0, 1.0))
+    def test_cache_is_invisible_and_follows_replace(self, fields, factor):
+        fresh, used = BodySpec(**fields), BodySpec(**fields)
+        pressure, length = 2e3, 1.0
+        axial = axial_buckling_force(used, pressure, length)
+        assert "_constants" in vars(used) and "_constants" not in vars(fresh)
+        assert bits(used.cross_section_area) == bits(reference_area(used))
+        assert "cross_section_area" in vars(used)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert bits(axial_buckling_force(fresh, pressure, length)) == bits(axial)
+
+        moved = replace(used, radius=used.radius * factor)
+        assert "_constants" not in vars(moved) and "cross_section_area" not in vars(moved)
+        assert bits(moved.cross_section_area) == bits(reference_area(moved))
+        assert bits(axial_buckling_force(moved, pressure, length)) == bits(
+            reference_axial_force(moved, pressure, length)
+        )
+        assert bits(straight_transition_length(moved, pressure)) == bits(
+            reference_straight_transition(moved, pressure)
+        )
+
+    def test_threads_filling_the_cache_agree(self):
+        # cached_property takes no lock from Python 3.12: threads that fill
+        # one body's constants at once may each compute them, and must all
+        # read the reference bits
+        bodies = [BodySpec(radius=0.01 + 0.001 * k, inversion_force=0.01 * k) for k in range(200)]
+        expected = [bits(reference_axial_force(body, 2e3, 0.7)) for body in bodies]
+        results = {}
+
+        def worker(name):
+            results[name] = [bits(axial_buckling_force(body, 2e3, 0.7)) for body in bodies]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(result == expected for result in results.values())

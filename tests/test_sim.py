@@ -24,7 +24,7 @@ from vinebuckle import (
     simulate_retraction,
 )
 from vinebuckle import units
-from vinebuckle.sim import MAX_EPISODE_STEPS
+from vinebuckle.sim import MAX_EPISODE_STEPS, EpisodeLog, TerminalEvent
 
 EPISODE_HEADER = "step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"
 
@@ -283,6 +283,36 @@ class TestEpisodeCsvMatchesReference:
         )
         log = simulate_growth(scenario) if grow else simulate_retraction(scenario)
         assert emit_episode_csv(log) == reference_episode_csv(log)
+
+    def test_column_reused_only_for_the_same_object(self):
+        # The emitter reuses a column's text while the step holds the same
+        # float object. These steps hold -0.0 after 0.0 (equal, different
+        # text), two distinct NaN objects, and equal but distinct floats.
+        zero, negative_zero = 0.0, -0.0
+        nan_a, nan_b = float("nan"), float("nan")
+        equal_a, equal_b = float("2500.25"), float("2500.25")
+        assert nan_a is not nan_b and equal_a is not equal_b
+        rows = [
+            (zero, zero, zero, nan_a),
+            (negative_zero, negative_zero, negative_zero, nan_b),
+            (negative_zero, zero, negative_zero, nan_b),
+            (zero, negative_zero, zero, zero),
+            (equal_a, equal_a, equal_a, nan_a),
+            (equal_b, equal_b, equal_b, negative_zero),
+            (nan_a, nan_b, nan_a, equal_a),
+            (nan_b, nan_b, nan_b, equal_b),
+        ]
+        steps = tuple(
+            StepRecord(
+                index, 1.0 - 0.01 * index, pressure, required, device_force,
+                Verdict.BUCKLE if index % 3 else Verdict.INVERT, time, 0.0,
+            )
+            for index, (pressure, required, device_force, time) in enumerate(rows)
+        )
+        log = EpisodeLog(steps=steps, terminal=TerminalEvent(TerminalKind.FULLY_RETRACTED))
+        emitted = emit_episode_csv(log)
+        assert emitted == reference_episode_csv(log)
+        assert emitted.decode().split("\n")[2] == "1,99.0,-0.0,-0.0,-0.0,buckle,nan"
 
 
 class TestStepRecord:

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from vinebuckle import (
     AxisRange,
+    BehaviorPrediction,
     BodySpec,
     DeviceSpec,
+    FailureMode,
+    ModelUsed,
     SweepRequest,
     Verdict,
     classify_grid,
@@ -22,7 +25,7 @@ from vinebuckle import (
     oracle_scan,
 )
 from vinebuckle import units
-from vinebuckle.sweep import MAX_GRID_CELLS
+from vinebuckle.sweep import MAX_GRID_CELLS, PhaseDiagram
 
 GRID_HEADER = "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
 
@@ -344,6 +347,46 @@ class TestEmissionMatchesReference:
         diagram = (oracle_scan if oracle else classify_grid)(request)
         assert emit_diagram(diagram, "csv") == reference_csv(diagram)
         assert emit_diagram(diagram, "svg") == reference_svg(diagram)
+
+    def test_column_reused_only_for_the_same_object(self):
+        # The emitter reuses a column's text while the cell holds the same
+        # object. These cells hold -0.0 after 0.0 (equal, different text),
+        # two distinct NaN objects, and equal but distinct floats, in every
+        # force column and across the row boundary.
+        zero, negative_zero = 0.0, -0.0
+        nan_a, nan_b = float("nan"), float("nan")
+        equal_a, equal_b = float("12.5"), float("12.5")
+        assert nan_a is not nan_b and equal_a is not equal_b
+        invert, buckle = Verdict.INVERT, Verdict.BUCKLE
+        none, crush = FailureMode.NONE, FailureMode.CRUSH
+        straight, curved = ModelUsed.STRAIGHT, ModelUsed.CURVED
+        grid = [
+            [
+                BehaviorPrediction(invert, none, zero, zero, zero, straight),
+                BehaviorPrediction(
+                    invert, none, negative_zero, negative_zero, negative_zero, straight
+                ),
+                BehaviorPrediction(buckle, crush, zero, negative_zero, zero, curved, True),
+                BehaviorPrediction(buckle, crush, nan_a, nan_a, nan_b, curved),
+            ],
+            [
+                BehaviorPrediction(buckle, crush, nan_b, nan_b, nan_a, curved),
+                BehaviorPrediction(invert, none, equal_a, equal_a, equal_a, straight),
+                BehaviorPrediction(invert, none, equal_b, equal_b, equal_b, straight),
+                BehaviorPrediction(invert, none, equal_b, math.inf, -0.0, straight),
+            ],
+        ]
+        diagram = PhaseDiagram(
+            pressures=[0.0, -0.0],
+            lengths=[0.0, -0.0, 0.5, 1.0],
+            grid=grid,
+            transition_curve=[],
+        )
+        emitted = emit_diagram(diagram, "csv")
+        assert emitted == reference_csv(diagram)
+        assert emitted.decode().split("\n")[2] == (
+            "0.0,-0.0,invert,none,-0.0,-0.0,-0.0,straight,false"
+        )
 
 
 class TestValidation:

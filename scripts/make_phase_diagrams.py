@@ -20,6 +20,7 @@ from vinebuckle import (  # noqa: E402
     BodySpec,
     DeviceSpec,
     SweepRequest,
+    Verdict,
     classify_grid,
     diagrams_agree,
     emit_diagram,
@@ -67,7 +68,7 @@ def main() -> int:
             transitions = stem.parent / f"{stem.name}_transition.csv"
             transitions.write_bytes(emit_transition_csv(diagram))
             invert = sum(
-                1 for row in diagram.grid for cell in row if cell.verdict.value == "invert"
+                1 for row in diagram.grid for cell in row if cell.verdict is Verdict.INVERT
             )
             print(
                 f"{name:8s} {tag:6s}  invert {invert:4d} / {args.steps * args.steps}"

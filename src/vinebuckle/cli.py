@@ -28,6 +28,7 @@ from .device import (
     aperture_inversion_force,
     max_device_force,
     max_zero_tension_pressure,
+    predict_with_device,
     retraction_kinematics,
 )
 from .mechanics import (
@@ -35,11 +36,11 @@ from .mechanics import (
     BodySpec,
     CrossCheckError,
     RobotState,
+    Verdict,
     min_inversion_pressure,
     predict_behavior,
     transition_length,
 )
-from .device import predict_with_device
 from .version import __version__
 
 EXIT_OK = 0
@@ -427,9 +428,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     if args.out_transition_csv:
         Path(args.out_transition_csv).write_bytes(sweep.emit_transition_csv(diagram))
         written.append(args.out_transition_csv)
-    invert = sum(
-        1 for row in diagram.grid for cell in row if cell.verdict.value == "invert"
-    )
+    invert = sum(1 for row in diagram.grid for cell in row if cell.verdict is Verdict.INVERT)
     total = len(diagram.pressures) * len(diagram.lengths)
     return {
         "input": diagram.metadata,

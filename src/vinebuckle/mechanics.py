@@ -216,7 +216,7 @@ def moment_arm(body: BodySpec, curvature: float, length: float) -> float:
     units.check("curvature", curvature, lo_open=True)
     units.check("length", length)
     units.check("kappa*L", curvature * length, hi=math.pi)
-    return _moment_arm_unchecked(body, curvature, length)
+    return _moment_arm_clamped(body, curvature, length)
 
 
 def curved_buckling_force(
@@ -400,6 +400,51 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def straight_transition_bisect(
+    body: BodySpec, pressure: float, required: float
+) -> Optional[float]:
+    """Straight transition at a given required tension by bisection on the
+    force balance, sharing no algebra with the closed form: its fallback and
+    the oracle's solver. None: crush at zero length. inf: inverts everywhere."""
+    units.check("required_tension", required, lo=-math.inf)
+    if required >= crushing_force(body, pressure):
+        return None
+    if required <= 0:
+        return math.inf
+
+    def gap(length: float) -> float:
+        return axial_buckling_force(body, pressure, length) - required
+
+    hi = 1.0
+    while gap(hi) > 0:
+        hi *= 2.0
+    # the smallest positive length, where the gap is P*A + pi*R*G*t - required > 0
+    return bisect_root(gap, math.ulp(0.0), hi)
+
+
+def curved_transition_bisect(
+    body: BodySpec, pressure: float, curvature: float, required: float
+) -> Optional[float]:
+    """Curved transition at a given required tension by bisection on the
+    moment balance over [0, pi/kappa]: the closed form's fallback and the
+    oracle's solver. None and inf as for ``curved_transition_length``. The
+    arm is clamped because kappa * (pi/kappa) may round past pi."""
+    units.check("curvature", curvature)
+    units.check("required_tension", required, lo=-math.inf)
+    pa = crushing_force(body, pressure)
+    if required > pa:
+        return None
+    if required <= 0 or curvature < KAPPA_STRAIGHT:
+        return math.inf
+    if pa * body.radius / (body.radius + 2.0 / curvature) > required:
+        return math.inf
+
+    def gap(length: float) -> float:
+        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
+
+    return bisect_root(gap, 0.0, math.pi / curvature)
+
+
 # ---------------------------------------------------------------------------
 # internals
 
@@ -409,7 +454,11 @@ def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
     return (k1 * pressure + k2) / (den_const + (body.radius * pressure + g_t) * length * length)
 
 
-def _moment_arm_unchecked(body: BodySpec, curvature: float, length: float) -> float:
+def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
+    # Beyond kappa*L = pi the arm is held at its maximum R + 2/kappa so that
+    # a triggered buckling verdict persists instead of oscillating.
+    if curvature * length > math.pi:
+        return body.radius + 2.0 / curvature
     if curvature < KAPPA_STRAIGHT:
         return body.radius
     half = 0.5 * length * curvature
@@ -417,23 +466,15 @@ def _moment_arm_unchecked(body: BodySpec, curvature: float, length: float) -> fl
     return body.radius + one_minus_cos / curvature
 
 
-def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
-    # Beyond kappa*L = pi the arm is held at its maximum R + 2/kappa so that
-    # a triggered buckling verdict persists instead of oscillating.
-    if curvature * length > math.pi:
-        return body.radius + 2.0 / curvature
-    return _moment_arm_unchecked(body, curvature, length)
-
-
 def _cross_check(
-    closed: float, f: Callable[[float], float], lo: float, hi: float, force: float
+    closed: float, residual: float, force: float, bisect: Callable[[], Optional[float]]
 ) -> float:
-    """``closed`` once its residual ``f(closed)`` is within rounding of the
-    force scale ``force`` (or 1e-9 N), else once bisection confirms it."""
-    tolerance = max(_RESIDUAL_TOL_N, _RESIDUAL_TOL_REL * abs(force))
-    if abs(f(closed)) <= tolerance:
+    """``closed`` once its force residual is within rounding of the force
+    scale ``force`` (or 1e-9 N), else once the bisection solver ``bisect``
+    confirms it."""
+    if abs(residual) <= max(_RESIDUAL_TOL_N, _RESIDUAL_TOL_REL * abs(force)):
         return closed
-    root = bisect_root(f, lo, hi)
+    root = bisect()
     if abs(root - closed) > _TRANSITION_TOL_M:
         raise CrossCheckError(
             f"closed-form transition {closed} m disagrees with bisection {root} m"
@@ -451,22 +492,16 @@ def _straight_transition_for(
     """
     if required >= pressure * body.cross_section_area:
         return None
-    if required <= 0:
-        return math.inf
     k1, k2, den_const, g_t = body._constants
     num = k1 * pressure + k2
+    if required <= 0 or num == math.inf:  # k1*P overflowed: inf force at any length
+        return math.inf
     den_slope = body.radius * pressure + g_t
     closed = math.sqrt((num / required - den_const) / den_slope)
-
-    def f(length: float) -> float:
-        return num / (den_const + den_slope * length * length) - required
-
-    hi = max(2.0 * closed, 1.0)
-    while f(hi) > 0:
-        hi *= 2.0
-    # f(0) = P*A + pi*R*G*t - required > 0; at extreme pressures the root
-    # lies below any fixed positive lower bracket.
-    return _cross_check(closed, f, 0.0, hi, required)
+    residual = num / (den_const + den_slope * closed * closed) - required
+    return _cross_check(
+        closed, residual, required, lambda: straight_transition_bisect(body, pressure, required)
+    )
 
 
 def _curved_transition_for(
@@ -482,9 +517,7 @@ def _curved_transition_for(
     pa = pressure * body.cross_section_area
     if required > pa:
         return None
-    if required <= 0:
-        return math.inf
-    if curvature < KAPPA_STRAIGHT:
+    if required <= 0 or curvature < KAPPA_STRAIGHT:
         return math.inf
     arm_max = body.radius + 2.0 / curvature
     if pa * body.radius / arm_max > required:
@@ -492,11 +525,13 @@ def _curved_transition_for(
     d_min = pa * body.radius / required
     cos_arg = 1.0 - curvature * (d_min - body.radius)
     closed = math.acos(max(-1.0, min(1.0, cos_arg))) / curvature
-
-    def f(length: float) -> float:
-        return pa * body.radius / _moment_arm_unchecked(body, curvature, length) - required
-
-    return _cross_check(closed, f, 0.0, math.pi / curvature, required)
+    residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
+    return _cross_check(
+        closed,
+        residual,
+        required,
+        lambda: curved_transition_bisect(body, pressure, curvature, required),
+    )
 
 
 def _select_model(

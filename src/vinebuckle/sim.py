@@ -102,7 +102,10 @@ class Scenario:
             )
         for (x0, p0), (x1, p1) in zip(points, points[1:]):
             if tip <= x1:
-                return p0 + (p1 - p0) * (tip - x0) / (x1 - x0)
+                # Rounding may carry the interpolant just past an end
+                # (below 0 when p1 == 0); it is held within [p0, p1].
+                p = p0 + (p1 - p0) * (tip - x0) / (x1 - x0)
+                return min(max(p, min(p0, p1)), max(p0, p1))
         return points[-1][1]
 
 

@@ -3,10 +3,11 @@
 ``classify_grid`` solves the model dispatch once per pressure row, runs the
 predictor over the row's cell centers and takes the invert/buckle
 transition curve from the rows' closed-form solutions. ``oracle_scan``
-classifies the same grid by direct force comparison with a bisection-based
-dispatch, also once per row, sharing no transition algebra with the closed
-forms; the two must agree cell for cell. Diagrams serialize to CSV and to a
-deterministic standalone SVG.
+classifies the same grid by direct force comparison, also once per row, and
+dispatches with the bisection solvers ``mechanics.straight_transition_bisect``
+and ``curved_transition_bisect``, which share no transition algebra with the
+closed forms (they are the closed forms' fallback); the two must agree cell
+for cell. Diagrams serialize to CSV and to a deterministic standalone SVG.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .mechanics import (
     ModelUsed,
     Verdict,
     axial_buckling_force,
-    bisect_root,
     clamped_moment_arm,
     crushing_force,
+    curved_transition_bisect,
     predict_at_length,
+    straight_transition_bisect,
     tail_tension_to_invert,
 )
 from .version import __version__
@@ -220,56 +222,13 @@ def _oracle_dispatch(
 ) -> ModelUsed:
     if curvature < KAPPA_STRAIGHT:
         return ModelUsed.STRAIGHT
-    straight = _straight_transition_bisect(body, pressure, required)
-    curved = _curved_transition_bisect(body, pressure, curvature, required)
+    straight = straight_transition_bisect(body, pressure, required)
+    curved = curved_transition_bisect(body, pressure, curvature, required)
     if curved is None or math.isinf(curved) or straight is None:
         return ModelUsed.STRAIGHT
     if not math.isinf(straight) and curved > straight:
         return ModelUsed.STRAIGHT
     return ModelUsed.CURVED
-
-
-def _straight_transition_bisect(
-    body: BodySpec, pressure: float, required: float
-) -> Optional[float]:
-    """Straight transition by bisection on the force balance. No algebra shared
-    with the closed form. None: crush at zero length. inf: inverts everywhere."""
-    if required >= crushing_force(body, pressure):
-        return None
-    if required <= 0:
-        return math.inf
-
-    def gap(length: float) -> float:
-        return axial_buckling_force(body, pressure, length) - required
-
-    hi = 1.0
-    while gap(hi) > 0:
-        hi *= 2.0
-    # the smallest positive length, where the gap is P*A + pi*R*G*t - required > 0
-    return bisect_root(gap, math.ulp(0.0), hi)
-
-
-def _curved_transition_bisect(
-    body: BodySpec, pressure: float, curvature: float, required: float
-) -> Optional[float]:
-    """Curved transition by bisection on the moment balance over [0, pi/kappa].
-
-    The arm is the clamped one because kappa * (pi/kappa) may round past pi.
-    """
-    pa = pressure * body.cross_section_area
-    if required > pa:
-        return None
-    if required <= 0:
-        return math.inf
-    if curvature < KAPPA_STRAIGHT:
-        return math.inf
-    if pa * body.radius / (body.radius + 2.0 / curvature) > required:
-        return math.inf
-
-    def gap(length: float) -> float:
-        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
-
-    return bisect_root(gap, 0.0, math.pi / curvature)
 
 
 def _emit_csv(diagram: PhaseDiagram) -> bytes:

@@ -28,6 +28,7 @@ from vinebuckle import (
     classify_grid,
     crushing_force,
     curved_buckling_force,
+    curved_transition_bisect,
     curved_transition_length,
     device_force_for_zero_tension,
     diagrams_agree,
@@ -41,6 +42,7 @@ from vinebuckle import (
     predict_behavior,
     retraction_kinematics,
     simulate_retraction,
+    straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
@@ -48,7 +50,6 @@ from vinebuckle import (
     wall_tension,
 )
 from vinebuckle.calibration import filter_by_shape
-from vinebuckle.sweep import _curved_transition_bisect, _straight_transition_bisect
 
 BODY = BodySpec()
 DEVICE = DeviceSpec()
@@ -207,10 +208,10 @@ def test_criterion_9_equivalences():
             kappa = rng.uniform(0.05, 2.0)
             required = tail_tension_to_invert(BODY, pressure)
             straight = straight_transition_length(BODY, pressure)
-            straight_ref = _straight_transition_bisect(BODY, pressure, required)
+            straight_ref = straight_transition_bisect(BODY, pressure, required)
             assert abs(straight - straight_ref) <= 1e-6
             curved = curved_transition_length(BODY, pressure, kappa)
-            curved_ref = _curved_transition_bisect(BODY, pressure, kappa, required)
+            curved_ref = curved_transition_bisect(BODY, pressure, kappa, required)
             assert abs(curved - curved_ref) <= 1e-6
 
 

@@ -27,6 +27,7 @@ from vinebuckle import (
     clamped_moment_arm,
     cli,
     crushing_force,
+    curved_transition_bisect,
     curved_transition_length,
     device_assist,
     device_force_for_zero_tension,
@@ -38,6 +39,7 @@ from vinebuckle import (
     predict_at_length,
     retraction_kinematics,
     solve_pressure_row,
+    straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
@@ -129,6 +131,10 @@ FUNCTIONS = {
     "wall_tension": (lambda p, f: wall_tension(BODY, p, f), [GE0, GE0]),
     "straight_transition_length": (lambda p: straight_transition_length(BODY, p), [GE0]),
     "curved_transition_length": (lambda p, k: curved_transition_length(BODY, p, k), [GE0, GT0]),
+    "straight_transition_bisect": (
+        lambda p, t: straight_transition_bisect(BODY, p, t), [GE0, ANY]),
+    "curved_transition_bisect": (
+        lambda p, k, t: curved_transition_bisect(BODY, p, k, t), [GE0, GE0, ANY]),
     "transition_length": (lambda p, k: transition_length(BODY, p, k), [GE0, GE0]),
     "solve_pressure_row": (lambda p, k, t: solve_pressure_row(BODY, p, k, t), [GE0, GE0, ANY]),
     "predict_at_length": (

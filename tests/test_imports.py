@@ -1,9 +1,11 @@
-"""numpy stays off the import path: only the two calibration fits load it.
+"""Import hygiene. numpy stays off the import path: only the two calibration
+fits load it. And no module imports a private name from a sibling module.
 
-Each check runs in a fresh interpreter, since the test process may have
+Each numpy check runs in a fresh interpreter, since the test process may have
 imported numpy already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +98,23 @@ def test_non_fit_commands_need_no_numpy(tmp_path):
         "bare_transition.csv", "retract.csv", "grow.csv",
     }
     assert blocked_files == free_files
+
+
+def _private_sibling_imports(path: Path) -> list[str]:
+    """``from .module import _name`` (or ``from vinebuckle.module import _name``)
+    statements in one source file; dunders such as ``__version__`` are public."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level == 1 or (node.module or "").split(".")[0] == "vinebuckle"
+        for alias in node.names if sibling else ():
+            if alias.name.startswith("_") and not alias.name.endswith("__"):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    sources = sorted((SRC / "vinebuckle").glob("*.py"))
+    assert len(sources) >= 9
+    assert [hit for path in sources for hit in _private_sibling_imports(path)] == []

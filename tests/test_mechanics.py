@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from vinebuckle import (
     BehaviorPrediction,
     BodySpec,
+    CrossCheckError,
     DeviceSpec,
     FailureMode,
     ModelUsed,
@@ -25,6 +26,7 @@ from vinebuckle import (
     bisect_root,
     crushing_force,
     curved_buckling_force,
+    curved_transition_bisect,
     curved_transition_length,
     device_assist,
     min_buckling_moment_arm,
@@ -34,6 +36,7 @@ from vinebuckle import (
     predict_behavior,
     solve_device_row,
     solve_pressure_row,
+    straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
     transition_length,
@@ -474,30 +477,78 @@ class TestTransitionCrossCheck:
         assert 0.5 * (lo + hi) == pytest.approx(critical, abs=1e-6)
 
     def test_disagreeing_solver_raises(self, body):
-        from vinebuckle.mechanics import CrossCheckError, _cross_check
+        from vinebuckle.mechanics import _cross_check
 
-        def gap(length):
-            return axial_buckling_force(body, 2e3, length) - tail_tension_to_invert(body, 2e3)
-
+        required = tail_tension_to_invert(body, 2e3)
+        residual = axial_buckling_force(body, 2e3, 1.0) - required
         with pytest.raises(CrossCheckError, match="disagrees"):
             # true root is near 2.39 m
-            _cross_check(1.0, gap, 1e-12, 10.0, tail_tension_to_invert(body, 2e3))
+            _cross_check(
+                1.0, residual, required, lambda: straight_transition_bisect(body, 2e3, required)
+            )
 
     @pytest.mark.parametrize("kappa", [0.0, 0.444])
-    @pytest.mark.parametrize("pressure", [1e9, 3.3e9, 1e10, 7.7e10, 1e11, 5.5e11, 1e12])
+    @pytest.mark.parametrize(
+        "pressure", [1e9, 3.3e9, 1e10, 7.7e10, 1e11, 5.5e11, 1e12, 2e3, 6.2e3]
+    )
     def test_rounding_at_high_pressure_needs_no_bisection(
         self, body, monkeypatch, kappa, pressure
     ):
         # an absolute 1e-9 N residual tolerance sent these closed forms,
-        # whose residuals are a few ulps of a ~1e6-1e9 N force, into bisection
+        # whose residuals are a few ulps of a ~1e6-1e9 N force, into bisection;
+        # at bench pressures no bisection solver runs, so no bracket is built
+        from vinebuckle import mechanics
+
+        calls = []
+        for name in ("bisect_root", "straight_transition_bisect", "curved_transition_bisect"):
+            solver = getattr(mechanics, name)
+            monkeypatch.setattr(
+                mechanics, name, lambda *a, s=solver, n=name: calls.append(n) or s(*a)
+            )
+        assert transition_length(body, pressure, kappa) > 0
+        assert calls == []
+
+    # curved_transition_length(BodySpec(), pressure, 2e-6), as float.hex
+    NEAR_STRAIGHT = {
+        1.4e3: "0x1.9e92f8f884bc9p+5",
+        2e3: "0x1.9175f3be99a4bp+6",
+        6.2e3: "0x1.51034efda0b7dp+7",
+        12e3: "0x1.73e54b8a50e67p+7",
+    }
+
+    @pytest.mark.parametrize("pressure", sorted(NEAR_STRAIGHT))
+    def test_near_straight_curved_form_falls_back_and_keeps_its_value(
+        self, body, monkeypatch, pressure
+    ):
+        # just above the straightness threshold acos(1 - kappa*(d_min - R))
+        # cancels, so the residual check sends the closed form to bisection;
+        # the value returned is still the closed form's
         from vinebuckle import mechanics
 
         calls = []
         monkeypatch.setattr(
-            mechanics, "bisect_root", lambda *a: calls.append(a) or bisect_root(*a)
+            mechanics,
+            "curved_transition_bisect",
+            lambda *a: calls.append(a) or curved_transition_bisect(*a),
         )
-        assert transition_length(body, pressure, kappa) > 0
-        assert calls == []
+        length = curved_transition_length(body, pressure, 2e-6)
+        assert length.hex() == self.NEAR_STRAIGHT[pressure]
+        assert len(calls) == 1
+
+    @pytest.mark.xfail(strict=True, raises=CrossCheckError)
+    def test_near_straight_small_body_has_a_transition(self):
+        # the acos cancellation makes the closed form miss the bisection root
+        # by ~1.6e-5 m, so a valid input reports an implementation bug
+        small = BodySpec(radius=0.001)
+        assert transition_length(small, 2238721.138568338, 1e-6) > 0
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    def test_overflowing_pressure_inverts_everywhere(self, body, kappa):
+        # k1*P overflows to inf above ~8.0049e307 Pa on this body, so the
+        # straight force is inf at every length; the closed form's NaN residual
+        # once sent this to a bisection that stopped where the force turns NaN
+        row = solve_pressure_row(body, 8.004924629771919e307, kappa, 1.0)
+        assert row.transition == math.inf
 
     def test_root_finder(self):
         from vinebuckle.mechanics import CrossCheckError

@@ -195,6 +195,19 @@ class TestGrowth:
         with pytest.raises(ValueError, match="nothing to grow.*target_length"):
             simulate_growth(scenario)
 
+    def test_schedule_falling_to_zero_stays_nonnegative(self, body):
+        # (p1 - p0) * (tip - x0) / (x1 - x0) at tip == x1 rounds to -2.2e-16 Pa
+        # here, which the per-step solve refused as a negative pressure
+        start, target = 1.6700265450868317, 1.6700265450868317 + 0.035029039385667954
+        scenario = Scenario(
+            body=body, initial_length=start, step=0.0625, base_takeup=False,
+            target_length=target, pressure_points=((0.0, 1.7746648496031412), (target, 0.0)),
+        )
+        assert scenario.pressure_at(target) == 0.0
+        log = simulate_growth(scenario)
+        assert log.steps[-1].tip_position == target
+        assert log.steps[-1].pressure == 0.0
+
     def test_growth_needs_a_target(self, body):
         with pytest.raises(ValueError, match="target_length"):
             simulate_growth(Scenario(body=body, initial_length=0.0, pressure=2e3))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import units
@@ -71,6 +72,21 @@ class DeviceSpec:
         """
         return min(self.tip_ring_area, self.routing_aperture_area)
 
+    # Derived constants are computed on first use and kept in the instance
+    # ``__dict__``, which no field, ``==``, ``hash`` or ``repr`` reads, as
+    # for ``BodySpec``.
+
+    @cached_property
+    def _constants(self) -> tuple[float, float]:
+        """(max_device_force, aperture_inversion_force at the smallest
+        sliding aperture): see those functions."""
+        torque_limit = 2.0 * self.max_motor_torque / self.roller_radius
+        if self.static_friction is not None and self.roller_normal_force is not None:
+            force_max = min(torque_limit, self.static_friction * self.roller_normal_force)
+        else:
+            force_max = torque_limit
+        return force_max, _aperture_force(self, self.min_aperture_area)
+
 
 @dataclass(frozen=True)
 class DeviceForces:
@@ -86,12 +102,18 @@ def aperture_inversion_force(device: DeviceSpec, area: Optional[float] = None) -
     """Force to invert the body at zero pressure through a sliding aperture.
 
     F = C1/a + C2, decreasing in aperture area and bounded below by C2.
-    Defaults to the device's smallest sliding aperture; this value replaces
-    the body's bare inversion force whenever the device is present.
+    Defaults to the device's smallest sliding aperture, computed once per
+    device; this value replaces the body's bare inversion force whenever the
+    device is present.
     """
-    a = device.min_aperture_area if area is None else area
-    units.check("aperture area", a, lo_open=True)
-    return device.aperture_c1 / a + device.aperture_c2
+    if area is None:
+        return device._constants[1]
+    return _aperture_force(device, area)
+
+
+def _aperture_force(device: DeviceSpec, area: float) -> float:
+    units.check("aperture area", area, lo_open=True)
+    return device.aperture_c1 / area + device.aperture_c2
 
 
 def tail_tension_with_device(
@@ -123,12 +145,9 @@ def max_device_force(device: DeviceSpec) -> float:
     """Largest force the device can apply to the tail.
 
     min(2*tau_max/r, mu_s*N); the friction cap is ignored when the friction
-    pair is unspecified.
+    pair is unspecified. Computed once per device.
     """
-    torque_limit = 2.0 * device.max_motor_torque / device.roller_radius
-    if device.static_friction is not None and device.roller_normal_force is not None:
-        return min(torque_limit, device.static_friction * device.roller_normal_force)
-    return torque_limit
+    return device._constants[0]
 
 
 def max_zero_tension_pressure(
@@ -212,11 +231,14 @@ def device_assist(
     P*A/2 + F_I - F_avail/2 must come from the base.
     """
     units.check("efficiency", efficiency, hi=1.0)
-    available = efficiency * max_device_force(device)
-    needed = device_force_for_zero_tension(body, device, pressure)
+    units.check("pressure", pressure)
+    force_max, f_i = device._constants
+    available = efficiency * force_max
+    needed = pressure * body.cross_section_area + 2.0 * f_i
     if needed <= available:
         return needed, None
-    return available, tail_tension_with_device(body, device, pressure, available)
+    units.check("device_force", available)
+    return available, 0.5 * pressure * body.cross_section_area + f_i - 0.5 * available
 
 
 def solve_device_row(

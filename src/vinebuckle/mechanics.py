@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import units
 
@@ -123,7 +123,8 @@ class BehaviorPrediction(NamedTuple):
     INVERT exactly when the margin is positive. ``extrapolated`` is set when
     the curved moment arm was evaluated past its validity range (kappa*L > pi)
     or the curved model had no reachable buckling point. A named tuple, since
-    a phase diagram builds one per cell; hot paths build it by position.
+    a phase diagram builds one per cell (neighbors with the same bits share
+    one); hot paths build it by position.
     """
 
     verdict: Verdict
@@ -141,8 +142,8 @@ class PressureRow(NamedTuple):
     The model choice, the transition length and the extrapolation hint
     depend on (body, pressure, curvature, required tension) and never on
     length, so a phase-diagram row or a constant-pressure episode solves
-    them once (``solve_pressure_row``) and evaluates ``predict_at_length``
-    per length. ``transition`` is None when no length inverts and inf when
+    them once (``solve_pressure_row``) and evaluates ``predict_row`` over
+    its lengths. ``transition`` is None when no length inverts and inf when
     every length does. ``extrapolated`` is set when the curved model had no
     reachable buckling point. A ``grounded`` row has no finite buckling
     limit at any length: the tail force path is grounded at the tip, as
@@ -335,40 +336,69 @@ def solve_pressure_row(
 
 
 def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
-    """Evaluate a solved row at one length: the limiting force of the row's
-    model there, the verdict, and the kappa*L > pi extrapolation flag.
+    """Evaluate a solved row at one length: ``predict_row``'s one-length case.
 
     Raises ValueError for a negative or non-finite length.
     """
-    units.check("length", length)
-    body, pressure, curvature, required, model, _, extrapolated, grounded = row
-    if curvature > 0 and curvature * length > math.pi:
-        extrapolated = True
+    # unpacking runs the row to its end, so no suspended generator is closed
+    (cell,) = predict_row(row, (length,))
+    return cell
 
-    if grounded:
-        mode, limit = FailureMode.NONE, math.inf
-    elif model is ModelUsed.STRAIGHT:
-        mode, limit = FailureMode.CRUSH, pressure * body.cross_section_area
-        if length > 0:
-            axial = _axial_force(body, pressure, length)
-            if axial < limit:
-                mode, limit = FailureMode.AXIAL_BUCKLE, axial
-    else:
-        mode = FailureMode.TRANSVERSE_BUCKLE
-        limit = (
-            pressure
-            * body.cross_section_area
-            * body.radius
-            / _moment_arm_clamped(body, curvature, length)
-        )
 
-    if required < limit:
-        return BehaviorPrediction(
-            Verdict.INVERT, FailureMode.NONE, required, limit, limit - required, model, extrapolated
-        )
-    return BehaviorPrediction(
-        Verdict.BUCKLE, mode, required, limit, limit - required, model, extrapolated
-    )
+def predict_row(row: PressureRow, lengths: Iterable[float]) -> Iterator[BehaviorPrediction]:
+    """Evaluate a solved row at each length in turn, lazily: the limiting
+    force of the row's model there, the verdict, and the kappa*L > pi
+    extrapolation flag.
+
+    The row's length-independent terms are computed once. A cell whose limit
+    is one of the row's length-independent limits (P*A, the clamped-arm
+    limit beyond kappa*L = pi, or the grounded inf) and whose flag matches
+    the cell before it is that same cell object again, since every field
+    then has the same bits. Raises ValueError for a negative or non-finite
+    length when that length is reached.
+    """
+    body, pressure, curvature, required, model, _, hint, grounded = row
+    straight = model is ModelUsed.STRAIGHT
+    if not grounded and straight:
+        pa = pressure * body.cross_section_area
+        num, den_const, den_slope = _axial_terms(body, pressure)
+    elif not grounded:
+        par = pressure * body.cross_section_area * body.radius
+        clamped = None  # the limit wherever kappa*L > pi, found when first reached
+    cell = None
+    for length in lengths:
+        units.check("length", length)
+        past = curvature * length > math.pi
+        extrapolated = hint or past
+        if grounded:
+            mode, limit = FailureMode.NONE, math.inf
+        elif straight:
+            mode, limit = FailureMode.CRUSH, pa
+            if length > 0:
+                axial = num / (den_const + den_slope * length * length)
+                if axial < limit:
+                    mode, limit = FailureMode.AXIAL_BUCKLE, axial
+        else:
+            mode = FailureMode.TRANSVERSE_BUCKLE
+            if not past:
+                limit = par / _moment_arm_clamped(body, curvature, length)
+            else:
+                if clamped is None:
+                    clamped = par / _moment_arm_clamped(body, curvature, length)
+                limit = clamped
+        if cell is not None and limit is cell[3] and extrapolated is cell[6]:
+            yield cell
+            continue
+        if required < limit:
+            cell = BehaviorPrediction(
+                Verdict.INVERT, FailureMode.NONE, required, limit, limit - required, model,
+                extrapolated,
+            )
+        else:
+            cell = BehaviorPrediction(
+                Verdict.BUCKLE, mode, required, limit, limit - required, model, extrapolated
+            )
+        yield cell
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -449,9 +479,16 @@ def curved_transition_bisect(
 # internals
 
 
-def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
+def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
+    """(k1*P + k2, den_const, R*P + G*t): the axial buckling force at length
+    L is num / (den_const + den_slope*L*L), each product left to right."""
     k1, k2, den_const, g_t = body._constants
-    return (k1 * pressure + k2) / (den_const + (body.radius * pressure + g_t) * length * length)
+    return k1 * pressure + k2, den_const, body.radius * pressure + g_t
+
+
+def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
+    num, den_const, den_slope = _axial_terms(body, pressure)
+    return num / (den_const + den_slope * length * length)
 
 
 def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
@@ -492,11 +529,9 @@ def _straight_transition_for(
     """
     if required >= pressure * body.cross_section_area:
         return None
-    k1, k2, den_const, g_t = body._constants
-    num = k1 * pressure + k2
+    num, den_const, den_slope = _axial_terms(body, pressure)
     if required <= 0 or num == math.inf:  # k1*P overflowed: inf force at any length
         return math.inf
-    den_slope = body.radius * pressure + g_t
     closed = math.sqrt((num / required - den_const) / den_slope)
     residual = num / (den_const + den_slope * closed * closed) - required
     return _cross_check(

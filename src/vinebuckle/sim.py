@@ -10,6 +10,7 @@ length and reports the first one that buckles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import units
 from .device import DeviceSpec, retraction_kinematics, solve_device_row
-from .mechanics import BodySpec, Verdict, predict_at_length
+from .mechanics import BodySpec, Verdict, predict_at_length, predict_row
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -212,8 +213,10 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     Travel is measured from initial_length either way. A retraction ends at
     its first buckle, or after its first step when the device stalls at
     zero motor speed; only a retraction pays out tail slack. A
-    constant-pressure episode solves its one row up front; under a pressure
-    schedule each step solves the row at its own pressure.
+    constant-pressure episode solves its one row up front and evaluates it
+    over the tips lazily, so a retraction evaluates no tip past its first
+    buckle; under a pressure schedule each step solves the row at its own
+    pressure.
     """
     body, device, curvature, efficiency = (
         scenario.body, scenario.device, scenario.curvature, scenario.efficiency
@@ -225,21 +228,22 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         tip_speed, takeup_speed = kin.tip_speed, kin.base_takeup_speed
     stalls = retracting and device is not None and tip_speed == 0.0
     pays_out = retracting and device is not None and not scenario.base_takeup
-    constant = (
-        None
-        if scenario.pressure is None
-        else solve_device_row(body, device, scenario.pressure, curvature, efficiency)
-    )
+    scheduled = scenario.pressure is None
+    if not scheduled:
+        force, row = solve_device_row(body, device, scenario.pressure, curvature, efficiency)
+        tips, lengths = itertools.tee(tips)
+        predictions = predict_row(row, lengths)
     start = scenario.initial_length
     records: list[StepRecord] = []
     terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
     for index, tip in enumerate(tips):
-        force, row = (
-            solve_device_row(body, device, scenario.pressure_at(tip), curvature, efficiency)
-            if constant is None
-            else constant
-        )
-        prediction = predict_at_length(row, tip)
+        if scheduled:
+            force, row = solve_device_row(
+                body, device, scenario.pressure_at(tip), curvature, efficiency
+            )
+            prediction = predict_at_length(row, tip)
+        else:
+            prediction = next(predictions)
         travelled = abs(tip - start)
         if device is None:
             elapsed = math.nan

@@ -29,7 +29,7 @@ from .mechanics import (
     clamped_moment_arm,
     crushing_force,
     curved_transition_bisect,
-    predict_at_length,
+    predict_row,
     straight_transition_bisect,
     tail_tension_to_invert,
 )
@@ -90,7 +90,8 @@ def classify_grid(request: SweepRequest) -> PhaseDiagram:
     """Classify every cell center and trace the modeled transition curve.
 
     The dispatch and the transition length are solved once per pressure
-    row; each cell then only evaluates its length-dependent limit.
+    row; each cell then only evaluates its length-dependent limit, and a
+    cell equal in every bit to the one before it is that same object.
     """
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
@@ -100,7 +101,7 @@ def classify_grid(request: SweepRequest) -> PhaseDiagram:
         _, row = solve_device_row(
             request.body, request.device, pressure, request.curvature, request.efficiency
         )
-        grid.append([predict_at_length(row, length) for length in lengths])
+        grid.append(list(predict_row(row, lengths)))
         critical = row.critical_length
         if critical is not None:
             curve.append((pressure, critical))
@@ -233,33 +234,37 @@ def _oracle_dispatch(
 
 def _emit_csv(diagram: PhaseDiagram) -> bytes:
     # Every emitted force is finite or +inf, and repr(math.inf) is "inf".
-    # The columns whose cells share objects (a row's one required tension
-    # object, and the enum members) are formatted again only when the object
-    # differs from the cell above. Identity, not equality, so -0.0 after 0.0
-    # and each NaN stay exact. Limits and margins are new floats in almost
-    # every cell and are formatted inline.
+    # A cell's seven columns are formatted again only when the cell is a
+    # different object than the one before it (a row repeats one object
+    # wherever its limit does not change with length). Within a new cell,
+    # the columns whose cells share objects (a row's one required tension
+    # object, and the enum members) are formatted again only when the
+    # object differs from the cell above. Identity, not equality, so -0.0
+    # after 0.0 and each NaN stay exact.
     lines = [
         "pressure_kpa,length_cm,verdict,mode,required_n,limit_n,margin_n,model,extrapolated"
     ]
     lengths_cm = [repr(units.m_to_cm(length)) for length in diagram.lengths]
-    verdict_at = mode_at = required_at = model_at = object()
+    cell_at = verdict_at = mode_at = required_at = model_at = object()
     for pressure, row in zip(diagram.pressures, diagram.grid):
         kpa = repr(units.pa_to_kpa(pressure))
-        for cm, (verdict, mode, required, limit, margin, model, extrapolated) in zip(
-            lengths_cm, row
-        ):
-            if verdict is not verdict_at:
-                verdict_at, verdict_text = verdict, verdict.value
-            if mode is not mode_at:
-                mode_at, mode_text = mode, mode.value
-            if required is not required_at:
-                required_at, required_text = required, f"{required!r}"
-            if model is not model_at:
-                model_at, model_text = model, model.value
-            lines.append(
-                f"{kpa},{cm},{verdict_text},{mode_text},{required_text},{limit!r},{margin!r},"
-                f"{model_text},{'true' if extrapolated else 'false'}"
-            )
+        for cm, cell in zip(lengths_cm, row):
+            if cell is not cell_at:
+                cell_at = cell
+                verdict, mode, required, limit, margin, model, extrapolated = cell
+                if verdict is not verdict_at:
+                    verdict_at, verdict_text = verdict, verdict.value
+                if mode is not mode_at:
+                    mode_at, mode_text = mode, mode.value
+                if required is not required_at:
+                    required_at, required_text = required, f"{required!r}"
+                if model is not model_at:
+                    model_at, model_text = model, model.value
+                cell_text = (
+                    f"{verdict_text},{mode_text},{required_text},{limit!r},{margin!r},"
+                    f"{model_text},{'true' if extrapolated else 'false'}"
+                )
+            lines.append(f"{kpa},{cm},{cell_text}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

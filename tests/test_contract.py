@@ -37,6 +37,7 @@ from vinebuckle import (
     min_buckling_moment_arm,
     moment_arm,
     predict_at_length,
+    predict_row,
     retraction_kinematics,
     solve_pressure_row,
     straight_transition_bisect,
@@ -139,6 +140,8 @@ FUNCTIONS = {
     "solve_pressure_row": (lambda p, k, t: solve_pressure_row(BODY, p, k, t), [GE0, GE0, ANY]),
     "predict_at_length": (
         lambda l: predict_at_length(solve_pressure_row(BODY, 2e3, 0.3, 5.0), l), [GE0]),
+    "predict_row": (  # the drawn length comes second, so it is checked when reached
+        lambda l: tuple(predict_row(solve_pressure_row(BODY, 2e3, 0.3, 5.0), (1.0, l))), [GE0]),
     "aperture_inversion_force": (lambda a: aperture_inversion_force(DEVICE, a), [GT0]),
     "tail_tension_with_device": (
         lambda p, f: tail_tension_with_device(BODY, DEVICE, p, f), [GE0, GE0]),

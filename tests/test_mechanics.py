@@ -22,6 +22,7 @@ from vinebuckle import (
     ModelUsed,
     RobotState,
     Verdict,
+    aperture_inversion_force,
     axial_buckling_force,
     bisect_root,
     crushing_force,
@@ -29,6 +30,7 @@ from vinebuckle import (
     curved_transition_bisect,
     curved_transition_length,
     device_assist,
+    max_device_force,
     min_buckling_moment_arm,
     min_inversion_pressure,
     moment_arm,
@@ -724,6 +726,21 @@ class TestCachedConstants:
         assert bits(straight_transition_length(moved, pressure)) == bits(
             reference_straight_transition(moved, pressure)
         )
+
+    def test_device_cache_is_invisible_and_follows_replace(self):
+        fresh, used = DeviceSpec(), DeviceSpec()
+        force = max_device_force(used)
+        assert "_constants" in vars(used) and "_constants" not in vars(fresh)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert bits(force) == bits(2.0 * used.max_motor_torque / used.roller_radius)
+        assert bits(aperture_inversion_force(used)) == bits(
+            used.aperture_c1 / used.min_aperture_area + used.aperture_c2
+        )
+
+        moved = replace(used, static_friction=0.5, roller_normal_force=10.0, tip_ring_area=1e-4)
+        assert "_constants" not in vars(moved)
+        assert max_device_force(moved) == 0.5 * 10.0
+        assert bits(aperture_inversion_force(moved)) == bits(aperture_inversion_force(moved, 1e-4))
 
     def test_threads_filling_the_cache_agree(self):
         # cached_property takes no lock from Python 3.12: threads that fill

@@ -5,17 +5,23 @@ rejected before any row is solved."""
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_sweep import RANDOM_BODIES, log_uniform
 
 from vinebuckle import (
     AxisRange,
     BodySpec,
     DeviceSpec,
+    FailureMode,
     ModelUsed,
     RobotState,
     Scenario,
     SweepRequest,
+    TerminalKind,
     Verdict,
     applied_device_force,
+    axial_buckling_force,
     classify_grid,
     clamped_moment_arm,
     device_assist,
@@ -23,11 +29,14 @@ from vinebuckle import (
     diagrams_agree,
     emit_episode_csv,
     max_device_force,
+    min_inversion_pressure,
     moment_arm,
     oracle_scan,
     predict_at_length,
     predict_behavior,
+    predict_row,
     predict_with_device,
+    sim,
     simulate_growth,
     simulate_retraction,
     solve_device_row,
@@ -150,6 +159,151 @@ class TestRowFunctions:
             clamped_moment_arm(BODY, kappa, -0.1)
         with pytest.raises(ValueError):
             clamped_moment_arm(BODY, 0.0, 1.0)
+
+
+def reference_cell(row, length):
+    """One cell as the per-length predictor evaluated it before rows were
+    evaluated lazily: every force formula inline, nothing kept per row."""
+    body, pressure, curvature, required, model, _, extrapolated, grounded = row
+    if curvature > 0 and curvature * length > math.pi:
+        extrapolated = True
+    if grounded:
+        mode, limit = FailureMode.NONE, math.inf
+    elif model is ModelUsed.STRAIGHT:
+        mode, limit = FailureMode.CRUSH, pressure * body.cross_section_area
+        if length > 0:
+            axial = axial_buckling_force(body, pressure, length)
+            if axial < limit:
+                mode, limit = FailureMode.AXIAL_BUCKLE, axial
+    else:
+        mode = FailureMode.TRANSVERSE_BUCKLE
+        limit = (
+            pressure
+            * body.cross_section_area
+            * body.radius
+            / clamped_moment_arm(body, curvature, length)
+        )
+    if required < limit:
+        verdict, mode = Verdict.INVERT, FailureMode.NONE
+    else:
+        verdict = Verdict.BUCKLE
+    return verdict, mode, required, limit, limit - required, model, extrapolated
+
+
+def cell_bits(cell):
+    """A cell with each force as its exact text, so that -0.0 and 0.0 differ."""
+    verdict, mode, required, limit, margin, model, extrapolated = cell
+    assert type(extrapolated) is bool
+    return verdict, mode, *map(float.hex, (required, limit, margin)), model, extrapolated
+
+
+def row_lengths(l_hi, steps):
+    return [0.0, *AxisRange(0.0, l_hi, steps).centers()]
+
+
+# (device, efficiency, pressure / minimum inversion pressure, curvature, l_hi)
+# on the reference body, one per row and cell kind that predict_row tells apart
+ROW_CASES = {
+    "bare straight, crush- then axial-bound": (None, 1.0, 4.0, 0.0, 3.0),
+    "saturated device": (DEVICE, 0.3, 4.0, 0.0, 3.0),
+    "grounded device": (DEVICE, 1.0, 1.6, 0.0, 3.0),
+    "grounded device, curved past pi": (DEVICE, 1.0, 1.6, 1 / 0.72, 3.0),
+    "curved body on the straight model, flag flips at pi/kappa": (None, 1.0, 0.4, 1 / 0.72, 3.0),
+    "curved model past kappa*L = pi": (None, 1.0, 4.0, 1 / 0.72, 3.0),
+}
+
+
+def case_row(body, device, efficiency, p_scale, curvature):
+    pressure = min_inversion_pressure(body) * p_scale
+    return solve_device_row(body, device, pressure, curvature, efficiency)[1]
+
+
+def row_case_examples(test):
+    for device, efficiency, p_scale, curvature, l_hi in ROW_CASES.values():
+        test = example(
+            body=BODY, device_efficiency=(device, efficiency), p_scale=p_scale,
+            curvature=curvature, l_hi=l_hi, steps=24,
+        )(test)
+    return test
+
+
+class TestPredictRow:
+    @row_case_examples
+    @given(
+        body=st.just(BODY) | RANDOM_BODIES,
+        device_efficiency=st.just((None, 1.0)) | st.tuples(st.just(DEVICE), st.floats(0.0, 1.0)),
+        p_scale=st.just(0.0) | log_uniform(-1.0, 1.5),
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.5),
+        l_hi=log_uniform(-1.3, 1.0),
+        steps=st.integers(1, 25),
+    )
+    def test_cells_have_the_per_length_bits(
+        self, body, device_efficiency, p_scale, curvature, l_hi, steps
+    ):
+        # every cell is what the per-length predictor gave, bit for bit, and
+        # two neighbors are one object only where those cells are identical
+        device, efficiency = device_efficiency
+        row = case_row(body, device, efficiency, p_scale, curvature)
+        lengths = row_lengths(l_hi, steps)
+        cells = list(predict_row(row, lengths))
+        expected = [cell_bits(reference_cell(row, length)) for length in lengths]
+        assert [cell_bits(cell) for cell in cells] == expected
+        for j in range(1, len(cells)):
+            if cells[j] is cells[j - 1]:
+                assert expected[j] == expected[j - 1]
+        assert cell_bits(predict_at_length(row, lengths[-1])) == expected[-1]
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_row_cases_cover_their_kind(self, name):
+        device, efficiency, p_scale, curvature, l_hi = ROW_CASES[name]
+        row = case_row(BODY, device, efficiency, p_scale, curvature)
+        lengths = row_lengths(l_hi, 24)
+        cells = list(predict_row(row, lengths))
+        past = [curvature * length > math.pi for length in lengths]
+        crush = [cell.limiting_force == row.pressure * BODY.cross_section_area for cell in cells]
+        shared = sum(b is a for a, b in zip(cells, cells[1:]))
+        if device is None:
+            assert not row.grounded and row.required_tension > 0
+        elif efficiency < 1.0:
+            assert not row.grounded and row.required_tension > 0  # saturated
+            assert any(crush) and not all(crush)
+        else:
+            assert row.grounded and len({id(cell) for cell in cells}) == 1 + any(past)
+        if name.startswith("bare straight"):
+            assert crush[0] and not crush[-1] and shared > 0
+            assert cells[-1].mode is FailureMode.AXIAL_BUCKLE
+        if "flag flips" in name:
+            assert row.model_used is ModelUsed.STRAIGHT and any(past) and not all(past)
+            assert [cell.extrapolated for cell in cells] == past
+            assert shared == len(cells) - 2  # one crush cell per flag
+        if name.startswith("curved model"):
+            assert row.model_used is ModelUsed.CURVED and any(past) and not all(past)
+            tail = [cell for cell, beyond in zip(cells, past) if beyond]
+            assert len({id(cell) for cell in tail}) == 1 and tail[0].extrapolated
+
+    def test_length_errors_are_raised_where_they_are_reached(self):
+        row = solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
+        cells = predict_row(row, [1.0, math.nan, 2.0])
+        assert next(cells) == predict_at_length(row, 1.0)
+        with pytest.raises(ValueError, match="length"):
+            next(cells)
+
+    def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
+        advanced = []
+        row_evaluator = sim.predict_row
+
+        def counting(row, lengths):
+            def counted():
+                for length in lengths:
+                    advanced.append(length)
+                    yield length
+
+            return row_evaluator(row, counted())
+
+        monkeypatch.setattr(sim, "predict_row", counting)
+        log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
+        assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1
+        assert advanced == [3.0]
 
 
 def _episode(mode, **kwargs):

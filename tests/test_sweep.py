@@ -349,10 +349,12 @@ class TestEmissionMatchesReference:
         assert emit_diagram(diagram, "svg") == reference_svg(diagram)
 
     def test_column_reused_only_for_the_same_object(self):
-        # The emitter reuses a column's text while the cell holds the same
+        # The emitter reuses a cell's text while the row repeats the same
+        # cell object, and a column's text while the cell holds the same
         # object. These cells hold -0.0 after 0.0 (equal, different text),
         # two distinct NaN objects, and equal but distinct floats, in every
-        # force column and across the row boundary.
+        # force column and across the row boundary; the last row repeats a
+        # cell with a 0.0 limit, then one equal to it with a -0.0 limit.
         zero, negative_zero = 0.0, -0.0
         nan_a, nan_b = float("nan"), float("nan")
         equal_a, equal_b = float("12.5"), float("12.5")
@@ -360,6 +362,11 @@ class TestEmissionMatchesReference:
         invert, buckle = Verdict.INVERT, Verdict.BUCKLE
         none, crush = FailureMode.NONE, FailureMode.CRUSH
         straight, curved = ModelUsed.STRAIGHT, ModelUsed.CURVED
+        crush_zero = BehaviorPrediction(buckle, crush, zero, zero, zero, straight)
+        crush_negative_zero = BehaviorPrediction(
+            buckle, crush, zero, negative_zero, negative_zero, straight
+        )
+        assert crush_zero == crush_negative_zero
         grid = [
             [
                 BehaviorPrediction(invert, none, zero, zero, zero, straight),
@@ -375,18 +382,24 @@ class TestEmissionMatchesReference:
                 BehaviorPrediction(invert, none, equal_b, equal_b, equal_b, straight),
                 BehaviorPrediction(invert, none, equal_b, math.inf, -0.0, straight),
             ],
+            [crush_zero, crush_zero, crush_negative_zero, crush_negative_zero],
         ]
         diagram = PhaseDiagram(
-            pressures=[0.0, -0.0],
+            pressures=[0.0, -0.0, 1e3],
             lengths=[0.0, -0.0, 0.5, 1.0],
             grid=grid,
             transition_curve=[],
         )
         emitted = emit_diagram(diagram, "csv")
         assert emitted == reference_csv(diagram)
-        assert emitted.decode().split("\n")[2] == (
-            "0.0,-0.0,invert,none,-0.0,-0.0,-0.0,straight,false"
-        )
+        lines = emitted.decode().split("\n")
+        assert lines[2] == "0.0,-0.0,invert,none,-0.0,-0.0,-0.0,straight,false"
+        assert lines[9:13] == [
+            "1.0,0.0,buckle,crush,0.0,0.0,0.0,straight,false",
+            "1.0,-0.0,buckle,crush,0.0,0.0,0.0,straight,false",
+            "1.0,50.0,buckle,crush,0.0,-0.0,-0.0,straight,false",
+            "1.0,100.0,buckle,crush,0.0,-0.0,-0.0,straight,false",
+        ]
 
 
 class TestValidation:

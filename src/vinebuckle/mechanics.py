@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import units
 
@@ -124,7 +124,8 @@ class BehaviorPrediction(NamedTuple):
     the curved moment arm was evaluated past its validity range (kappa*L > pi)
     or the curved model had no reachable buckling point. A named tuple, since
     a phase diagram builds one per cell (neighbors with the same bits share
-    one); hot paths build it by position.
+    one); hot paths build it by position with ``tuple.__new__`` (what
+    ``_make`` does), which skips the generated ``__new__``.
     """
 
     verdict: Verdict
@@ -390,14 +391,14 @@ def predict_row(row: PressureRow, lengths: Iterable[float]) -> Iterator[Behavior
             yield cell
             continue
         if required < limit:
-            cell = BehaviorPrediction(
+            cell = tuple.__new__(BehaviorPrediction, (
                 Verdict.INVERT, FailureMode.NONE, required, limit, limit - required, model,
                 extrapolated,
-            )
+            ))
         else:
-            cell = BehaviorPrediction(
+            cell = tuple.__new__(BehaviorPrediction, (
                 Verdict.BUCKLE, mode, required, limit, limit - required, model, extrapolated
-            )
+            ))
         yield cell
 
 
@@ -442,8 +443,10 @@ def straight_transition_bisect(
     if required <= 0:
         return math.inf
 
+    # every length the solver tries is positive and finite, so the gap calls
+    # the check-free force helper
     def gap(length: float) -> float:
-        return axial_buckling_force(body, pressure, length) - required
+        return _axial_force(body, pressure, length) - required
 
     hi = 1.0
     while gap(hi) > 0:
@@ -466,13 +469,77 @@ def curved_transition_bisect(
         return None
     if required <= 0 or curvature < KAPPA_STRAIGHT:
         return math.inf
-    if pa * body.radius / (body.radius + 2.0 / curvature) > required:
+    par = pa * body.radius
+    if par / (body.radius + 2.0 / curvature) > required:
         return math.inf
 
+    # every length the solver tries is in [0, pi/kappa] and kappa > 0, so the
+    # gap calls the check-free arm helper
     def gap(length: float) -> float:
-        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
+        return par / _moment_arm_clamped(body, curvature, length) - required
 
     return bisect_root(gap, 0.0, math.pi / curvature)
+
+
+def oracle_row(
+    body: BodySpec,
+    pressure: float,
+    curvature: float,
+    required: float,
+    lengths: Sequence[float],
+) -> list[BehaviorPrediction]:
+    """Classify one pressure row by direct force comparison: the oracle that
+    cross-checks ``predict_row``.
+
+    The model is dispatched with the bisection solvers, which share no
+    transition algebra with the closed forms, and each cell compares
+    ``required`` with the limiting force of that model at its length (the
+    smaller of crushing and axial buckling when straight, the transverse
+    limit P*A*R / arm when curved), through the check-free helpers behind
+    the public force functions. A cell carries its verdict, the forces and
+    the model; its mode is NONE and its flag False. A cell whose limit is
+    the same object as the previous cell's (where crushing binds) is that
+    same cell object again, as in ``predict_row``. Raises ValueError for a
+    negative or non-finite pressure, curvature or length, or a non-finite
+    required tension; each is checked once, before any cell.
+    """
+    crush = crushing_force(body, pressure)
+    units.check("curvature", curvature)
+    units.check("required_tension", required, lo=-math.inf)
+    for length in lengths:
+        units.check("length", length)
+
+    curved = False
+    if curvature >= KAPPA_STRAIGHT:
+        straight = straight_transition_bisect(body, pressure, required)
+        transition = curved_transition_bisect(body, pressure, curvature, required)
+        curved = not (
+            transition is None
+            or math.isinf(transition)
+            or straight is None
+            or (not math.isinf(straight) and transition > straight)
+        )
+    model = ModelUsed.CURVED if curved else ModelUsed.STRAIGHT
+    if curved:
+        par = crush * body.radius
+
+    cells = []
+    cell = limit_at = None
+    for length in lengths:
+        if curved:
+            limit = par / _moment_arm_clamped(body, curvature, length)
+        elif length > 0:
+            limit = min(crush, _axial_force(body, pressure, length))
+        else:
+            limit = crush
+        if limit is not limit_at:
+            limit_at = limit
+            verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
+            cell = tuple.__new__(BehaviorPrediction, (
+                verdict, FailureMode.NONE, required, limit, limit - required, model, False
+            ))
+        cells.append(cell)
+    return cells
 
 
 # ---------------------------------------------------------------------------

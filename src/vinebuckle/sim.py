@@ -112,7 +112,8 @@ class Scenario:
 
 class StepRecord(NamedTuple):
     """One episode step. A named tuple, since an episode builds one per
-    step; the stepping loop builds it by position."""
+    step; the stepping loop builds it by position with ``tuple.__new__``
+    (what ``_make`` does), which skips the generated ``__new__``."""
 
     index: int
     tip_position: float        # m
@@ -251,10 +252,10 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
         slack = 2.0 * travelled if pays_out else 0.0
         records.append(
-            StepRecord(
+            tuple.__new__(StepRecord, (
                 index, tip, row.pressure, prediction.required_tension, force,
                 prediction.verdict, elapsed, slack,
-            )
+            ))
         )
         if prediction.verdict is Verdict.BUCKLE:
             if terminal.kind is TerminalKind.FULLY_RETRACTED:

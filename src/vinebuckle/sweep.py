@@ -3,11 +3,12 @@
 ``classify_grid`` solves the model dispatch once per pressure row, runs the
 predictor over the row's cell centers and takes the invert/buckle
 transition curve from the rows' closed-form solutions. ``oracle_scan``
-classifies the same grid by direct force comparison, also once per row, and
-dispatches with the bisection solvers ``mechanics.straight_transition_bisect``
-and ``curved_transition_bisect``, which share no transition algebra with the
-closed forms (they are the closed forms' fallback); the two must agree cell
-for cell. Diagrams serialize to CSV and to a deterministic standalone SVG.
+classifies the same grid by direct force comparison: it applies the
+device's saturation rule per row and hands each row that is not grounded
+to ``mechanics.oracle_row``, which checks the row's inputs once and
+dispatches with the bisection solvers (the closed forms' fallback, sharing
+no transition algebra with them); the two diagrams must agree cell for
+cell. Diagrams serialize to CSV and to a deterministic standalone SVG.
 """
 
 from __future__ import annotations
@@ -19,18 +20,13 @@ from typing import Optional
 from . import units
 from .device import DeviceSpec, device_assist, solve_device_row
 from .mechanics import (
-    KAPPA_STRAIGHT,
     BehaviorPrediction,
     BodySpec,
     FailureMode,
     ModelUsed,
     Verdict,
-    axial_buckling_force,
-    clamped_moment_arm,
-    crushing_force,
-    curved_transition_bisect,
+    oracle_row,
     predict_row,
-    straight_transition_bisect,
     tail_tension_to_invert,
 )
 from .version import __version__
@@ -121,10 +117,22 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     Shares the force formulas with the predictor but none of the closed-form
     transition algebra; used to cross-check ``classify_grid``. The returned
     diagram carries verdict-bearing predictions and an empty transition curve.
+    Where the device covers the zero-tension need, the row inverts at every
+    length with an infinite limit. Raises ValueError for a negative length.
     """
+    body, device, curvature = request.body, request.device, request.curvature
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
-    grid = [_oracle_row(request, pressure, lengths) for pressure in pressures]
+    grid = []
+    for pressure in pressures:
+        if device is None:
+            required = tail_tension_to_invert(body, pressure)
+        else:
+            _, required = device_assist(body, device, pressure, request.efficiency)
+            if required is None:
+                grid.append(_grounded_oracle_row(lengths))
+                continue
+        grid.append(oracle_row(body, pressure, curvature, required, lengths))
     meta = _metadata(request)
     meta["oracle"] = True
     return PhaseDiagram(
@@ -188,48 +196,16 @@ def _metadata(request: SweepRequest) -> dict:
     }
 
 
-def _oracle_row(
-    request: SweepRequest, pressure: float, lengths: list[float]
-) -> list[BehaviorPrediction]:
-    body, curvature = request.body, request.curvature
-    if request.device is not None:
-        _, required = device_assist(body, request.device, pressure, request.efficiency)
-        if required is None:
-            return [_oracle_cell(0.0, math.inf, ModelUsed.STRAIGHT)] * len(lengths)
-    else:
-        required = tail_tension_to_invert(body, pressure)
-
-    model = _oracle_dispatch(body, pressure, curvature, required)
-    crush = crushing_force(body, pressure)
-    cells = []
+def _grounded_oracle_row(lengths: list[float]) -> list[BehaviorPrediction]:
+    """A row whose tail force path is grounded at the tip: it inverts at
+    every length, with no required tension and an infinite limit. Its
+    lengths are checked as ``oracle_row`` checks them."""
     for length in lengths:
-        if model is ModelUsed.CURVED:
-            limit = crush * body.radius / clamped_moment_arm(body, curvature, length)
-        elif length > 0:
-            limit = min(crush, axial_buckling_force(body, pressure, length))
-        else:
-            limit = crush
-        cells.append(_oracle_cell(required, limit, model))
-    return cells
-
-
-def _oracle_cell(required: float, limit: float, model: ModelUsed) -> BehaviorPrediction:
-    verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
-    return BehaviorPrediction(verdict, FailureMode.NONE, required, limit, limit - required, model)
-
-
-def _oracle_dispatch(
-    body: BodySpec, pressure: float, curvature: float, required: float
-) -> ModelUsed:
-    if curvature < KAPPA_STRAIGHT:
-        return ModelUsed.STRAIGHT
-    straight = straight_transition_bisect(body, pressure, required)
-    curved = curved_transition_bisect(body, pressure, curvature, required)
-    if curved is None or math.isinf(curved) or straight is None:
-        return ModelUsed.STRAIGHT
-    if not math.isinf(straight) and curved > straight:
-        return ModelUsed.STRAIGHT
-    return ModelUsed.CURVED
+        units.check("length", length)
+    cell = BehaviorPrediction(
+        Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, ModelUsed.STRAIGHT
+    )
+    return [cell] * len(lengths)
 
 
 def _emit_csv(diagram: PhaseDiagram) -> bytes:

@@ -25,6 +25,7 @@ from vinebuckle import (
     aperture_inversion_force,
     axial_buckling_force,
     bisect_root,
+    clamped_moment_arm,
     crushing_force,
     curved_buckling_force,
     curved_transition_bisect,
@@ -42,6 +43,7 @@ from vinebuckle import (
     straight_transition_length,
     tail_tension_to_invert,
     transition_length,
+    units,
     wall_tension,
 )
 
@@ -766,3 +768,95 @@ class TestCachedConstants:
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 8
         assert all(result == expected for result in results.values())
+
+
+# The bisection solvers as they were written before their gaps called the
+# check-free force helpers: every gap evaluation goes through the public
+# checked force functions. The solvers must find the same roots.
+
+
+def reference_straight_bisect(body, pressure, required):
+    units.check("required_tension", required, lo=-math.inf)
+    if required >= crushing_force(body, pressure):
+        return None
+    if required <= 0:
+        return math.inf
+
+    def gap(length):
+        return axial_buckling_force(body, pressure, length) - required
+
+    hi = 1.0
+    while gap(hi) > 0:
+        hi *= 2.0
+    return bisect_root(gap, math.ulp(0.0), hi)
+
+
+def reference_curved_bisect(body, pressure, curvature, required):
+    units.check("curvature", curvature)
+    units.check("required_tension", required, lo=-math.inf)
+    pa = crushing_force(body, pressure)
+    if required > pa:
+        return None
+    if required <= 0 or curvature < 1e-6:
+        return math.inf
+    if pa * body.radius / (body.radius + 2.0 / curvature) > required:
+        return math.inf
+
+    def gap(length):
+        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
+
+    return bisect_root(gap, 0.0, math.pi / curvature)
+
+
+def outcome(solver, *args):
+    """The root's exact text, or the type of the exception raised."""
+    try:
+        return bits(solver(*args))
+    except (ValueError, CrossCheckError) as error:
+        return type(error)
+
+
+# k1*P overflows to inf on this body at 1e298 Pa
+OVERFLOW_BODY = BodySpec(radius=1.0, wall_thickness=1e-3, youngs_modulus=1e12)
+
+
+class TestBisectMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        body=st.just(BodySpec())
+        | st.just(OVERFLOW_BODY)
+        | st.fixed_dictionaries(TestCachedConstants.BODY_FIELDS).map(lambda f: BodySpec(**f)),
+        pressure=decades(1.0, 308.23),
+        sign=st.sampled_from([-1.0, 1.0]),
+        scale=decades(-2.0, 0.5),
+        kappa=st.sampled_from([1e-6, 2e-6, 0.444, 1.389, 1000.0]),
+    )
+    def test_same_root_or_error(self, body, pressure, sign, scale, kappa):
+        # required tensions of both signs, up to a few times the bare body's
+        # own, where the transitions lie; an infinite one is an input error
+        required = sign * scale * tail_tension_to_invert(body, pressure)
+        assert outcome(straight_transition_bisect, body, pressure, required) == outcome(
+            reference_straight_bisect, body, pressure, required
+        )
+        assert outcome(curved_transition_bisect, body, pressure, kappa, required) == outcome(
+            reference_curved_bisect, body, pressure, kappa, required
+        )
+
+    @pytest.mark.parametrize("kappa", [1e-6, 2e-6, 0.444, 1.389, 1000.0])
+    @pytest.mark.parametrize("pressure", [10.0, 2e3, 1e6, 1e12, 1e100, 1e298, 1.7e308])
+    @pytest.mark.parametrize("body", [BodySpec(), OVERFLOW_BODY], ids=["reference", "overflow"])
+    def test_pressure_ladder(self, body, pressure, kappa):
+        for required in (tail_tension_to_invert(body, pressure), -1.0, 0.5):
+            assert outcome(straight_transition_bisect, body, pressure, required) == outcome(
+                reference_straight_bisect, body, pressure, required
+            )
+            assert outcome(curved_transition_bisect, body, pressure, kappa, required) == outcome(
+                reference_curved_bisect, body, pressure, kappa, required
+            )
+
+    def test_overflowing_force_keeps_its_root(self):
+        # the axial force is inf until its denominator overflows too, and NaN
+        # beyond; bisection stops where the two meet
+        required = tail_tension_to_invert(OVERFLOW_BODY, 1e298)
+        assert straight_transition_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0
+        assert reference_straight_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0

@@ -24,11 +24,14 @@ from vinebuckle import (
     axial_buckling_force,
     classify_grid,
     clamped_moment_arm,
+    crushing_force,
+    curved_transition_bisect,
     device_assist,
     device_force_for_zero_tension,
     diagrams_agree,
     emit_episode_csv,
     max_device_force,
+    mechanics,
     min_inversion_pressure,
     moment_arm,
     oracle_scan,
@@ -41,9 +44,11 @@ from vinebuckle import (
     simulate_retraction,
     solve_device_row,
     solve_pressure_row,
+    straight_transition_bisect,
     tail_tension_to_invert,
     transition_length,
 )
+from vinebuckle.mechanics import oracle_row
 
 BODY = BodySpec()
 DEVICE = DeviceSpec()
@@ -100,6 +105,22 @@ class TestGridRows:
             classify_grid(request(0.0, lengths=lengths))
         with pytest.raises(ValueError):
             classify_grid(request(0.0, DEVICE, lengths=lengths))
+        # the oracle used to accept them on straight-modeled rows and on
+        # grounded device rows; below the minimum inversion pressure (~1.23
+        # kPa) every curved row is straight-modeled, and below ~5.96 kPa
+        # every device row is grounded
+        for kappa, device, p_hi in (
+            (0.0, None, 10e3),
+            (1 / 2.25, None, 10e3),
+            (1 / 2.25, None, 1e3),
+            (0.0, DEVICE, 10e3),
+            (1 / 2.25, DEVICE, 4e3),
+        ):
+            req = SweepRequest(BODY, kappa, AxisRange(0.0, p_hi, 3), lengths, device)
+            with pytest.raises(ValueError, match="length"):
+                oracle_scan(req)
+        with pytest.raises(ValueError, match="length"):
+            oracle_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3), [1.0, -0.0625])
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("device,efficiency", DEVICE_CASES)
@@ -304,6 +325,134 @@ class TestPredictRow:
         log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
         assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1
         assert advanced == [3.0]
+
+
+def reference_oracle(request):
+    """The oracle grid as its per-cell loop built it before it worked row by
+    row: the public checked force functions at every cell, the bisection
+    dispatch per row. Returns the cells as tuples and each cell's limit
+    object."""
+    body, curvature = request.body, request.curvature
+    lengths = request.length_range.centers()
+    grid, limits = [], []
+    for pressure in request.pressure_range.centers():
+        if request.device is not None:
+            _, required = device_assist(body, request.device, pressure, request.efficiency)
+            if required is None:
+                limit = math.inf
+                cell = (Verdict.INVERT, FailureMode.NONE, 0.0, limit, limit - 0.0,
+                        ModelUsed.STRAIGHT, False)
+                grid.append([cell] * len(lengths))
+                limits.append([limit] * len(lengths))
+                continue
+        else:
+            required = tail_tension_to_invert(body, pressure)
+        model = ModelUsed.STRAIGHT
+        if curvature >= 1e-6:
+            straight = straight_transition_bisect(body, pressure, required)
+            curved = curved_transition_bisect(body, pressure, curvature, required)
+            if not (curved is None or math.isinf(curved) or straight is None):
+                if math.isinf(straight) or not curved > straight:
+                    model = ModelUsed.CURVED
+        crush = crushing_force(body, pressure)
+        row, row_limits = [], []
+        for length in lengths:
+            if model is ModelUsed.CURVED:
+                limit = crush * body.radius / clamped_moment_arm(body, curvature, length)
+            elif length > 0:
+                limit = min(crush, axial_buckling_force(body, pressure, length))
+            else:
+                limit = crush
+            verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
+            row.append((verdict, FailureMode.NONE, required, limit, limit - required, model, False))
+            row_limits.append(limit)
+        grid.append(row)
+        limits.append(row_limits)
+    return grid, limits
+
+
+def pressure_axis(p_hi, steps, from_zero):
+    """``steps`` pressure cells up to about ``p_hi``; with ``from_zero`` the
+    first center is exactly 0 Pa (a power-of-two half width keeps every
+    center exact)."""
+    if not from_zero:
+        return AxisRange(0.0, p_hi, steps)
+    half = 2.0 ** round(math.log2(p_hi / (2 * steps)))
+    return AxisRange(-half, half * (2 * steps - 1), steps)
+
+
+def oracle_examples(test):
+    for kappa in (0.0, 2e-6, 0.444, 1.389):
+        for device, efficiency in DEVICE_CASES:
+            test = example(
+                body=BODY, kappa=kappa, device_efficiency=(device, efficiency), p_scale=8.0,
+                from_zero=True, l_hi=2.5 * math.pi / max(kappa, 0.444), steps=(9, 12),
+            )(test)
+    return test
+
+
+class TestOracleMatchesReference:
+    @oracle_examples
+    @given(
+        body=st.just(BODY) | RANDOM_BODIES,
+        kappa=st.sampled_from([0.0, 2e-6, 0.444, 1.389]) | log_uniform(-5.0, 1.5),
+        device_efficiency=st.just((None, 1.0))
+        | st.tuples(st.just(DEVICE), st.sampled_from([1.0, 0.5, 0.0]) | st.floats(0.0, 1.0)),
+        p_scale=log_uniform(-0.5, 1.5),
+        from_zero=st.booleans(),
+        l_hi=log_uniform(-1.3, 1.3),
+        steps=st.tuples(st.integers(1, 12), st.integers(1, 16)),
+    )
+    def test_cells_have_the_reference_bits(
+        self, body, kappa, device_efficiency, p_scale, from_zero, l_hi, steps
+    ):
+        # every field as the per-cell loop gave it, and a cell shared with
+        # its neighbor exactly where the reference limit is the same object
+        device, efficiency = device_efficiency
+        p_steps, l_steps = steps
+        req = SweepRequest(
+            body, kappa, pressure_axis(min_inversion_pressure(body) * p_scale, p_steps, from_zero),
+            AxisRange(0.0, l_hi, l_steps), device, efficiency,
+        )
+        expected, limits = reference_oracle(req)
+        grid = oracle_scan(req).grid
+        assert [[cell_bits(cell) for cell in row] for row in grid] == [
+            [cell_bits(cell) for cell in row] for row in expected
+        ]
+        for row, row_expected, row_limits in zip(grid, expected, limits):
+            for cell, cell_expected in zip(row, row_expected):
+                # the enums and the flag by identity
+                for k in (0, 1, 5, 6):
+                    assert cell[k] is cell_expected[k]
+            for j in range(1, len(row)):
+                assert (row[j] is row[j - 1]) == (row_limits[j] is row_limits[j - 1])
+
+    def test_examples_cover_zero_pressure_grounded_rows_and_pi(self):
+        req = SweepRequest(
+            BODY, 1.389, pressure_axis(min_inversion_pressure(BODY) * 8.0, 9, True),
+            AxisRange(0.0, 2.5 * math.pi / 1.389, 12), DEVICE, 1.0,
+        )
+        assert req.pressure_range.centers()[0] == 0.0
+        assert any(length * 1.389 > math.pi for length in req.length_range.centers())
+        grid = oracle_scan(req).grid
+        assert math.isinf(grid[0][0].limiting_force)  # grounded
+        assert not math.isinf(grid[-1][0].limiting_force)  # saturated
+
+    @pytest.mark.parametrize("kappa", [0.0, 2e-6, 0.444, 1.389])
+    @pytest.mark.parametrize("device,efficiency", DEVICE_CASES)
+    def test_independent_of_the_closed_forms(self, monkeypatch, kappa, device, efficiency):
+        req = SweepRequest(
+            BODY, kappa, pressure_axis(10e3, 13, True), AxisRange(0.0, 8.0, 13), device, efficiency
+        )
+        expected = repr(oracle_scan(req).grid)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the closed-form path")
+
+        for name in ("_straight_transition_for", "_curved_transition_for", "_select_model",
+                     "predict_row"):
+            monkeypatch.setattr(mechanics, name, forbidden)
+        assert repr(oracle_scan(req).grid) == expected
 
 
 def _episode(mode, **kwargs):

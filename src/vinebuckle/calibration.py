@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from . import units
+from .device import ApertureShape
 
 
 class MeasurementError(ValueError):
@@ -32,12 +32,6 @@ class MeasurementError(ValueError):
 
 class EmptyMeasurementFileError(MeasurementError):
     """The measurement file contains no data rows at all."""
-
-
-class ApertureShape(Enum):
-    CIRCULAR = "circle"
-    RECTANGULAR = "rect"
-    DEVICE = "device"
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,15 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import calibration, sim, sweep, units
-from .calibration import ApertureShape
+# Every command builds a body and a device; sweep, sim and calibration are
+# imported by the handlers that run them, so a one-shot call loads only what
+# it uses.
+from . import units
 from .device import (
+    DEFAULT_EFFICIENCY,
+    ApertureShape,
     DeviceSpec,
     aperture_inversion_force,
     max_device_force,
@@ -42,6 +46,9 @@ from .mechanics import (
     transition_length,
 )
 from .version import __version__
+
+if TYPE_CHECKING:
+    from . import sim, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,7 +219,7 @@ def load_config_from_doc(doc: dict) -> tuple[BodySpec, DeviceSpec, float, dict]:
         raise ValueError(f"unknown config sections: {sorted(unknown_sections)}")
     body = BodySpec(**_section(doc, "body", _BODY_KEYS))
     fields = _section(doc, "device", _DEVICE_KEYS)
-    efficiency = fields.pop("efficiency", sweep.SweepRequest.efficiency)
+    efficiency = fields.pop("efficiency", DEFAULT_EFFICIENCY)
     # The CLI's own 3.2 cm ring, whose pi*r*r is 1 ulp off DeviceSpec's
     # pi*0.016**2; it stays until perfbench/digests.json is re-recorded. The
     # routing aperture defaults to the tip ring.
@@ -389,6 +396,8 @@ def _cmd_transition(args: argparse.Namespace) -> dict:
 
 
 def _parse_axis(text: str, name: str, to_si) -> sweep.AxisRange:
+    from . import sweep
+
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--{name} expects MIN:MAX:STEPS, got {text!r}")
@@ -401,6 +410,8 @@ def _parse_axis(text: str, name: str, to_si) -> sweep.AxisRange:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> dict:
+    from . import sweep
+
     body, device, cfg_eff, _ = load_config(args.config)
     efficiency = cfg_eff if args.efficiency is None else args.efficiency
     request = sweep.SweepRequest(
@@ -463,6 +474,8 @@ def _cmd_device_info(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fit_inversion(args: argparse.Namespace) -> dict:
+    from . import calibration
+
     body, _, _, _ = load_config(args.config)
     samples = calibration.load_measurements(args.csv, "tension")
     fit = calibration.fit_inversion_force(samples, body.cross_section_area)
@@ -475,6 +488,8 @@ def _cmd_fit_inversion(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fit_aperture(args: argparse.Namespace) -> dict:
+    from . import calibration
+
     samples = calibration.load_measurements(args.csv, "aperture")
     if args.shape is not None:
         samples = calibration.filter_by_shape(samples, ApertureShape(args.shape))
@@ -498,6 +513,8 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
     take the Scenario defaults; without its own efficiency the episode takes
     the device's.
     """
+    from . import sim
+
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
     unknown = set(doc) - set(_SCENARIO_KEYS) - {"mode", "body", "device"}
@@ -522,6 +539,8 @@ def scenario_from_json(doc: dict) -> tuple[sim.Scenario, str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    from . import sim
+
     doc = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
     scenario, mode = scenario_from_json(doc)
     if mode == "grow":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
 from typing import Optional
 
@@ -24,6 +25,17 @@ from .mechanics import (
 )
 
 _TIP_RING_AREA = math.pi * 0.016**2  # 3.2 cm diameter grounding ring
+
+# Transmission efficiency of the device where none is given.
+DEFAULT_EFFICIENCY = 1.0
+
+
+class ApertureShape(Enum):
+    """Shape tag of the aperture in a pull-through test."""
+
+    CIRCULAR = "circle"
+    RECTANGULAR = "rect"
+    DEVICE = "device"
 
 
 @dataclass(frozen=True)
@@ -153,7 +165,7 @@ def max_device_force(device: DeviceSpec) -> float:
 def max_zero_tension_pressure(
     body: BodySpec,
     device: DeviceSpec,
-    efficiency: float = 1.0,
+    efficiency: float = DEFAULT_EFFICIENCY,
     inversion_force: Optional[float] = None,
 ) -> float:
     """Highest pressure at which the device alone can retract the body.
@@ -220,7 +232,7 @@ def force_balance(
 
 
 def device_assist(
-    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = 1.0
+    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = DEFAULT_EFFICIENCY
 ) -> tuple[float, Optional[float]]:
     """Apply the saturation rule at one pressure: (applied force, residual).
 
@@ -246,7 +258,7 @@ def solve_device_row(
     device: Optional[DeviceSpec],
     pressure: float,
     curvature: float,
-    efficiency: float = 1.0,
+    efficiency: float = DEFAULT_EFFICIENCY,
 ) -> tuple[float, PressureRow]:
     """Solve one pressure row with the retraction device, or bare when
     ``device`` is None.
@@ -268,7 +280,7 @@ def solve_device_row(
 
 
 def predict_with_device(
-    body: BodySpec, device: DeviceSpec, state: RobotState, efficiency: float = 1.0
+    body: BodySpec, device: DeviceSpec, state: RobotState, efficiency: float = DEFAULT_EFFICIENCY
 ) -> BehaviorPrediction:
     """Predict retraction behavior with the device assisting at the tip.
 
@@ -284,7 +296,7 @@ def predict_with_device(
 
 
 def applied_device_force(
-    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = 1.0
+    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = DEFAULT_EFFICIENCY
 ) -> float:
     """Force the device actually applies: the zero-tension need, capped at available."""
     return device_assist(body, device, pressure, efficiency)[0]

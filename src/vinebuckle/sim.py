@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
 from . import units
-from .device import DeviceSpec, retraction_kinematics, solve_device_row
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, retraction_kinematics, solve_device_row
 from .mechanics import BodySpec, Verdict, predict_at_length, predict_row
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
@@ -55,7 +55,7 @@ class Scenario:
     pressure_points: Optional[tuple[tuple[float, float], ...]] = None
     curvature: float = 0.0                # 1/m
     device: Optional[DeviceSpec] = None
-    efficiency: float = 1.0
+    efficiency: float = DEFAULT_EFFICIENCY
     step: float = 0.01                    # m, finer than any transition feature
     motor_speed: Optional[float] = None   # rad/s
     base_takeup: bool = True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import units
-from .device import DeviceSpec, device_assist, solve_device_row
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, solve_device_row
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
@@ -27,6 +27,7 @@ from .mechanics import (
     Verdict,
     oracle_row,
     predict_row,
+    solve_pressure_row,
     tail_tension_to_invert,
 )
 from .version import __version__
@@ -61,7 +62,7 @@ class SweepRequest:
     pressure_range: AxisRange   # Pa
     length_range: AxisRange     # m
     device: Optional[DeviceSpec] = None
-    efficiency: float = 1.0
+    efficiency: float = DEFAULT_EFFICIENCY
 
     def __post_init__(self) -> None:
         units.check("curvature", self.curvature)
@@ -118,7 +119,9 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     transition algebra; used to cross-check ``classify_grid``. The returned
     diagram carries verdict-bearing predictions and an empty transition curve.
     Where the device covers the zero-tension need, the row inverts at every
-    length with an infinite limit. Raises ValueError for a negative length.
+    length with an infinite limit, and its model is the one that
+    ``solve_pressure_row`` names for a grounded row. Raises ValueError for a
+    negative length.
     """
     body, device, curvature = request.body, request.device, request.curvature
     pressures = request.pressure_range.centers()
@@ -130,7 +133,8 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
         else:
             _, required = device_assist(body, device, pressure, request.efficiency)
             if required is None:
-                grid.append(_grounded_oracle_row(lengths))
+                row = solve_pressure_row(body, pressure, curvature, 0.0, grounded=True)
+                grid.append(_grounded_oracle_row(lengths, row.model_used))
                 continue
         grid.append(oracle_row(body, pressure, curvature, required, lengths))
     meta = _metadata(request)
@@ -196,15 +200,13 @@ def _metadata(request: SweepRequest) -> dict:
     }
 
 
-def _grounded_oracle_row(lengths: list[float]) -> list[BehaviorPrediction]:
+def _grounded_oracle_row(lengths: list[float], model: ModelUsed) -> list[BehaviorPrediction]:
     """A row whose tail force path is grounded at the tip: it inverts at
     every length, with no required tension and an infinite limit. Its
     lengths are checked as ``oracle_row`` checks them."""
     for length in lengths:
         units.check("length", length)
-    cell = BehaviorPrediction(
-        Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, ModelUsed.STRAIGHT
-    )
+    cell = BehaviorPrediction(Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, model)
     return [cell] * len(lengths)
 
 

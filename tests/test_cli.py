@@ -2,11 +2,21 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
-from vinebuckle import BodySpec, DeviceSpec, Scenario, cli, device_assist, mechanics
+from vinebuckle import (
+    ApertureShape,
+    BodySpec,
+    DeviceSpec,
+    Scenario,
+    SweepRequest,
+    cli,
+    device_assist,
+    mechanics,
+)
 
 DATA = """pressure_kpa,tension_n
 0.0,3.4
@@ -303,6 +313,23 @@ class TestFit:
         assert doc["c1_ncm2"] == pytest.approx(6.1, rel=0.10)
         assert doc["c2_n"] == pytest.approx(3.3, rel=0.10)
 
+    def test_aperture_help_lists_the_shape_tags(self, capsys):
+        code, out, _ = run(capsys, "fit", "aperture", "--help")
+        assert code == 0
+        # in the usage line and in the option's entry
+        listed = re.findall(r"--shape \{(.*?)\}", out)
+        assert [choices.split(",") for choices in listed] == [
+            [shape.value for shape in ApertureShape]
+        ] * 2
+
+    def test_unknown_aperture_shape_is_a_usage_error(self, capsys, data_dir):
+        code, out, err = run(
+            capsys, "fit", "aperture", "--csv", str(data_dir / "aperture_force.csv"),
+            "--shape", "bogus",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --shape: invalid choice: 'bogus'")
+
     def test_empty_csv_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -428,7 +455,7 @@ class TestConfig:
         assert device.routing_aperture_area == device.tip_ring_area
         rings = {"tip_ring_area": 1.0, "routing_aperture_area": 1.0}
         assert replace(device, **rings) == replace(DeviceSpec(), **rings)
-        assert efficiency == 1.0 and defaults == {}
+        assert efficiency == SweepRequest.efficiency == 1.0 and defaults == {}
 
     def test_efficiency_zero_is_accepted(self, capsys, tmp_path):
         config = tmp_path / "config.json"

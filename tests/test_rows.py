@@ -339,9 +339,10 @@ def reference_oracle(request):
         if request.device is not None:
             _, required = device_assist(body, request.device, pressure, request.efficiency)
             if required is None:
+                # a grounded row's model is named by the straightness threshold
                 limit = math.inf
-                cell = (Verdict.INVERT, FailureMode.NONE, 0.0, limit, limit - 0.0,
-                        ModelUsed.STRAIGHT, False)
+                model = ModelUsed.STRAIGHT if curvature < 1e-6 else ModelUsed.CURVED
+                cell = (Verdict.INVERT, FailureMode.NONE, 0.0, limit, limit - 0.0, model, False)
                 grid.append([cell] * len(lengths))
                 limits.append([limit] * len(lengths))
                 continue

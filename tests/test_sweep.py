@@ -205,6 +205,19 @@ class TestOracleScan:
         diagram = oracle_scan(request)
         assert diagram.grid[0][0].verdict is Verdict.INVERT
 
+    @pytest.mark.parametrize("curvature", [0.0, 1e-6, 2e-6, 0.444])
+    def test_grounded_rows_name_the_classifier_model(self, curvature):
+        request = SweepRequest(
+            BodySpec(), curvature, AxisRange(0.0, 10e3, 3), AxisRange(0.0, 3.0, 2), DeviceSpec()
+        )
+        classified, oracle = classify_grid(request), oracle_scan(request)
+        grounded = 0
+        for row, oracle_row in zip(classified.grid, oracle.grid):
+            if math.isinf(row[0].limiting_force):
+                grounded += 1
+                assert [c.model_used for c in oracle_row] == [c.model_used for c in row]
+        assert grounded
+
     def test_degenerate_two_step_grid(self):
         request = SweepRequest(
             body=BodySpec(),

@@ -28,15 +28,12 @@ _EXPORTS = {
     ),
     "device": (
         "ApertureShape",
-        "DeviceForces",
         "DeviceSpec",
         "RetractionKinematics",
         "aperture_inversion_force",
-        "applied_device_force",
         "device_assist",
         "device_force_for_zero_tension",
         "efficiency_for_pressure_ceiling",
-        "force_balance",
         "max_device_force",
         "max_zero_tension_pressure",
         "predict_with_device",
@@ -63,7 +60,6 @@ _EXPORTS = {
         "curved_transition_length",
         "min_buckling_moment_arm",
         "min_inversion_pressure",
-        "moment_arm",
         "predict_at_length",
         "predict_behavior",
         "predict_row",

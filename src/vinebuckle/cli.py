@@ -5,8 +5,9 @@ defaults reproduce the reference robot and device with zero configuration;
 a JSON config document overrides individual fields. Each command builds one
 document, printed as JSON with ``--json`` and otherwise as aligned
 ``key  value`` lines (null shows as ``none``). Exit codes: 0 success,
-1 usage error, 2 input validation, 3 numeric cross-check failure. Errors go
-to stderr with an ``error:`` prefix. Every non-finite, out-of-range or
+1 usage error or a missing dependency (numpy, for ``fit``), 2 input
+validation, 3 numeric cross-check failure. Errors go to stderr with an
+``error:`` prefix. Every non-finite, out-of-range or
 wrongly typed input that a command uses exits 2, and so does a finite input
 so extreme that the model's arithmetic overflows or divides by an
 underflowed zero.
@@ -79,6 +80,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         output = _render(args.handler(args), args.json)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ModuleNotFoundError as exc:  # numpy, which only the fits import
+        print(f"error: this command needs {exc.name}, which is not installed", file=sys.stderr)
         return EXIT_USAGE
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

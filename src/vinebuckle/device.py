@@ -100,16 +100,6 @@ class DeviceSpec:
         return force_max, _aperture_force(self, self.min_aperture_area)
 
 
-@dataclass(frozen=True)
-class DeviceForces:
-    """Quasistatic forces at the tip while the device assists inversion."""
-
-    device_force: float      # N, applied on the tail
-    grounding_force: float   # N, reaction on the tip; equals device_force
-    tail_tension: float      # N
-    wall_tension: float      # N
-
-
 def aperture_inversion_force(device: DeviceSpec, area: Optional[float] = None) -> float:
     """Force to invert the body at zero pressure through a sliding aperture.
 
@@ -138,11 +128,7 @@ def tail_tension_with_device(
     """
     units.check("pressure", pressure)
     units.check("device_force", device_force)
-    return (
-        0.5 * pressure * body.cross_section_area
-        + aperture_inversion_force(device)
-        - 0.5 * device_force
-    )
+    return _residual_tension(body, pressure, aperture_inversion_force(device), device_force)
 
 
 def device_force_for_zero_tension(
@@ -150,7 +136,17 @@ def device_force_for_zero_tension(
 ) -> float:
     """Device force that inverts the body with zero tail tension: P*A + 2*F_I."""
     units.check("pressure", pressure)
-    return pressure * body.cross_section_area + 2.0 * aperture_inversion_force(device)
+    return _zero_tension_need(body, pressure, aperture_inversion_force(device))
+
+
+# The two equations, unchecked: the functions above check first, and
+# device_assist calls them on its per-row path with checks of its own.
+def _zero_tension_need(body: BodySpec, pressure: float, f_i: float) -> float:
+    return pressure * body.cross_section_area + 2.0 * f_i
+
+
+def _residual_tension(body: BodySpec, pressure: float, f_i: float, force: float) -> float:
+    return 0.5 * pressure * body.cross_section_area + f_i - 0.5 * force
 
 
 def max_device_force(device: DeviceSpec) -> float:
@@ -188,10 +184,18 @@ def efficiency_for_pressure_ceiling(
 
     Back-solves ``max_zero_tension_pressure`` for efficiency, so field data on
     the highest self-retraction pressure calibrates the drivetrain losses.
+    Raises ValueError when the ceiling is above the lossless one, which no
+    efficiency in [0, 1] reaches.
     """
     units.check("max_pressure", max_pressure)
     needed = device_force_for_zero_tension(body, device, max_pressure)
-    return needed / max_device_force(device)
+    efficiency = needed / max_device_force(device)
+    if efficiency > 1.0:
+        raise ValueError(
+            f"max_pressure {max_pressure} Pa needs efficiency {efficiency}, above 1: "
+            "the device cannot retract alone there even without losses"
+        )
+    return efficiency
 
 
 @dataclass(frozen=True)
@@ -217,20 +221,6 @@ def retraction_kinematics(device: DeviceSpec, motor_speed: float) -> RetractionK
     )
 
 
-def force_balance(
-    body: BodySpec, device: DeviceSpec, pressure: float, device_force: float
-) -> DeviceForces:
-    """Resolve the tip force balance at a given applied device force."""
-    tail = tail_tension_with_device(body, device, pressure, device_force)
-    wall = pressure * body.cross_section_area - tail
-    return DeviceForces(
-        device_force=device_force,
-        grounding_force=device_force,
-        tail_tension=tail,
-        wall_tension=wall,
-    )
-
-
 def device_assist(
     body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = DEFAULT_EFFICIENCY
 ) -> tuple[float, Optional[float]]:
@@ -246,11 +236,11 @@ def device_assist(
     units.check("pressure", pressure)
     force_max, f_i = device._constants
     available = efficiency * force_max
-    needed = pressure * body.cross_section_area + 2.0 * f_i
+    needed = _zero_tension_need(body, pressure, f_i)
     if needed <= available:
         return needed, None
     units.check("device_force", available)
-    return available, 0.5 * pressure * body.cross_section_area + f_i - 0.5 * available
+    return available, _residual_tension(body, pressure, f_i, available)
 
 
 def solve_device_row(
@@ -293,10 +283,3 @@ def predict_with_device(
     """
     _, row = solve_device_row(body, device, state.pressure, state.curvature, efficiency)
     return predict_at_length(row, state.length)
-
-
-def applied_device_force(
-    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = DEFAULT_EFFICIENCY
-) -> float:
-    """Force the device actually applies: the zero-tension need, capped at available."""
-    return device_assist(body, device, pressure, efficiency)[0]

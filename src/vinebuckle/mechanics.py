@@ -200,35 +200,28 @@ def min_inversion_pressure(body: BodySpec) -> float:
 
 
 def clamped_moment_arm(body: BodySpec, curvature: float, length: float) -> float:
-    """Moment arm as the predictors use it: held at its maximum R + 2/kappa
-    beyond kappa*L = pi, so that a triggered buckling verdict persists
-    instead of oscillating."""
-    units.check("curvature", curvature, lo_open=True)
-    units.check("length", length)
-    return _moment_arm_clamped(body, curvature, length)
-
-
-def moment_arm(body: BodySpec, curvature: float, length: float) -> float:
     """Lateral moment arm of the tail tension about the base of a curved body.
 
-    D = R + (1 - cos(L*kappa)) / kappa, valid for kappa*L in [0, pi].
-    Below the straightness threshold this is R exactly. 1 - cos is evaluated
-    as 2*sin^2(x/2) to stay accurate near zero curvature.
+    D = R + (1 - cos(L*kappa)) / kappa for kappa*L in [0, pi], and held at
+    its maximum R + 2/kappa beyond, so that a triggered buckling verdict
+    persists instead of oscillating. Below the straightness threshold this
+    is R exactly. 1 - cos is evaluated as 2*sin^2(x/2) to stay accurate near
+    zero curvature.
     """
     units.check("curvature", curvature, lo_open=True)
     units.check("length", length)
-    units.check("kappa*L", curvature * length, hi=math.pi)
     return _moment_arm_clamped(body, curvature, length)
 
 
 def curved_buckling_force(
     body: BodySpec, pressure: float, curvature: float, length: float
 ) -> float:
-    """Tail tension that transversely buckles a curved body: P*A*R / D."""
+    """Tail tension that transversely buckles a curved body: P*A*R / D,
+    valid for kappa*L in [0, pi]."""
     units.check("pressure", pressure)
-    return pressure * body.cross_section_area * body.radius / moment_arm(
-        body, curvature, length
-    )
+    arm = clamped_moment_arm(body, curvature, length)
+    units.check("kappa*L", curvature * length, hi=math.pi)
+    return pressure * body.cross_section_area * body.radius / arm
 
 
 def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:

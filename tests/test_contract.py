@@ -27,6 +27,7 @@ from vinebuckle import (
     clamped_moment_arm,
     cli,
     crushing_force,
+    curved_buckling_force,
     curved_transition_bisect,
     curved_transition_length,
     device_assist,
@@ -35,7 +36,6 @@ from vinebuckle import (
     fit_inversion_force,
     max_zero_tension_pressure,
     min_buckling_moment_arm,
-    moment_arm,
     predict_at_length,
     predict_row,
     retraction_kinematics,
@@ -128,6 +128,10 @@ FUNCTIONS = {
     "crushing_force": (lambda p: crushing_force(BODY, p), [GE0]),
     "axial_buckling_force": (lambda p, l: axial_buckling_force(BODY, p, l), [GE0, GT0]),
     "clamped_moment_arm": (lambda k, l: clamped_moment_arm(BODY, k, l), [GT0, GE0]),
+    # at L = 1 m, kappa*L <= pi is kappa <= pi; test_curved_buckling_force_half_turn
+    # draws the length
+    "curved_buckling_force": (
+        lambda p, k: curved_buckling_force(BODY, p, k, 1.0), [GE0, (0.0, math.pi, True)]),
     "min_buckling_moment_arm": (lambda p: min_buckling_moment_arm(BODY, p), [GT0]),
     "wall_tension": (lambda p, f: wall_tension(BODY, p, f), [GE0, GE0]),
     "straight_transition_length": (lambda p: straight_transition_length(BODY, p), [GE0]),
@@ -150,7 +154,9 @@ FUNCTIONS = {
     "max_zero_tension_pressure": (
         lambda e, f: max_zero_tension_pressure(BODY, DEVICE, e, f), [UNIT, ANY]),
     "efficiency_for_pressure_ceiling": (
-        lambda p: efficiency_for_pressure_ceiling(BODY, DEVICE, p), [GE0]),
+        # up to the lossless ceiling, where the implied efficiency reaches 1
+        lambda p: efficiency_for_pressure_ceiling(BODY, DEVICE, p),
+        [(0.0, max_zero_tension_pressure(BODY, DEVICE), False)]),
     "retraction_kinematics": (
         lambda w: retraction_kinematics(DEVICE, w), [(0.0, DEVICE.motor_speed_max, False)]),
     "device_assist": (lambda p, e: device_assist(BODY, DEVICE, p, e), [GE0, UNIT]),
@@ -188,11 +194,11 @@ class TestRegressions:
             lambda: AxisRange(0.0, INF, 3),
             lambda: tail_tension_with_device(BODY, DEVICE, math.nan, 0.0),
             lambda: retraction_kinematics(DEVICE, math.nan),
-            lambda: moment_arm(BODY, 1.0, math.nan),
+            lambda: curved_buckling_force(BODY, 2e3, 1.0, math.nan),
             lambda: fit_inversion_force([TensionSample(0.0, 1.0)], math.nan),
         ],
         ids=["tension_sample", "aperture_sample", "axis_range", "tail_tension_with_device",
-             "retraction_kinematics", "moment_arm", "fit_inversion_force"],
+             "retraction_kinematics", "curved_buckling_force", "fit_inversion_force"],
     )
     def test_non_finite_input_raises(self, call):
         with pytest.raises(ValueError, match="must be finite"):
@@ -229,8 +235,8 @@ class TestProperties:
             assert not any(isinstance(x, float) and math.isnan(x) for x in flat(result))
 
     @given(kappa=FLOATS, length=FLOATS)
-    def test_moment_arm_half_turn(self, kappa, length):
-        accepted, _ = accepts(lambda: moment_arm(BODY, kappa, length), ())
+    def test_curved_buckling_force_half_turn(self, kappa, length):
+        accepted, _ = accepts(lambda: curved_buckling_force(BODY, 2e3, kappa, length), ())
         expected = within(kappa, GT0) and within(length, GE0) and kappa * length <= math.pi
         assert accepted == expected
 

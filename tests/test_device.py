@@ -13,10 +13,9 @@ from vinebuckle import (
     RobotState,
     Verdict,
     aperture_inversion_force,
-    applied_device_force,
+    device_assist,
     device_force_for_zero_tension,
     efficiency_for_pressure_ceiling,
-    force_balance,
     max_device_force,
     max_zero_tension_pressure,
     predict_behavior,
@@ -24,6 +23,7 @@ from vinebuckle import (
     retraction_kinematics,
     tail_tension_to_invert,
     tail_tension_with_device,
+    wall_tension,
 )
 
 RING_FORCE = 4.058472775672314  # N, through the 3.2 cm tip grounding ring
@@ -146,6 +146,16 @@ class TestZeroTensionPressureCeiling:
             2e3, rel=1e-9
         )
 
+    def test_ceiling_above_the_lossless_one_is_rejected(self, body, device):
+        lossless = max_zero_tension_pressure(body, device)
+        assert efficiency_for_pressure_ceiling(body, device, lossless) == 1.0
+        for pressure in (math.nextafter(lossless, math.inf), 10e3):
+            with pytest.raises(ValueError, match="^max_pressure .* above 1"):
+                efficiency_for_pressure_ceiling(body, device, pressure)
+        # 2*F_I alone exceeds a weak device's force: no pressure is in reach
+        with pytest.raises(ValueError, match="above 1"):
+            efficiency_for_pressure_ceiling(body, DeviceSpec(max_motor_torque=1e-3), 0.0)
+
     def test_bad_efficiency_rejected(self, body, device):
         # one efficiency range, [0, 1], as in device_assist, SweepRequest and Scenario
         for efficiency in (-0.1, -5e-324, 1.0000000000000002, math.nan, math.inf):
@@ -181,17 +191,11 @@ class TestKinematics:
 
 
 class TestForceBalance:
-    @given(
-        pressure=st.floats(min_value=0.0, max_value=20e3),
-        force=st.floats(min_value=0.0, max_value=60.0),
-    )
-    def test_grounding_force_equals_device_force(self, pressure, force):
-        balance = force_balance(BodySpec(), DeviceSpec(), pressure, force)
-        assert balance.grounding_force == balance.device_force
-
     def test_tensions_sum_to_pressure_load(self, body, device):
-        balance = force_balance(body, device, 2e3, 10.0)
-        assert balance.tail_tension + balance.wall_tension == pytest.approx(
+        # tail and wall tension at the device's aperture inversion force
+        adjusted = replace(body, inversion_force=aperture_inversion_force(device))
+        tail = tail_tension_with_device(body, device, 2e3, 10.0)
+        assert tail + wall_tension(adjusted, 2e3, 10.0) == pytest.approx(
             2e3 * body.cross_section_area, rel=1e-12
         )
 
@@ -236,10 +240,10 @@ class TestPredictWithDevice:
             assert predict_with_device(body, device, state).verdict is Verdict.INVERT
 
     def test_applied_force_caps_at_available(self, body, device):
-        assert applied_device_force(body, device, 2e3) == pytest.approx(
+        assert device_assist(body, device, 2e3)[0] == pytest.approx(
             19.46594901243776, rel=1e-12
         )
-        assert applied_device_force(body, device, 10e3) == pytest.approx(
+        assert device_assist(body, device, 10e3)[0] == pytest.approx(
             40.83333333333333, rel=1e-12
         )
 

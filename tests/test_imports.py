@@ -22,9 +22,9 @@ import vinebuckle
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
-# Runs each argv through cli.main and prints [exit code, stdout] per call as
-# JSON, then whether numpy got imported, then the vinebuckle modules loaded
-# after each call. With "block" as its first argument numpy cannot be
+# Runs each argv through cli.main and prints [exit code, stdout, stderr] per
+# call as JSON, then whether numpy got imported, then the vinebuckle modules
+# loaded after each call. With "block" as its first argument numpy cannot be
 # imported at all.
 RUNNER = """
 import contextlib, io, json, sys
@@ -33,10 +33,10 @@ if sys.argv[1] == "block":
 from vinebuckle import cli
 results, loaded = [], []
 for argv in json.loads(sys.argv[2]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
     loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "vinebuckle"))
 print(json.dumps([results, "numpy" in sys.modules, loaded]))
 """
@@ -116,7 +116,7 @@ def test_importing_the_package_and_cli_leaves_numpy_unloaded(tmp_path):
 def test_non_fit_commands_need_no_numpy(tmp_path):
     blocked, _, blocked_files = _run_commands(tmp_path, "block")
     free, numpy_loaded, free_files = _run_commands(tmp_path, "free")
-    assert [code for code, _ in blocked] == [0] * len(COMMANDS)
+    assert [code for code, *_ in blocked] == [0] * len(COMMANDS)
     assert blocked == free
     assert not numpy_loaded
     assert set(blocked_files) == set(free_files) >= {
@@ -124,6 +124,14 @@ def test_non_fit_commands_need_no_numpy(tmp_path):
         "bare_transition.csv", "retract.csv", "grow.csv",
     }
     assert blocked_files == free_files
+
+
+def test_fit_without_numpy_exits_1_with_one_error_line(tmp_path):
+    results, _, _ = json.loads(
+        _interpreter(RUNNER, "block", json.dumps(FIT_COMMANDS), cwd=_workdir(tmp_path, "fit"))
+    )
+    message = "error: this command needs numpy, which is not installed\n"
+    assert results == [[1, "", message]] * len(FIT_COMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))
@@ -134,7 +142,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     results, _, loaded = json.loads(
         _interpreter(RUNNER, "free", json.dumps(commands), cwd=_workdir(tmp_path, command))
     )
-    assert [code for code, _ in results] == [0] * len(commands)
+    assert [code for code, *_ in results] == [0] * len(commands)
     assert loaded == [sorted(CLI_MODULES + LOADS[command])] * len(commands)
 
 

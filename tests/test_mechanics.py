@@ -34,7 +34,6 @@ from vinebuckle import (
     max_device_force,
     min_buckling_moment_arm,
     min_inversion_pressure,
-    moment_arm,
     predict_at_length,
     predict_behavior,
     solve_device_row,
@@ -137,26 +136,24 @@ class TestMinInversionPressure:
 
 class TestMomentArm:
     def test_zero_length_is_radius(self, body):
-        assert moment_arm(body, K_MEDIUM, 0.0) == body.radius
+        assert clamped_moment_arm(body, K_MEDIUM, 0.0) == body.radius
 
     def test_vanishing_curvature_is_radius(self, body):
-        assert moment_arm(body, 1e-9, 2.0) == body.radius
+        assert clamped_moment_arm(body, 1e-9, 2.0) == body.radius
 
     def test_known_value(self, body):
-        assert moment_arm(body, K_MEDIUM, 0.2132) == pytest.approx(
+        assert clamped_moment_arm(body, K_MEDIUM, 0.2132) == pytest.approx(
             0.05259338677757854, rel=1e-12
         )
 
-    def test_domain_error_past_half_turn(self, body):
-        with pytest.raises(ValueError):
-            moment_arm(body, 2.0, math.pi / 2.0 + 0.1)
-
     @given(curvature=curvatures, l1=lengths, l2=lengths)
     def test_non_decreasing_in_length(self, curvature, l1, l2):
+        # across kappa*L = pi too, where the arm is held at its maximum
         body = BodySpec()
         lo, hi = sorted((l1, l2))
-        assume(curvature * hi <= math.pi)
-        assert moment_arm(body, curvature, hi) >= moment_arm(body, curvature, lo)
+        assert clamped_moment_arm(body, curvature, hi) >= clamped_moment_arm(
+            body, curvature, lo
+        )
 
 
 class TestCurvedBuckling:
@@ -169,6 +166,10 @@ class TestCurvedBuckling:
         assert curved_buckling_force(body, 2e3, K_MEDIUM, 0.2132) == pytest.approx(
             9.170975224247867, rel=1e-12
         )
+
+    def test_domain_error_past_half_turn(self, body):
+        with pytest.raises(ValueError, match="^kappa\\*L must be finite"):
+            curved_buckling_force(body, 2e3, 2.0, math.pi / 2.0 + 0.1)
 
     @pytest.mark.parametrize("length", [0.1, 1.0, 3.0])
     def test_vanishing_curvature_recovers_crushing(self, body, length):

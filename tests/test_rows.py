@@ -20,7 +20,6 @@ from vinebuckle import (
     SweepRequest,
     TerminalKind,
     Verdict,
-    applied_device_force,
     axial_buckling_force,
     classify_grid,
     clamped_moment_arm,
@@ -33,7 +32,6 @@ from vinebuckle import (
     max_device_force,
     mechanics,
     min_inversion_pressure,
-    moment_arm,
     oracle_scan,
     predict_at_length,
     predict_behavior,
@@ -46,6 +44,7 @@ from vinebuckle import (
     solve_pressure_row,
     straight_transition_bisect,
     tail_tension_to_invert,
+    tail_tension_with_device,
     transition_length,
 )
 from vinebuckle.mechanics import oracle_row
@@ -163,9 +162,12 @@ class TestRowFunctions:
         available = efficiency * max_device_force(DEVICE)
         needed = device_force_for_zero_tension(BODY, DEVICE, pressure)
         assert force == min(needed, available)
-        assert force == applied_device_force(BODY, DEVICE, pressure, efficiency)
         assert (residual is None) == (needed <= available)
-        if residual is not None:
+        # the same equations as the checked public functions, bit for bit
+        if residual is None:
+            assert force == device_force_for_zero_tension(BODY, DEVICE, pressure)
+        else:
+            assert residual == tail_tension_with_device(BODY, DEVICE, pressure, available)
             assert residual > 0.0
 
     def test_saturation_rule_rejects_bad_efficiency(self):
@@ -174,7 +176,9 @@ class TestRowFunctions:
 
     def test_clamped_moment_arm(self):
         kappa = 1 / 0.72
-        assert clamped_moment_arm(BODY, kappa, 1.0) == moment_arm(BODY, kappa, 1.0)
+        assert clamped_moment_arm(BODY, kappa, 1.0) == pytest.approx(
+            BODY.radius + (1.0 - math.cos(kappa)) / kappa, rel=1e-12
+        )
         assert clamped_moment_arm(BODY, kappa, 10.0) == BODY.radius + 2.0 / kappa
         with pytest.raises(ValueError):
             clamped_moment_arm(BODY, kappa, -0.1)

@@ -369,7 +369,10 @@ def _prediction_doc(prediction: BehaviorPrediction) -> dict:
 
 def _cmd_predict(args: argparse.Namespace) -> dict:
     body, device, cfg_eff, _ = load_config(args.config)
-    efficiency = cfg_eff if args.efficiency is None else args.efficiency
+    # checked even without --device, as sweep checks it
+    efficiency = cfg_eff
+    if args.efficiency is not None:
+        efficiency = units.check("efficiency", args.efficiency, hi=1.0)
     state = RobotState(
         length=units.cm_to_m(args.length_cm),
         pressure=units.kpa_to_pa(args.pressure_kpa),

@@ -222,17 +222,24 @@ def retraction_kinematics(device: DeviceSpec, motor_speed: float) -> RetractionK
 
 
 def device_assist(
-    body: BodySpec, device: DeviceSpec, pressure: float, efficiency: float = DEFAULT_EFFICIENCY
+    body: BodySpec,
+    device: Optional[DeviceSpec],
+    pressure: float,
+    efficiency: float = DEFAULT_EFFICIENCY,
 ) -> tuple[float, Optional[float]]:
-    """Apply the saturation rule at one pressure: (applied force, residual).
+    """One pressure's (applied force, required tail tension): the one place
+    that decides whether a row is bare, saturated or grounded.
 
-    When the available force efficiency * F_max covers the zero-tension need
-    P*A + 2*F_I, the device applies that need and the residual is None: the
-    tail needs no tension from the base. Otherwise the device saturates at
-    the available force and the residual tail tension
-    P*A/2 + F_I - F_avail/2 must come from the base.
+    Bare (``device`` None): 0 and ``tail_tension_to_invert``. Grounded where
+    the available force efficiency * F_max covers the zero-tension need
+    P*A + 2*F_I: that need and None, since the tail needs no tension from
+    the base. Saturated otherwise: the available force and the residual
+    tail tension P*A/2 + F_I - F_avail/2. The efficiency is checked first,
+    with or without a device.
     """
     units.check("efficiency", efficiency, hi=1.0)
+    if device is None:
+        return 0.0, tail_tension_to_invert(body, pressure)
     units.check("pressure", pressure)
     force_max, f_i = device._constants
     available = efficiency * force_max
@@ -253,20 +260,14 @@ def solve_device_row(
     """Solve one pressure row with the retraction device, or bare when
     ``device`` is None.
 
-    Returns the applied device force (0 without a device) and the row.
-    Where the device covers the zero-tension need the row is grounded: it
-    inverts at every length with zero required tension and an infinite
-    limit, since the force path is grounded at the tip. Otherwise it is the
+    Returns the applied device force (0 without a device) and the row that
+    ``solve_pressure_row`` builds from ``device_assist``'s required tension:
+    grounded where the device covers the zero-tension need, otherwise the
     ordinary model dispatch at the bare or residual tail tension (with a
     saturated device, a model extension beyond the zero-tension regime).
     """
-    if device is None:
-        required = tail_tension_to_invert(body, pressure)
-        return 0.0, solve_pressure_row(body, pressure, curvature, required)
-    force, residual = device_assist(body, device, pressure, efficiency)
-    if residual is None:
-        return force, solve_pressure_row(body, pressure, curvature, 0.0, grounded=True)
-    return force, solve_pressure_row(body, pressure, curvature, residual)
+    force, required = device_assist(body, device, pressure, efficiency)
+    return force, solve_pressure_row(body, pressure, curvature, required)
 
 
 def predict_with_device(

@@ -303,28 +303,24 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
 
 
 def solve_pressure_row(
-    body: BodySpec,
-    pressure: float,
-    curvature: float,
-    required_tension: float,
-    grounded: bool = False,
+    body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
 ) -> PressureRow:
     """Solve the model dispatch once for every length at one pressure.
 
-    ``required_tension`` is the tail tension the base must supply: the bare
-    ``tail_tension_to_invert`` or a device's residual. A curved body is
-    modeled as straight when the transverse model has no transition or
-    predicts a longer one than the straight model. A ``grounded`` row skips
-    the dispatch: it inverts at every length, and its model is named by the
-    straightness threshold alone. Raises ValueError for a negative or
-    non-finite pressure or curvature, or a non-finite required tension.
+    ``required_tension`` is ``device.device_assist``'s answer: the tail
+    tension the base must supply, or None for a grounded row, which skips
+    the dispatch and inverts at every length with zero required tension. A
+    curved body is modeled as straight when the transverse model has no
+    transition or predicts a longer one than the straight model. Raises
+    ValueError for a negative or non-finite pressure or curvature, or a
+    non-finite required tension.
     """
     units.check("pressure", pressure)
     units.check("curvature", curvature)
+    if required_tension is None:
+        model = _grounded_model(curvature)
+        return PressureRow(body, pressure, curvature, 0.0, model, math.inf, False, True)
     units.check("required_tension", required_tension, lo=-math.inf)
-    if grounded:
-        model = ModelUsed.STRAIGHT if curvature < KAPPA_STRAIGHT else ModelUsed.CURVED
-        return PressureRow(body, pressure, curvature, required_tension, model, math.inf, False, True)
     model, transition, extrapolated = _select_model(body, pressure, curvature, required_tension)
     return PressureRow(body, pressure, curvature, required_tension, model, transition, extrapolated)
 
@@ -478,7 +474,7 @@ def oracle_row(
     body: BodySpec,
     pressure: float,
     curvature: float,
-    required: float,
+    required: Optional[float],
     lengths: Sequence[float],
 ) -> list[BehaviorPrediction]:
     """Classify one pressure row by direct force comparison: the oracle that
@@ -492,15 +488,23 @@ def oracle_row(
     the public force functions. A cell carries its verdict, the forces and
     the model; its mode is NONE and its flag False. A cell whose limit is
     the same object as the previous cell's (where crushing binds) is that
-    same cell object again, as in ``predict_row``. Raises ValueError for a
-    negative or non-finite pressure, curvature or length, or a non-finite
-    required tension; each is checked once, before any cell.
+    same cell object again, as in ``predict_row``. A None ``required`` is a
+    grounded row, as for ``solve_pressure_row``: one shared INVERT cell
+    with an infinite limit. Raises ValueError for a negative or non-finite
+    pressure, curvature or length, or a non-finite required tension; each
+    is checked once, before any cell.
     """
     crush = crushing_force(body, pressure)
     units.check("curvature", curvature)
-    units.check("required_tension", required, lo=-math.inf)
+    if required is not None:
+        units.check("required_tension", required, lo=-math.inf)
     for length in lengths:
         units.check("length", length)
+    if required is None:
+        cell = BehaviorPrediction(
+            Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, _grounded_model(curvature)
+        )
+        return [cell] * len(lengths)
 
     curved = False
     if curvature >= KAPPA_STRAIGHT:
@@ -537,6 +541,11 @@ def oracle_row(
 
 # ---------------------------------------------------------------------------
 # internals
+
+
+def _grounded_model(curvature: float) -> ModelUsed:
+    """The model a grounded row names: the straightness threshold alone."""
+    return ModelUsed.STRAIGHT if curvature < KAPPA_STRAIGHT else ModelUsed.CURVED
 
 
 def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:

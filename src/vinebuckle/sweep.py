@@ -3,12 +3,13 @@
 ``classify_grid`` solves the model dispatch once per pressure row, runs the
 predictor over the row's cell centers and takes the invert/buckle
 transition curve from the rows' closed-form solutions. ``oracle_scan``
-classifies the same grid by direct force comparison: it applies the
-device's saturation rule per row and hands each row that is not grounded
-to ``mechanics.oracle_row``, which checks the row's inputs once and
-dispatches with the bisection solvers (the closed forms' fallback, sharing
-no transition algebra with them); the two diagrams must agree cell for
-cell. Diagrams serialize to CSV and to a deterministic standalone SVG.
+classifies the same grid by direct force comparison: it takes each row's
+required tension from ``device.device_assist`` (bare, saturated or
+grounded) and hands it to ``mechanics.oracle_row``, which checks the row's
+inputs once and dispatches with the bisection solvers (the closed forms'
+fallback, sharing no transition algebra with them); the two diagrams must
+agree cell for cell. Diagrams serialize to CSV and to a deterministic
+standalone SVG.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ from typing import Optional
 
 from . import units
 from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, solve_device_row
-from .mechanics import (
-    BehaviorPrediction,
-    BodySpec,
-    FailureMode,
-    ModelUsed,
-    Verdict,
-    oracle_row,
-    predict_row,
-    solve_pressure_row,
-    tail_tension_to_invert,
-)
+from .mechanics import BehaviorPrediction, BodySpec, Verdict, oracle_row, predict_row
 from .version import __version__
 
 # Most cells one diagram may hold, pressure steps x length steps, so that no
@@ -118,24 +109,17 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     Shares the force formulas with the predictor but none of the closed-form
     transition algebra; used to cross-check ``classify_grid``. The returned
     diagram carries verdict-bearing predictions and an empty transition curve.
-    Where the device covers the zero-tension need, the row inverts at every
-    length with an infinite limit, and its model is the one that
-    ``solve_pressure_row`` names for a grounded row. Raises ValueError for a
-    negative length.
+    Each row's required tension is ``device_assist``'s, as for
+    ``classify_grid``; where the device covers the zero-tension need,
+    ``oracle_row`` makes the row invert at every length with an infinite
+    limit. Raises ValueError for a negative length.
     """
     body, device, curvature = request.body, request.device, request.curvature
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
     grid = []
     for pressure in pressures:
-        if device is None:
-            required = tail_tension_to_invert(body, pressure)
-        else:
-            _, required = device_assist(body, device, pressure, request.efficiency)
-            if required is None:
-                row = solve_pressure_row(body, pressure, curvature, 0.0, grounded=True)
-                grid.append(_grounded_oracle_row(lengths, row.model_used))
-                continue
+        _, required = device_assist(body, device, pressure, request.efficiency)
         grid.append(oracle_row(body, pressure, curvature, required, lengths))
     meta = _metadata(request)
     meta["oracle"] = True
@@ -198,16 +182,6 @@ def _metadata(request: SweepRequest) -> dict:
         "efficiency": request.efficiency,
         "model_version": __version__,
     }
-
-
-def _grounded_oracle_row(lengths: list[float], model: ModelUsed) -> list[BehaviorPrediction]:
-    """A row whose tail force path is grounded at the tip: it inverts at
-    every length, with no required tension and an infinite limit. Its
-    lengths are checked as ``oracle_row`` checks them."""
-    for length in lengths:
-        units.check("length", length)
-    cell = BehaviorPrediction(Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, model)
-    return [cell] * len(lengths)
 
 
 def _emit_csv(diagram: PhaseDiagram) -> bytes:

@@ -53,6 +53,18 @@ class TestPredict:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["nan", "5", "-0.5"])
+    @pytest.mark.parametrize("device", [(), ("--device",)], ids=["bare", "device"])
+    def test_bad_efficiency_exits_2_with_or_without_device(self, capsys, value, device):
+        # without --device it used to exit 0; sweep has always exited 2
+        code, out, err = run(capsys, *PREDICT, *device, "--efficiency", value, "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: efficiency")
+        code, out, err = run(
+            capsys, "sweep", "--p", "0:10:4", "--l", "0:300:4", *device, "--efficiency", value
+        )
+        assert code == 2 and err.startswith("error: efficiency")
+
     def test_non_finite_transition_pressure_exits_2(self, capsys):
         # nan used to exit 3, the cross-check failure code
         code, out, _ = run(capsys, "transition", "--pressure-kpa", "nan", "--kappa-per-m", "0.444")

@@ -144,7 +144,7 @@ class TestRowFunctions:
 
     def test_covered_device_row_is_grounded(self):
         force, row = solve_device_row(BODY, DEVICE, 2e3, 0.0)
-        assert row == solve_pressure_row(BODY, 2e3, 0.0, 0.0, grounded=True)
+        assert row == solve_pressure_row(BODY, 2e3, 0.0, None)
         assert row.grounded and row.required_tension == 0.0 and row.critical_length is None
         assert force == device_force_for_zero_tension(BODY, DEVICE, 2e3)
         cell = predict_at_length(row, 30.0)
@@ -173,6 +173,44 @@ class TestRowFunctions:
     def test_saturation_rule_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):
             device_assist(BODY, DEVICE, 2e3, 1.5)
+
+    @pytest.mark.parametrize("pressure", [0.0, 2e3, 12e3])
+    def test_bare_assist_is_the_bare_tension(self, pressure):
+        force, required = device_assist(BODY, None, pressure)
+        assert (float.hex(force), float.hex(required)) == (
+            float.hex(0.0), float.hex(tail_tension_to_invert(BODY, pressure))
+        )
+
+    @pytest.mark.parametrize("efficiency", [math.nan, -0.1, 1.5, math.inf])
+    def test_efficiency_is_checked_without_a_device(self, efficiency):
+        # it was ignored on the bare path
+        with pytest.raises(ValueError, match="efficiency"):
+            device_assist(BODY, None, 2e3, efficiency)
+        with pytest.raises(ValueError, match="efficiency"):
+            solve_device_row(BODY, None, 2e3, 0.0, efficiency)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-6, 2e-6, 0.444])
+    def test_grounded_oracle_row(self, kappa):
+        lengths = [0.0, 0.5, 3.0, 20.0]
+        cells = oracle_row(BODY, 2e3, kappa, None, lengths)
+        assert len(cells) == len(lengths) and len({id(cell) for cell in cells}) == 1
+        model = solve_pressure_row(BODY, 2e3, kappa, None).model_used
+        assert model is (ModelUsed.STRAIGHT if kappa < 1e-6 else ModelUsed.CURVED)
+        assert cell_bits(cells[0]) == cell_bits(
+            (Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, model, False)
+        )
+
+    @pytest.mark.parametrize(
+        "pressure,curvature,lengths,name",
+        [
+            (2e3, 0.0, [1.0, -0.0625], "length"),
+            (math.nan, 0.0, [1.0], "pressure"),
+            (2e3, math.nan, [1.0], "curvature"),
+        ],
+    )
+    def test_grounded_oracle_row_checks_its_inputs(self, pressure, curvature, lengths, name):
+        with pytest.raises(ValueError, match=name):
+            oracle_row(BODY, pressure, curvature, None, lengths)
 
     def test_clamped_moment_arm(self):
         kappa = 1 / 0.72
@@ -514,7 +552,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("grounded", [False, True])
     def test_row_solver(self, pressure, curvature, grounded):
         with pytest.raises(ValueError):
-            solve_pressure_row(BODY, pressure, curvature, 5.0, grounded=grounded)
+            solve_pressure_row(BODY, pressure, curvature, None if grounded else 5.0)
 
     @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
     def test_row_length(self, length):

@@ -148,7 +148,10 @@ class PressureRow(NamedTuple):
     every length does. ``extrapolated`` is set when the curved model had no
     reachable buckling point. A ``grounded`` row has no finite buckling
     limit at any length: the tail force path is grounded at the tip, as
-    when the retraction device covers the whole zero-tension need.
+    when the retraction device covers the whole zero-tension need. Since a
+    scheduled episode solves one row per step, ``solve_pressure_row`` builds
+    it by position with ``tuple.__new__``; that applies no defaults, so
+    every field is given.
     """
 
     body: BodySpec
@@ -318,11 +321,14 @@ def solve_pressure_row(
     units.check("pressure", pressure)
     units.check("curvature", curvature)
     if required_tension is None:
-        model = _grounded_model(curvature)
-        return PressureRow(body, pressure, curvature, 0.0, model, math.inf, False, True)
+        return tuple.__new__(PressureRow, (
+            body, pressure, curvature, 0.0, _grounded_model(curvature), math.inf, False, True
+        ))
     units.check("required_tension", required_tension, lo=-math.inf)
     model, transition, extrapolated = _select_model(body, pressure, curvature, required_tension)
-    return PressureRow(body, pressure, curvature, required_tension, model, transition, extrapolated)
+    return tuple.__new__(PressureRow, (
+        body, pressure, curvature, required_tension, model, transition, extrapolated, False
+    ))
 
 
 def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
@@ -573,14 +579,19 @@ def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> floa
 
 
 def _cross_check(
-    closed: float, residual: float, force: float, bisect: Callable[[], Optional[float]]
+    closed: float,
+    residual: float,
+    force: float,
+    solver: Callable[..., Optional[float]],
+    *args: object,
 ) -> float:
     """``closed`` once its force residual is within rounding of the force
-    scale ``force`` (or 1e-9 N), else once the bisection solver ``bisect``
-    confirms it."""
+    scale ``force`` (or 1e-9 N), else once the bisection solver, called as
+    ``solver(*args)``, confirms it. The solver and its arguments are passed
+    as they are, so no closure is built when the residual check passes."""
     if abs(residual) <= max(_RESIDUAL_TOL_N, _RESIDUAL_TOL_REL * abs(force)):
         return closed
-    root = bisect()
+    root = solver(*args)
     if abs(root - closed) > _TRANSITION_TOL_M:
         raise CrossCheckError(
             f"closed-form transition {closed} m disagrees with bisection {root} m"
@@ -604,7 +615,7 @@ def _straight_transition_for(
     closed = math.sqrt((num / required - den_const) / den_slope)
     residual = num / (den_const + den_slope * closed * closed) - required
     return _cross_check(
-        closed, residual, required, lambda: straight_transition_bisect(body, pressure, required)
+        closed, residual, required, straight_transition_bisect, body, pressure, required
     )
 
 
@@ -631,10 +642,7 @@ def _curved_transition_for(
     closed = math.acos(max(-1.0, min(1.0, cos_arg))) / curvature
     residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
     return _cross_check(
-        closed,
-        residual,
-        required,
-        lambda: curved_transition_bisect(body, pressure, curvature, required),
+        closed, residual, required, curved_transition_bisect, body, pressure, curvature, required
     )
 
 

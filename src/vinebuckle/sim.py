@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from . import units
@@ -43,10 +45,13 @@ class Scenario:
     """One episode: body, operating schedule and optional device.
 
     Pressure is either a constant (``pressure``) or piecewise linear in tip
-    position (``pressure_points`` as (tip m, Pa) breakpoints; evaluation
-    outside their span is an error). ``target_length`` is only used by
-    growth episodes. ``motor_speed`` defaults to the device maximum.
-    Neither span may take more than ``MAX_EPISODE_STEPS`` steps.
+    position (``pressure_points`` as (tip m, Pa) breakpoints). A tip on a
+    breakpoint uses the segment that ends there, and the interpolant is
+    held within that segment's end pressures. A tip outside the span, or a
+    NaN tip, raises ValueError. The segments are computed once per scenario,
+    on first use. ``target_length`` is only used by growth episodes.
+    ``motor_speed`` defaults to the device maximum. Neither span may take
+    more than ``MAX_EPISODE_STEPS`` steps.
     """
 
     body: BodySpec
@@ -94,20 +99,36 @@ class Scenario:
     def pressure_at(self, tip: float) -> float:
         if self.pressure is not None:
             return self.pressure
-        points = self.pressure_points
-        assert points is not None
-        if tip < points[0][0] or tip > points[-1][0]:
+        first, ends, segments = self._segments
+        if not first <= tip <= ends[-1]:  # NaN fails both comparisons
+            points = self.pressure_points
             raise ValueError(
                 f"pressure schedule covers tip positions "
                 f"[{points[0][0]}, {points[-1][0]}] m, asked for {tip}"
             )
-        for (x0, p0), (x1, p1) in zip(points, points[1:]):
-            if tip <= x1:
-                # Rounding may carry the interpolant just past an end
-                # (below 0 when p1 == 0); it is held within [p0, p1].
-                p = p0 + (p1 - p0) * (tip - x0) / (x1 - x0)
-                return min(max(p, min(p0, p1)), max(p0, p1))
-        return points[-1][1]
+        # the first segment whose end is at or past the tip
+        x0, p0, rise, run, lo, hi = segments[bisect_left(ends, tip)]
+        # Rounding may carry the interpolant just past an end (below 0 when
+        # p1 == 0); it is held within [lo, hi].
+        p = p0 + rise * (tip - x0) / run
+        return min(max(p, lo), hi)
+
+    # Kept in the instance ``__dict__``, which no field, ``==``, ``hash`` or
+    # ``repr`` reads, like ``BodySpec._constants``.
+    @cached_property
+    def _segments(self) -> tuple[float, list[float], list[tuple[float, ...]]]:
+        """(first position, segment end positions, segments): each segment is
+        (x0, p0, p1 - p0, x1 - x0, min(p0, p1), max(p0, p1)) between the
+        breakpoints (x0, p0) and (x1, p1)."""
+        points = self.pressure_points
+        assert points is not None
+        pairs = list(zip(points, points[1:]))
+        return (
+            points[0][0],
+            [x1 for _, (x1, _) in pairs],
+            [(x0, p0, p1 - p0, x1 - x0, min(p0, p1), max(p0, p1))
+             for (x0, p0), (x1, p1) in pairs],
+        )
 
 
 class StepRecord(NamedTuple):
@@ -234,14 +255,13 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         force, row = solve_device_row(body, device, scenario.pressure, curvature, efficiency)
         tips, lengths = itertools.tee(tips)
         predictions = predict_row(row, lengths)
+    pressure_at = scenario.pressure_at
     start = scenario.initial_length
     records: list[StepRecord] = []
     terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
     for index, tip in enumerate(tips):
         if scheduled:
-            force, row = solve_device_row(
-                body, device, scenario.pressure_at(tip), curvature, efficiency
-            )
+            force, row = solve_device_row(body, device, pressure_at(tip), curvature, efficiency)
             prediction = predict_at_length(row, tip)
         else:
             prediction = next(predictions)

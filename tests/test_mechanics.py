@@ -488,9 +488,7 @@ class TestTransitionCrossCheck:
         residual = axial_buckling_force(body, 2e3, 1.0) - required
         with pytest.raises(CrossCheckError, match="disagrees"):
             # true root is near 2.39 m
-            _cross_check(
-                1.0, residual, required, lambda: straight_transition_bisect(body, 2e3, required)
-            )
+            _cross_check(1.0, residual, required, straight_transition_bisect, body, 2e3, required)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.444])
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from vinebuckle import (
     DeviceSpec,
     FailureMode,
     ModelUsed,
+    PressureRow,
     RobotState,
     Scenario,
     SweepRequest,
@@ -25,6 +26,7 @@ from vinebuckle import (
     clamped_moment_arm,
     crushing_force,
     curved_transition_bisect,
+    curved_transition_length,
     device_assist,
     device_force_for_zero_tension,
     diagrams_agree,
@@ -43,6 +45,7 @@ from vinebuckle import (
     solve_device_row,
     solve_pressure_row,
     straight_transition_bisect,
+    straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
     transition_length,
@@ -222,6 +225,42 @@ class TestRowFunctions:
             clamped_moment_arm(BODY, kappa, -0.1)
         with pytest.raises(ValueError):
             clamped_moment_arm(BODY, 0.0, 1.0)
+
+
+# (pressure, curvature, device, model): one row of each kind that
+# solve_pressure_row builds by position
+BUILT_ROWS = {
+    "bare straight": (2e3, 0.0, None, ModelUsed.STRAIGHT),
+    "curved": (5e3, 1 / 2.25, None, ModelUsed.CURVED),
+    "curved unreachable, flagged": (5e3, 100.0, None, ModelUsed.STRAIGHT),
+    "grounded": (2e3, 0.0, DEVICE, ModelUsed.STRAIGHT),
+}
+
+
+class TestBuiltRows:
+    @pytest.mark.parametrize("name", sorted(BUILT_ROWS))
+    def test_row_equals_the_generated_constructor(self, name):
+        # tuple.__new__ applies no defaults, so a row built with a field
+        # dropped would be a shorter tuple that no default fills in
+        pressure, curvature, device, model = BUILT_ROWS[name]
+        _, required = device_assist(BODY, device, pressure)
+        row = solve_pressure_row(BODY, pressure, curvature, required)
+        grounded, flagged = name == "grounded", name.endswith("flagged")
+        if grounded:
+            transition = math.inf
+        elif model is ModelUsed.CURVED:
+            transition = curved_transition_length(BODY, pressure, curvature)
+        else:
+            transition = straight_transition_length(BODY, pressure)
+        flags = {"extrapolated": True} if flagged else {"grounded": True} if grounded else {}
+        expected = PressureRow(
+            BODY, pressure, curvature, 0.0 if grounded else required, model, transition, **flags
+        )
+        assert type(row) is PressureRow and len(row) == 8
+        for field in PressureRow._fields:
+            assert getattr(row, field) == getattr(expected, field), field
+        assert repr(row) == repr(expected)
+        assert row.grounded is grounded and row.extrapolated is flagged
 
 
 def reference_cell(row, length):

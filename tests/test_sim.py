@@ -213,6 +213,99 @@ class TestGrowth:
             simulate_growth(Scenario(body=body, initial_length=0.0, pressure=2e3))
 
 
+def linear_scan_pressure(points, tip):
+    """The schedule walked as a linear scan over its breakpoints: the first
+    segment whose end is at or past the tip, interpolated and held within
+    that segment's end pressures."""
+    for (x0, p0), (x1, p1) in zip(points, points[1:]):
+        if tip <= x1:
+            p = p0 + (p1 - p0) * (tip - x0) / (x1 - x0)
+            return min(max(p, min(p0, p1)), max(p0, p1))
+    raise AssertionError(f"tip {tip} is past the schedule")
+
+
+@st.composite
+def schedules(draw):
+    """2-6 breakpoints from a first position that may be negative, with
+    pressures that rise, fall and reach 0 Pa, and interior fractions at
+    which each segment is also evaluated."""
+    n = draw(st.integers(2, 6))
+    position = draw(st.floats(-3.0, 3.0))
+    positions = [position]
+    for _ in range(n - 1):
+        position += draw(st.floats(1e-3, 2.0))
+        positions.append(position)
+    pressures = draw(st.lists(st.just(0.0) | st.floats(0.0, 12e3), min_size=n, max_size=n))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    return tuple(zip(positions, pressures)), fractions
+
+
+def schedule_tips(points, fractions):
+    """Every breakpoint, the floats on either side of each, and points
+    inside every segment."""
+    tips = []
+    for x, _ in points:
+        tips += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    for (x0, _), (x1, _) in zip(points, points[1:]):
+        tips += [x0 + f * (x1 - x0) for f in fractions]
+    return tips
+
+
+TARGET = 1.6700265450868317 + 0.035029039385667954
+SCHEDULE = ((-0.5, 300.0), (0.4, 2e3), (0.7, 4e3), (1.3, 5e3), (2.0, 0.0), (3.0, 25e3))
+
+
+class TestPressureSchedule:
+    @given(schedule=schedules())
+    @example(  # the falling segment whose interpolant rounds below 0 Pa at its end
+        schedule=(((0.0, 1.7746648496031412), (TARGET, 0.0)), [0.5])
+    )
+    @example(schedule=(SCHEDULE, [0.0, 0.25, 1.0]))
+    def test_walk_matches_a_linear_scan(self, schedule):
+        points, fractions = schedule
+        scenario = Scenario(BodySpec(), initial_length=0.0, pressure_points=points)
+        first, last = points[0][0], points[-1][0]
+        for tip in schedule_tips(points, fractions):
+            if first <= tip <= last:
+                expected = linear_scan_pressure(points, tip)
+                assert scenario.pressure_at(tip).hex() == expected.hex(), tip
+            else:
+                with pytest.raises(ValueError, match="pressure schedule covers tip positions"):
+                    scenario.pressure_at(tip)
+
+    @pytest.mark.parametrize(
+        "tip", [math.nan, -math.inf, math.inf, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)]
+    )
+    def test_tip_outside_the_span_or_nan_raises(self, body, tip):
+        # a NaN tip failed every comparison of the scan and read as the last
+        # breakpoint's pressure, 5000.0 here
+        scenario = Scenario(body, initial_length=1.0, pressure_points=((0, 400), (1, 5000)))
+        with pytest.raises(ValueError, match="pressure schedule covers tip positions"):
+            scenario.pressure_at(tip)
+
+    def test_segments_are_not_part_of_the_scenario_value(self, body):
+        fresh = Scenario(body, initial_length=1.0, pressure_points=SCHEDULE)
+        walked = Scenario(body, initial_length=1.0, pressure_points=SCHEDULE)
+        assert walked.pressure_at(0.55) == linear_scan_pressure(SCHEDULE, 0.55)
+        assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_every_scheduled_step_takes_the_schedule_pressure(self, body, device, grow):
+        if grow:  # grounded, then saturated, then buckling, at kappa = 0.444
+            scenario = Scenario(
+                body, initial_length=0.2, target_length=2.9, curvature=0.444, device=device,
+                efficiency=0.3, pressure_points=SCHEDULE,
+            )
+            log = simulate_growth(scenario)
+        else:
+            scenario = Scenario(body, initial_length=1.25, pressure_points=SCHEDULE)
+            log = simulate_retraction(scenario)
+        assert len(log.steps) > 100
+        assert len({step.pressure for step in log.steps}) > 100
+        for step in log.steps:
+            assert step.pressure.hex() == scenario.pressure_at(step.tip_position).hex()
+
+
 class TestEpisodeCsv:
     def test_header_and_rows(self, body):
         log = simulate_retraction(Scenario(body=body, initial_length=0.05, pressure=2e3))

@@ -58,6 +58,7 @@ _EXPORTS = {
         "curved_buckling_force",
         "curved_transition_bisect",
         "curved_transition_length",
+        "length_terms",
         "min_buckling_moment_arm",
         "min_inversion_pressure",
         "predict_at_length",

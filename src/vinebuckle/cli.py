@@ -5,8 +5,10 @@ defaults reproduce the reference robot and device with zero configuration;
 a JSON config document overrides individual fields. Each command builds one
 document, printed as JSON with ``--json`` and otherwise as aligned
 ``key  value`` lines (null shows as ``none``). Exit codes: 0 success,
-1 usage error or a missing dependency (numpy, for ``fit``), 2 input
-validation, 3 numeric cross-check failure. Errors go to stderr with an
+1 usage error, a missing dependency (numpy, for ``fit``) or a stdout closed
+by its reader (``| head``, with no message), 2 input validation, 3 numeric
+cross-check failure (``sweep --oracle-check`` exits 3 when the grid and the
+oracle differ in a verdict or a model). Errors go to stderr with an
 ``error:`` prefix. Every non-finite, out-of-range or
 wrongly typed input that a command uses exits 2, and so does a finite input
 so extreme that the model's arithmetic overflows or divides by an
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -93,7 +96,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush
+        # at interpreter exit does not fail again with a second message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -194,7 +194,8 @@ def axial_buckling_force(body: BodySpec, pressure: float, length: float) -> floa
     """
     units.check("pressure", pressure)
     units.check("length", length, lo_open=True)
-    return _axial_force(body, pressure, length)
+    num, den_const, den_slope = _axial_terms(body, pressure)
+    return num / (den_const + den_slope * length * length)
 
 
 def min_inversion_pressure(body: BodySpec) -> float:
@@ -331,29 +332,59 @@ def solve_pressure_row(
     ))
 
 
+def length_terms(
+    body: BodySpec, curvature: float, lengths: Iterable[float]
+) -> Iterator[tuple[float, bool, Optional[float]]]:
+    """The pressure-free terms of each length in turn, lazily: ``(length,
+    past, arm)``, where ``past`` is kappa*L > pi and ``arm`` the clamped
+    moment arm, or None below the straightness threshold, where no model
+    reads it.
+
+    Every row of a phase diagram shares its lengths, so a diagram computes
+    these once and hands them to ``predict_row`` and ``oracle_row`` for each
+    of its rows. Raises ValueError for a negative or non-finite curvature
+    when the first term is asked for, and for a negative or non-finite
+    length when that length is reached.
+    """
+    check, pi = units.check, math.pi
+    check("curvature", curvature)
+    if curvature < KAPPA_STRAIGHT:
+        for length in lengths:
+            check("length", length)
+            yield length, curvature * length > pi, None
+    else:
+        for length in lengths:
+            check("length", length)
+            yield length, curvature * length > pi, _moment_arm_clamped(body, curvature, length)
+
+
 def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
     """Evaluate a solved row at one length: ``predict_row``'s one-length case.
 
     Raises ValueError for a negative or non-finite length.
     """
     # unpacking runs the row to its end, so no suspended generator is closed
-    (cell,) = predict_row(row, (length,))
+    (cell,) = predict_row(row, length_terms(row.body, row.curvature, (length,)))
     return cell
 
 
-def predict_row(row: PressureRow, lengths: Iterable[float]) -> Iterator[BehaviorPrediction]:
+def predict_row(
+    row: PressureRow, terms: Iterable[tuple[float, bool, Optional[float]]]
+) -> Iterator[BehaviorPrediction]:
     """Evaluate a solved row at each length in turn, lazily: the limiting
     force of the row's model there, the verdict, and the kappa*L > pi
     extrapolation flag.
 
-    The row's length-independent terms are computed once. A cell whose limit
-    is one of the row's length-independent limits (P*A, the clamped-arm
-    limit beyond kappa*L = pi, or the grounded inf) and whose flag matches
-    the cell before it is that same cell object again, since every field
-    then has the same bits. Raises ValueError for a negative or non-finite
-    length when that length is reached.
+    ``terms`` are ``length_terms`` of the row's body and curvature: they
+    check each length and carry its flag and clamped moment arm, so the
+    rows of a diagram share that work. The row's length-independent terms
+    are computed once. A cell whose limit is one of the row's
+    length-independent limits (P*A, the clamped-arm limit beyond
+    kappa*L = pi, or the grounded inf) and whose flag matches the cell
+    before it is that same cell object again, since every field then has
+    the same bits.
     """
-    body, pressure, curvature, required, model, _, hint, grounded = row
+    body, pressure, _, required, model, _, hint, grounded = row
     straight = model is ModelUsed.STRAIGHT
     if not grounded and straight:
         pa = pressure * body.cross_section_area
@@ -362,9 +393,7 @@ def predict_row(row: PressureRow, lengths: Iterable[float]) -> Iterator[Behavior
         par = pressure * body.cross_section_area * body.radius
         clamped = None  # the limit wherever kappa*L > pi, found when first reached
     cell = None
-    for length in lengths:
-        units.check("length", length)
-        past = curvature * length > math.pi
+    for length, past, arm in terms:
         extrapolated = hint or past
         if grounded:
             mode, limit = FailureMode.NONE, math.inf
@@ -375,12 +404,14 @@ def predict_row(row: PressureRow, lengths: Iterable[float]) -> Iterator[Behavior
                 if axial < limit:
                     mode, limit = FailureMode.AXIAL_BUCKLE, axial
         else:
+            # a curved row is at or above the straightness threshold, so
+            # every term carries its arm
             mode = FailureMode.TRANSVERSE_BUCKLE
             if not past:
-                limit = par / _moment_arm_clamped(body, curvature, length)
+                limit = par / arm
             else:
                 if clamped is None:
-                    clamped = par / _moment_arm_clamped(body, curvature, length)
+                    clamped = par / arm
                 limit = clamped
         if cell is not None and limit is cell[3] and extrapolated is cell[6]:
             yield cell
@@ -438,10 +469,12 @@ def straight_transition_bisect(
     if required <= 0:
         return math.inf
 
-    # every length the solver tries is positive and finite, so the gap calls
-    # the check-free force helper
+    # every length the solver tries is positive and finite, so the gap
+    # evaluates the force unchecked, from the row's axial terms
+    num, den_const, den_slope = _axial_terms(body, pressure)
+
     def gap(length: float) -> float:
-        return _axial_force(body, pressure, length) - required
+        return num / (den_const + den_slope * length * length) - required
 
     hi = 1.0
     while gap(hi) > 0:
@@ -481,36 +514,36 @@ def oracle_row(
     pressure: float,
     curvature: float,
     required: Optional[float],
-    lengths: Sequence[float],
+    terms: Sequence[tuple[float, bool, Optional[float]]],
 ) -> list[BehaviorPrediction]:
     """Classify one pressure row by direct force comparison: the oracle that
     cross-checks ``predict_row``.
 
-    The model is dispatched with the bisection solvers, which share no
-    transition algebra with the closed forms, and each cell compares
-    ``required`` with the limiting force of that model at its length (the
-    smaller of crushing and axial buckling when straight, the transverse
-    limit P*A*R / arm when curved), through the check-free helpers behind
-    the public force functions. A cell carries its verdict, the forces and
-    the model; its mode is NONE and its flag False. A cell whose limit is
-    the same object as the previous cell's (where crushing binds) is that
-    same cell object again, as in ``predict_row``. A None ``required`` is a
-    grounded row, as for ``solve_pressure_row``: one shared INVERT cell
-    with an infinite limit. Raises ValueError for a negative or non-finite
-    pressure, curvature or length, or a non-finite required tension; each
-    is checked once, before any cell.
+    ``terms`` are ``length_terms`` of the body and curvature, built (and so
+    each length checked) once for all rows of a diagram. The model is
+    dispatched with the bisection solvers, which share no transition
+    algebra with the closed forms, and each cell compares ``required`` with
+    the limiting force of that model at its length: the smaller of crushing
+    and axial buckling when straight, from the row's axial terms, and the
+    transverse limit P*A*R / arm when curved, from the term's arm. These
+    are the public force functions' formulas without their checks. A cell
+    carries its verdict, the forces and the model; its mode is NONE and its
+    flag False. A cell whose limit is the same object as the previous
+    cell's (where crushing binds) is that same cell object again, as in
+    ``predict_row``. A None ``required`` is a grounded row, as for
+    ``solve_pressure_row``: one shared INVERT cell with an infinite limit.
+    Raises ValueError for a negative or non-finite pressure or
+    curvature, or a non-finite required tension; each is checked once,
+    before any cell.
     """
     crush = crushing_force(body, pressure)
     units.check("curvature", curvature)
-    if required is not None:
-        units.check("required_tension", required, lo=-math.inf)
-    for length in lengths:
-        units.check("length", length)
     if required is None:
         cell = BehaviorPrediction(
             Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, _grounded_model(curvature)
         )
-        return [cell] * len(lengths)
+        return [cell] * len(terms)
+    units.check("required_tension", required, lo=-math.inf)
 
     curved = False
     if curvature >= KAPPA_STRAIGHT:
@@ -525,14 +558,16 @@ def oracle_row(
     model = ModelUsed.CURVED if curved else ModelUsed.STRAIGHT
     if curved:
         par = crush * body.radius
+    else:
+        num, den_const, den_slope = _axial_terms(body, pressure)
 
     cells = []
     cell = limit_at = None
-    for length in lengths:
+    for length, _, arm in terms:
         if curved:
-            limit = par / _moment_arm_clamped(body, curvature, length)
+            limit = par / arm
         elif length > 0:
-            limit = min(crush, _axial_force(body, pressure, length))
+            limit = min(crush, num / (den_const + den_slope * length * length))
         else:
             limit = crush
         if limit is not limit_at:
@@ -561,11 +596,6 @@ def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
     return k1 * pressure + k2, den_const, body.radius * pressure + g_t
 
 
-def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
-    num, den_const, den_slope = _axial_terms(body, pressure)
-    return num / (den_const + den_slope * length * length)
-
-
 def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
     # Beyond kappa*L = pi the arm is held at its maximum R + 2/kappa so that
     # a triggered buckling verdict persists instead of oscillating.
@@ -574,7 +604,8 @@ def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> floa
     if curvature < KAPPA_STRAIGHT:
         return body.radius
     half = 0.5 * length * curvature
-    one_minus_cos = 2.0 * math.sin(half) * math.sin(half)
+    s = math.sin(half)
+    one_minus_cos = 2.0 * s * s
     return body.radius + one_minus_cos / curvature
 
 

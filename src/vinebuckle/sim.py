@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import units
 from .device import DEFAULT_EFFICIENCY, DeviceSpec, retraction_kinematics, solve_device_row
-from .mechanics import BodySpec, Verdict, predict_at_length, predict_row
+from .mechanics import BodySpec, Verdict, length_terms, predict_row
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -206,6 +206,7 @@ def emit_episode_csv(log: EpisodeLog) -> bytes:
     # episode one NaN time. Identity, not equality, so -0.0 after 0.0 and
     # each NaN stay exact.
     lines = ["step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"]
+    m_to_cm = units.m_to_cm
     pressure_at = required_at = device_at = verdict_at = time_at = object()
     for index, tip, pressure, required, device_force, verdict, time, _ in log.steps:
         if pressure is not pressure_at:
@@ -219,7 +220,7 @@ def emit_episode_csv(log: EpisodeLog) -> bytes:
         if time is not time_at:
             time_at, time_text = time, f"{time!r}"
         lines.append(
-            f"{index},{units.m_to_cm(tip)!r},{kpa},{required_text},{device_text},"
+            f"{index},{m_to_cm(tip)!r},{kpa},{required_text},{device_text},"
             f"{verdict_text},{time_text}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -234,11 +235,12 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
 
     Travel is measured from initial_length either way. A retraction ends at
     its first buckle, or after its first step when the device stalls at
-    zero motor speed; only a retraction pays out tail slack. A
-    constant-pressure episode solves its one row up front and evaluates it
-    over the tips lazily, so a retraction evaluates no tip past its first
-    buckle; under a pressure schedule each step solves the row at its own
-    pressure.
+    zero motor speed; only a retraction pays out tail slack. Each tip's
+    length terms (``length_terms``) are computed once, lazily, so a
+    retraction evaluates no tip past its first buckle. A constant-pressure
+    episode solves its one row up front and evaluates it over those terms;
+    under a pressure schedule each step solves the row at its own pressure
+    and evaluates it at the step's one term.
     """
     body, device, curvature, efficiency = (
         scenario.body, scenario.device, scenario.curvature, scenario.efficiency
@@ -251,18 +253,21 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     stalls = retracting and device is not None and tip_speed == 0.0
     pays_out = retracting and device is not None and not scenario.base_takeup
     scheduled = scenario.pressure is None
+    terms = length_terms(body, curvature, tips)
     if not scheduled:
         force, row = solve_device_row(body, device, scenario.pressure, curvature, efficiency)
-        tips, lengths = itertools.tee(tips)
-        predictions = predict_row(row, lengths)
+        terms, row_terms = itertools.tee(terms)
+        predictions = predict_row(row, row_terms)
     pressure_at = scenario.pressure_at
     start = scenario.initial_length
     records: list[StepRecord] = []
+    append, build, buckle = records.append, tuple.__new__, Verdict.BUCKLE
     terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
-    for index, tip in enumerate(tips):
+    for index, term in enumerate(terms):
+        tip = term[0]
         if scheduled:
             force, row = solve_device_row(body, device, pressure_at(tip), curvature, efficiency)
-            prediction = predict_at_length(row, tip)
+            (prediction,) = predict_row(row, (term,))
         else:
             prediction = next(predictions)
         travelled = abs(tip - start)
@@ -271,13 +276,11 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         else:
             elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
         slack = 2.0 * travelled if pays_out else 0.0
-        records.append(
-            tuple.__new__(StepRecord, (
-                index, tip, row.pressure, prediction.required_tension, force,
-                prediction.verdict, elapsed, slack,
-            ))
-        )
-        if prediction.verdict is Verdict.BUCKLE:
+        append(build(StepRecord, (
+            index, tip, row.pressure, prediction.required_tension, force,
+            prediction.verdict, elapsed, slack,
+        )))
+        if prediction.verdict is buckle:
             if terminal.kind is TerminalKind.FULLY_RETRACTED:
                 terminal = TerminalEvent(TerminalKind.BUCKLED, length=tip)
             if retracting:

@@ -8,8 +8,9 @@ required tension from ``device.device_assist`` (bare, saturated or
 grounded) and hands it to ``mechanics.oracle_row``, which checks the row's
 inputs once and dispatches with the bisection solvers (the closed forms'
 fallback, sharing no transition algebra with them); the two diagrams must
-agree cell for cell. Diagrams serialize to CSV and to a deterministic
-standalone SVG.
+agree cell for cell in verdict and model. Both build their length axis's
+terms (``mechanics.length_terms``) once per diagram. Diagrams serialize to
+CSV and to a deterministic standalone SVG.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from typing import Optional
 
 from . import units
 from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, solve_device_row
-from .mechanics import BehaviorPrediction, BodySpec, Verdict, oracle_row, predict_row
+from .mechanics import (
+    BehaviorPrediction,
+    BodySpec,
+    Verdict,
+    length_terms,
+    oracle_row,
+    predict_row,
+)
 from .version import __version__
 
 # Most cells one diagram may hold, pressure steps x length steps, so that no
@@ -77,19 +85,21 @@ class PhaseDiagram:
 def classify_grid(request: SweepRequest) -> PhaseDiagram:
     """Classify every cell center and trace the modeled transition curve.
 
-    The dispatch and the transition length are solved once per pressure
-    row; each cell then only evaluates its length-dependent limit, and a
-    cell equal in every bit to the one before it is that same object.
+    Each length is checked, and its flag and moment arm computed, once for
+    the whole grid; the dispatch and the transition length are solved once
+    per pressure row; each cell then only evaluates its length-dependent
+    limit, and a cell equal in every bit to the one before it is that same
+    object. Raises ValueError for a negative length before any row.
     """
+    body, device, curvature = request.body, request.device, request.curvature
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
+    terms = tuple(length_terms(body, curvature, lengths))
     grid = []
     curve = []
     for pressure in pressures:
-        _, row = solve_device_row(
-            request.body, request.device, pressure, request.curvature, request.efficiency
-        )
-        grid.append(list(predict_row(row, lengths)))
+        _, row = solve_device_row(body, device, pressure, curvature, request.efficiency)
+        grid.append(list(predict_row(row, terms)))
         critical = row.critical_length
         if critical is not None:
             curve.append((pressure, critical))
@@ -112,15 +122,17 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     Each row's required tension is ``device_assist``'s, as for
     ``classify_grid``; where the device covers the zero-tension need,
     ``oracle_row`` makes the row invert at every length with an infinite
-    limit. Raises ValueError for a negative length.
+    limit. The lengths' terms are built once, as for ``classify_grid``, so a
+    negative length raises ValueError before any row.
     """
     body, device, curvature = request.body, request.device, request.curvature
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
+    terms = tuple(length_terms(body, curvature, lengths))
     grid = []
     for pressure in pressures:
         _, required = device_assist(body, device, pressure, request.efficiency)
-        grid.append(oracle_row(body, pressure, curvature, required, lengths))
+        grid.append(oracle_row(body, pressure, curvature, required, terms))
     meta = _metadata(request)
     meta["oracle"] = True
     return PhaseDiagram(
@@ -133,14 +145,15 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
 
 
 def diagrams_agree(a: PhaseDiagram, b: PhaseDiagram) -> bool:
-    """True when two diagrams carry identical verdicts cell for cell."""
+    """True when two diagrams carry identical verdicts and models cell for
+    cell."""
     if len(a.grid) != len(b.grid):
         return False
     for row_a, row_b in zip(a.grid, b.grid):
         if len(row_a) != len(row_b):
             return False
         for cell_a, cell_b in zip(row_a, row_b):
-            if cell_a.verdict is not cell_b.verdict:
+            if cell_a.verdict is not cell_b.verdict or cell_a.model_used is not cell_b.model_used:
                 return False
     return True
 

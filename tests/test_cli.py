@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,9 @@ from vinebuckle import (
     SweepRequest,
     cli,
     device_assist,
+    diagrams_agree,
     mechanics,
+    sweep,
 )
 
 DATA = """pressure_kpa,tension_n
@@ -278,6 +284,53 @@ class TestSweep:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_model_disagreement_trips_oracle_check(self, capsys, monkeypatch):
+        # verdicts all agree; one oracle cell names the other model
+        scan, diagrams = sweep.oracle_scan, []
+
+        def flipped(request):
+            diagram = scan(request)
+            cell = diagram.grid[2][3]
+            other = (mechanics.ModelUsed.STRAIGHT if cell.model_used is mechanics.ModelUsed.CURVED
+                     else mechanics.ModelUsed.CURVED)
+            diagram.grid[2][3] = cell._replace(model_used=other)
+            diagrams.append(diagram)
+            return diagram
+
+        monkeypatch.setattr(sweep, "oracle_scan", flipped)
+        code, out, err = run(
+            capsys, "sweep", "--p", "0:10:5", "--l", "0:300:5",
+            "--kappa-per-m", "0.44", "--oracle-check", "--json",
+        )
+        assert code == 3 and out == "" and err.startswith("error:")
+        request = SweepRequest(BodySpec(), 0.44, sweep.AxisRange(0.0, 10e3, 5),
+                               sweep.AxisRange(0.0, 3.0, 5))
+        classified = sweep.classify_grid(request)
+        (diagram,) = diagrams
+        assert [[c.verdict for c in row] for row in diagram.grid] == [
+            [c.verdict for c in row] for row in classified.grid
+        ]
+        assert diagrams_agree(classified, scan(request))
+        assert not diagrams_agree(classified, diagram)
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the reader is gone before the document is written, as with `| true`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "vinebuckle.cli", "sweep", "--p", "0:10:40",
+                 "--l", "0:300:400", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
     def test_malformed_range_exits_1(self, capsys):
         code, _, err = run(capsys, "sweep", "--p", "0:10", "--l", "0:300:5")

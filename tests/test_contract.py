@@ -34,6 +34,7 @@ from vinebuckle import (
     device_force_for_zero_tension,
     efficiency_for_pressure_ceiling,
     fit_inversion_force,
+    length_terms,
     max_zero_tension_pressure,
     min_buckling_moment_arm,
     predict_at_length,
@@ -144,8 +145,11 @@ FUNCTIONS = {
     "solve_pressure_row": (lambda p, k, t: solve_pressure_row(BODY, p, k, t), [GE0, GE0, ANY]),
     "predict_at_length": (
         lambda l: predict_at_length(solve_pressure_row(BODY, 2e3, 0.3, 5.0), l), [GE0]),
-    "predict_row": (  # the drawn length comes second, so it is checked when reached
-        lambda l: tuple(predict_row(solve_pressure_row(BODY, 2e3, 0.3, 5.0), (1.0, l))), [GE0]),
+    # the drawn length comes second, so it is checked when reached
+    "length_terms": (lambda k, l: tuple(length_terms(BODY, k, (1.0, l))), [GE0, GE0]),
+    "predict_row": (
+        lambda l: tuple(predict_row(solve_pressure_row(BODY, 2e3, 0.3, 5.0),
+                                    length_terms(BODY, 0.3, (1.0, l)))), [GE0]),
     "aperture_inversion_force": (lambda a: aperture_inversion_force(DEVICE, a), [GT0]),
     "tail_tension_with_device": (
         lambda p, f: tail_tension_with_device(BODY, DEVICE, p, f), [GE0, GE0]),

@@ -31,6 +31,7 @@ from vinebuckle import (
     device_force_for_zero_tension,
     diagrams_agree,
     emit_episode_csv,
+    length_terms,
     max_device_force,
     mechanics,
     min_inversion_pressure,
@@ -122,7 +123,35 @@ class TestGridRows:
             with pytest.raises(ValueError, match="length"):
                 oracle_scan(req)
         with pytest.raises(ValueError, match="length"):
-            oracle_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3), [1.0, -0.0625])
+            terms = tuple(length_terms(BODY, 0.0, [1.0, -0.0625]))
+            oracle_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3), terms)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1 / 2.25])
+    @pytest.mark.parametrize("device", [None, DEVICE])
+    def test_each_length_is_checked_once_per_diagram(self, monkeypatch, kappa, device):
+        req = SweepRequest(
+            BODY, kappa, AxisRange(0.0, 10e3, 100), AxisRange(0.0, 3.0, 100), device
+        )
+        checked = []
+        check = mechanics.units.check
+
+        def counting(name, value, *args, **kwargs):
+            if name == "length":
+                checked.append(value)
+            return check(name, value, *args, **kwargs)
+
+        monkeypatch.setattr(mechanics.units, "check", counting)
+        for scan in (classify_grid, oracle_scan):
+            checked.clear()
+            assert len(scan(req).grid) == 100
+            assert checked == req.length_range.centers()
+
+    def test_length_is_named_before_pressure(self):
+        # every row shares the lengths, so they are checked before any row
+        req = SweepRequest(BODY, 0.0, AxisRange(-10e3, 10e3, 4), AxisRange(-0.5, 3.0, 4))
+        for scan in (classify_grid, oracle_scan):
+            with pytest.raises(ValueError, match="^length"):
+                scan(req)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("device,efficiency", DEVICE_CASES)
@@ -195,7 +224,7 @@ class TestRowFunctions:
     @pytest.mark.parametrize("kappa", [0.0, 1e-6, 2e-6, 0.444])
     def test_grounded_oracle_row(self, kappa):
         lengths = [0.0, 0.5, 3.0, 20.0]
-        cells = oracle_row(BODY, 2e3, kappa, None, lengths)
+        cells = oracle_row(BODY, 2e3, kappa, None, tuple(length_terms(BODY, kappa, lengths)))
         assert len(cells) == len(lengths) and len({id(cell) for cell in cells}) == 1
         model = solve_pressure_row(BODY, 2e3, kappa, None).model_used
         assert model is (ModelUsed.STRAIGHT if kappa < 1e-6 else ModelUsed.CURVED)
@@ -213,7 +242,9 @@ class TestRowFunctions:
     )
     def test_grounded_oracle_row_checks_its_inputs(self, pressure, curvature, lengths, name):
         with pytest.raises(ValueError, match=name):
-            oracle_row(BODY, pressure, curvature, None, lengths)
+            # the terms check the lengths; the row checks pressure and curvature
+            terms = tuple(length_terms(BODY, 0.0, lengths))
+            oracle_row(BODY, pressure, curvature, None, terms)
 
     def test_clamped_moment_arm(self):
         kappa = 1 / 0.72
@@ -347,7 +378,7 @@ class TestPredictRow:
         device, efficiency = device_efficiency
         row = case_row(body, device, efficiency, p_scale, curvature)
         lengths = row_lengths(l_hi, steps)
-        cells = list(predict_row(row, lengths))
+        cells = list(predict_row(row, length_terms(body, curvature, lengths)))
         expected = [cell_bits(reference_cell(row, length)) for length in lengths]
         assert [cell_bits(cell) for cell in cells] == expected
         for j in range(1, len(cells)):
@@ -360,7 +391,7 @@ class TestPredictRow:
         device, efficiency, p_scale, curvature, l_hi = ROW_CASES[name]
         row = case_row(BODY, device, efficiency, p_scale, curvature)
         lengths = row_lengths(l_hi, 24)
-        cells = list(predict_row(row, lengths))
+        cells = list(predict_row(row, length_terms(BODY, curvature, lengths)))
         past = [curvature * length > math.pi for length in lengths]
         crush = [cell.limiting_force == row.pressure * BODY.cross_section_area for cell in cells]
         shared = sum(b is a for a, b in zip(cells, cells[1:]))
@@ -385,27 +416,57 @@ class TestPredictRow:
 
     def test_length_errors_are_raised_where_they_are_reached(self):
         row = solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
-        cells = predict_row(row, [1.0, math.nan, 2.0])
+        cells = predict_row(row, length_terms(BODY, 0.0, [1.0, math.nan, 2.0]))
         assert next(cells) == predict_at_length(row, 1.0)
         with pytest.raises(ValueError, match="length"):
             next(cells)
 
     def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
-        advanced = []
-        row_evaluator = sim.predict_row
+        # the tips that reach the length terms, and the terms that reach the row
+        reached, advanced = [], []
+        terms_rule, row_evaluator = sim.length_terms, sim.predict_row
 
-        def counting(row, lengths):
-            def counted():
-                for length in lengths:
-                    advanced.append(length)
-                    yield length
+        def counted(items, seen, key):
+            for item in items:
+                seen.append(key(item))
+                yield item
 
-            return row_evaluator(row, counted())
+        def counting_terms(body, curvature, lengths):
+            return terms_rule(body, curvature, counted(lengths, reached, float))
 
-        monkeypatch.setattr(sim, "predict_row", counting)
+        def counting_row(row, terms):
+            return row_evaluator(row, counted(terms, advanced, lambda term: term[0]))
+
+        monkeypatch.setattr(sim, "length_terms", counting_terms)
+        monkeypatch.setattr(sim, "predict_row", counting_row)
         log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
         assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1
-        assert advanced == [3.0]
+        assert reached == advanced == [3.0]
+
+
+class TestLengthTerms:
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 5e-7, math.nextafter(mechanics.KAPPA_STRAIGHT, 0.0)]
+    )
+    def test_no_arm_below_the_straightness_threshold(self, kappa):
+        lengths = [0.0, 1.0, 3.0, 1e7]
+        terms = list(length_terms(BODY, kappa, lengths))
+        assert [length for length, _, _ in terms] == lengths
+        assert all(arm is None for _, _, arm in terms)
+        assert [past for _, past, _ in terms] == [kappa * length > math.pi for length in lengths]
+        assert terms[-1][1] is (kappa > 0)
+
+    @pytest.mark.parametrize("kappa", [mechanics.KAPPA_STRAIGHT, 1 / 2.25, 1 / 0.72])
+    def test_arm_is_the_clamped_moment_arm(self, kappa):
+        lengths = [0.0, 0.5, 3.0, 20.0]
+        for length, (term_length, past, arm) in zip(lengths, length_terms(BODY, kappa, lengths)):
+            assert term_length is length and past is (kappa * length > math.pi)
+            assert float.hex(arm) == float.hex(clamped_moment_arm(BODY, kappa, length))
+
+    @pytest.mark.parametrize("kappa", [math.nan, -1.0, math.inf])
+    def test_curvature_is_checked(self, kappa):
+        with pytest.raises(ValueError, match="curvature"):
+            next(length_terms(BODY, kappa, [1.0]))
 
 
 def reference_oracle(request):

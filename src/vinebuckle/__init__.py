@@ -38,7 +38,6 @@ _EXPORTS = {
         "max_zero_tension_pressure",
         "predict_with_device",
         "retraction_kinematics",
-        "solve_device_row",
         "tail_tension_with_device",
     ),
     "mechanics": (

@@ -68,6 +68,12 @@ class ApertureFit:
     residual_rms: float   # N
 
 
+# numpy's overflow, invalid and divide-by-zero raise FloatingPointError (an
+# ArithmeticError) inside the fits instead of warning and returning a wrong
+# fit; underflow to zero stays silent.
+_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
 def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> InversionFit:
     """Fit the tip deformation force with the slope constrained to area/2.
 
@@ -80,12 +86,11 @@ def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> Invers
         raise ValueError("need at least one tension sample")
     import numpy as np
 
-    offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])
-    f_i = float(np.mean(offsets))
-    return InversionFit(
-        inversion_force=f_i,
-        residual_rms=float(np.sqrt(np.mean((offsets - f_i) ** 2))),
-    )
+    with np.errstate(**_RAISE):
+        offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])
+        f_i = float(np.mean(offsets))
+        rms = float(np.sqrt(np.mean((offsets - f_i) ** 2)))
+    return InversionFit(inversion_force=f_i, residual_rms=rms)
 
 
 def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
@@ -98,15 +103,13 @@ def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
         raise ValueError("need samples at two or more distinct aperture areas")
     import numpy as np
 
-    x = np.array([1.0 / s.aperture_area for s in samples])
-    y = np.array([0.5 * s.inversion_force for s in samples])
-    c1, c2 = np.polyfit(x, y, 1)
-    residuals = y - (c1 * x + c2)
-    return ApertureFit(
-        c1=float(c1),
-        c2=float(c2),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    with np.errstate(**_RAISE):
+        x = np.array([1.0 / s.aperture_area for s in samples])
+        y = np.array([0.5 * s.inversion_force for s in samples])
+        c1, c2 = np.polyfit(x, y, 1)
+        residuals = y - (c1 * x + c2)
+        rms = float(np.sqrt(np.mean(residuals**2)))
+    return ApertureFit(c1=float(c1), c2=float(c2), residual_rms=rms)
 
 
 TENSION_HEADER = ["pressure_kpa", "tension_n"]

@@ -17,7 +17,6 @@ from . import units
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
-    PressureRow,
     RobotState,
     predict_at_length,
     solve_pressure_row,
@@ -250,26 +249,6 @@ def device_assist(
     return available, _residual_tension(body, pressure, f_i, available)
 
 
-def solve_device_row(
-    body: BodySpec,
-    device: Optional[DeviceSpec],
-    pressure: float,
-    curvature: float,
-    efficiency: float = DEFAULT_EFFICIENCY,
-) -> tuple[float, PressureRow]:
-    """Solve one pressure row with the retraction device, or bare when
-    ``device`` is None.
-
-    Returns the applied device force (0 without a device) and the row that
-    ``solve_pressure_row`` builds from ``device_assist``'s required tension:
-    grounded where the device covers the zero-tension need, otherwise the
-    ordinary model dispatch at the bare or residual tail tension (with a
-    saturated device, a model extension beyond the zero-tension regime).
-    """
-    force, required = device_assist(body, device, pressure, efficiency)
-    return force, solve_pressure_row(body, pressure, curvature, required)
-
-
 def predict_with_device(
     body: BodySpec, device: DeviceSpec, state: RobotState, efficiency: float = DEFAULT_EFFICIENCY
 ) -> BehaviorPrediction:
@@ -282,5 +261,6 @@ def predict_with_device(
     must come from the base, and the ordinary model comparison runs with
     that residual (a model extension beyond the zero-tension regime).
     """
-    _, row = solve_device_row(body, device, state.pressure, state.curvature, efficiency)
+    _, required = device_assist(body, device, state.pressure, efficiency)
+    row = solve_pressure_row(body, state.pressure, state.curvature, required)
     return predict_at_length(row, state.length)

@@ -417,14 +417,12 @@ def predict_row(
             yield cell
             continue
         if required < limit:
-            cell = tuple.__new__(BehaviorPrediction, (
-                Verdict.INVERT, FailureMode.NONE, required, limit, limit - required, model,
-                extrapolated,
-            ))
+            verdict, mode = Verdict.INVERT, FailureMode.NONE
         else:
-            cell = tuple.__new__(BehaviorPrediction, (
-                Verdict.BUCKLE, mode, required, limit, limit - required, model, extrapolated
-            ))
+            verdict = Verdict.BUCKLE
+        cell = tuple.__new__(BehaviorPrediction, (
+            verdict, mode, required, limit, limit - required, model, extrapolated
+        ))
         yield cell
 
 

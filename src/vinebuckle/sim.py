@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from . import units
-from .device import DEFAULT_EFFICIENCY, DeviceSpec, retraction_kinematics, solve_device_row
-from .mechanics import BodySpec, Verdict, length_terms, predict_row
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, retraction_kinematics
+from .mechanics import BodySpec, Verdict, length_terms, predict_row, solve_pressure_row
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -255,7 +255,8 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     scheduled = scenario.pressure is None
     terms = length_terms(body, curvature, tips)
     if not scheduled:
-        force, row = solve_device_row(body, device, scenario.pressure, curvature, efficiency)
+        force, required = device_assist(body, device, scenario.pressure, efficiency)
+        row = solve_pressure_row(body, scenario.pressure, curvature, required)
         terms, row_terms = itertools.tee(terms)
         predictions = predict_row(row, row_terms)
     pressure_at = scenario.pressure_at
@@ -266,7 +267,9 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     for index, term in enumerate(terms):
         tip = term[0]
         if scheduled:
-            force, row = solve_device_row(body, device, pressure_at(tip), curvature, efficiency)
+            pressure = pressure_at(tip)
+            force, required = device_assist(body, device, pressure, efficiency)
+            row = solve_pressure_row(body, pressure, curvature, required)
             (prediction,) = predict_row(row, (term,))
         else:
             prediction = next(predictions)

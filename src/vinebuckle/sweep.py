@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import units
-from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, solve_device_row
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
@@ -28,6 +28,7 @@ from .mechanics import (
     length_terms,
     oracle_row,
     predict_row,
+    solve_pressure_row,
 )
 from .version import __version__
 
@@ -48,6 +49,8 @@ class AxisRange:
         units.check("axis lo", self.lo, lo=-math.inf)
         units.check("axis hi", self.hi, lo=self.lo, lo_open=True)
         units.check("axis steps", self.steps, lo=1)
+        if not isinstance(self.steps, int):
+            raise ValueError(f"axis steps must be an integer, got {self.steps!r}")
 
     def centers(self) -> list[float]:
         width = (self.hi - self.lo) / self.steps
@@ -98,7 +101,8 @@ def classify_grid(request: SweepRequest) -> PhaseDiagram:
     grid = []
     curve = []
     for pressure in pressures:
-        _, row = solve_device_row(body, device, pressure, curvature, request.efficiency)
+        _, required = device_assist(body, device, pressure, request.efficiency)
+        row = solve_pressure_row(body, pressure, curvature, required)
         grid.append(list(predict_row(row, terms)))
         critical = row.critical_length
         if critical is not None:
@@ -133,14 +137,12 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     for pressure in pressures:
         _, required = device_assist(body, device, pressure, request.efficiency)
         grid.append(oracle_row(body, pressure, curvature, required, terms))
-    meta = _metadata(request)
-    meta["oracle"] = True
     return PhaseDiagram(
         pressures=pressures,
         lengths=lengths,
         grid=grid,
         transition_curve=[],
-        metadata=meta,
+        metadata=_metadata(request),
     )
 
 

@@ -127,6 +127,23 @@ class TestApertureFit:
             modeled = circular_fit.c1 / sample.aperture_area + circular_fit.c2
             assert 0.5 * sample.inversion_force == pytest.approx(modeled, rel=0.15)
 
+    @pytest.mark.parametrize(
+        "fit,args",
+        [
+            # the sum of the offsets overflows: the mean was inf
+            (fit_inversion_force, ([TensionSample(0.0, 1.7e308)] * 2, 1e-3)),
+            # polyfit's column scale squares 1/area and overflows: the slope
+            # came out 0 and the intercept 5.125, where the exact fit is 0, 5.5
+            (fit_aperture_constants, (
+                [ApertureSample(1e-304, 10.0), ApertureSample(2e-304, 10.5)],
+            )),
+        ],
+        ids=["inversion", "aperture"],
+    )
+    def test_overflow_raises_instead_of_a_wrong_fit(self, fit, args):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fit(*args)
+
     def test_single_area_is_rank_deficient(self):
         samples = [
             ApertureSample(aperture_area=5e-4, inversion_force=9.0),
@@ -205,6 +222,18 @@ class TestLoadMeasurements:
             ApertureShape.DEVICE,
         ]
         assert samples[0].aperture_area == pytest.approx(5e-4)
+
+    @pytest.mark.parametrize(
+        "rows,row,message",
+        [
+            ("5.0,9.0,circle\n5.0,9.0\n", 2, "row 2: expected 3 columns, got 2"),
+            ("0,9.0,circle\n", 1, "row 1: aperture_area must be finite and > 0"),
+        ],
+    )
+    def test_bad_aperture_row_carries_its_row(self, rows, row, message):
+        with pytest.raises(MeasurementError, match=message) as caught:
+            parse_measurements("area_cm2,force_n,shape\n" + rows, "aperture")
+        assert caught.value.row == row
 
     def test_unknown_shape_names_row(self):
         text = "area_cm2,force_n,shape\n5.0,9.0,triangle\n"

@@ -332,10 +332,15 @@ class TestSweep:
         assert done.returncode == 1
         assert done.stderr == b""
 
-    def test_malformed_range_exits_1(self, capsys):
-        code, _, err = run(capsys, "sweep", "--p", "0:10", "--l", "0:300:5")
-        assert code == 1
-        assert "MIN:MAX:STEPS" in err
+    @pytest.mark.parametrize(
+        "axis,message",
+        [("0:10", "expects MIN:MAX:STEPS"), ("0:ten:5", "expects numbers MIN:MAX:STEPS")],
+    )
+    def test_malformed_range_exits_1(self, capsys, axis, message):
+        code, out, err = run(capsys, "sweep", "--p", axis, "--l", "0:300:5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     def test_bad_range_values_exit_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--p", "10:0:5", "--l", "0:300:5")
@@ -417,6 +422,23 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: row 1:")
 
+    def test_shape_with_no_samples_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "circles.csv"
+        path.write_text("area_cm2,force_n,shape\n5.0,9.0,circle\n8.0,8.0,circle\n")
+        code, out, err = run(capsys, "fit", "aperture", "--csv", str(path), "--shape", "rect")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no samples with shape 'rect'") and err.count("\n") == 1
+
+    def test_overflowing_aperture_fit_exits_2(self, capsys, tmp_path, recwarn):
+        # 1/area squared overflowed inside polyfit, which warned and exited 0
+        # with c1 0 and c2 5.125; the exact fit of these two points is c2 = 5.5
+        path = tmp_path / "tiny.csv"
+        path.write_text("area_cm2,force_n,shape\n1e-300,10,circle\n2e-300,10.5,circle\n")
+        code, out, err = run(capsys, "fit", "aperture", "--csv", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
+        assert not recwarn.list
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "inversion", "--csv", str(tmp_path / "nope.csv"))
         assert code == 2
@@ -491,6 +513,8 @@ class TestSimulate:
             {"pressure_kpa": 2.0, "efficiency": None},
             {"pressure_schedule": [[0, "1"], [100, 2]]},
             {"pressure_kpa": 2.0, "initial_length_cm": 1e8, "step_cm": 1e-7},  # 10^15 steps
+            {"pressure_kpa": 2.0, "mode": "walk"},
+            {"pressure_kpa": 2.0, "device": 1},
         ],
     )
     def test_bad_field_exits_2(self, capsys, tmp_path, fields):
@@ -498,6 +522,19 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--scenario", path, "--json")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([{"initial_length_cm": 100}], "scenario must be a JSON object"),
+            ({"pressure_kpa": 2.0}, "scenario needs initial_length_cm"),
+        ],
+    )
+    def test_bad_document_exits_2(self, capsys, tmp_path, doc, message):
+        path = self.scenario_path(tmp_path, doc)
+        code, out, err = run(capsys, "simulate", "--scenario", path, "--json")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_absent_fields_take_the_scenario_defaults(self):
         scenario, mode = cli.scenario_from_json({"initial_length_cm": 100, "pressure_kpa": 2})
@@ -558,25 +595,29 @@ class TestConfig:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "text,argv",
+        "text,argv,message",
         [
             # used to print "max_device_force_n": NaN
-            ('{"device": {"torque_ncm": NaN}}', DEVICE_INFO),
+            ('{"device": {"torque_ncm": NaN}}', DEVICE_INFO, "device.torque_ncm must be finite"),
             # used to give an infinite radius and verdict buckle
-            ('{"body": {"radius_cm": 1e400}}', PREDICT),
-            ('{"body": {"e_mpa": "300"}}', PREDICT),
-            ('{"device": {"efficiency": 1.5}}', DEVICE_INFO),
+            ('{"body": {"radius_cm": 1e400}}', PREDICT, "body.radius_cm must be finite"),
+            ('{"body": {"e_mpa": "300"}}', PREDICT, "body.e_mpa must be a number"),
+            ('{"device": {"efficiency": 1.5}}', DEVICE_INFO, "device.efficiency must be finite"),
             # R**4 overflowed, pi*R*R underflowed to a division by zero: tracebacks
-            ('{"body": {"radius_cm": 1e100}}', PREDICT),
-            ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO),
+            ('{"body": {"radius_cm": 1e100}}', PREDICT, "numeric range"),
+            ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO, "numeric range"),
+            ("[]", PREDICT, "config document must be a JSON object"),
+            ('{"motor": {}}', PREDICT, "unknown config sections: ['motor']"),
+            ('{"body": 1}', DEVICE_INFO, "config section 'body' must be a JSON object"),
         ],
     )
-    def test_bad_value_exits_2(self, capsys, tmp_path, text, argv):
+    def test_bad_value_exits_2(self, capsys, tmp_path, text, argv, message):
         config = tmp_path / "config.json"
         config.write_text(text)
         code, out, err = run(capsys, *argv, "--config", str(config), "--json")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("rendering", [["--json"], []], ids=["json", "text"])
     def test_non_finite_result_exits_2_in_both_renderings(self, capsys, tmp_path, rendering):

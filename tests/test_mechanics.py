@@ -36,7 +36,6 @@ from vinebuckle import (
     min_inversion_pressure,
     predict_at_length,
     predict_behavior,
-    solve_device_row,
     solve_pressure_row,
     straight_transition_bisect,
     straight_transition_length,
@@ -444,7 +443,8 @@ class TestPredictionRecord:
         assert predict_at_length(row, length) == expected
 
     def test_grounded_device_row(self, body):
-        _, row = solve_device_row(body, DeviceSpec(), 2e3, 0.0)
+        _, required = device_assist(body, DeviceSpec(), 2e3)
+        row = solve_pressure_row(body, 2e3, 0.0, required)
         assert row.grounded
         expected = BehaviorPrediction(
             verdict=Verdict.INVERT,

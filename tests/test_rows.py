@@ -43,7 +43,6 @@ from vinebuckle import (
     sim,
     simulate_growth,
     simulate_retraction,
-    solve_device_row,
     solve_pressure_row,
     straight_transition_bisect,
     straight_transition_length,
@@ -175,15 +174,17 @@ class TestRowFunctions:
         assert row.transition is None and row.critical_length is None
 
     def test_covered_device_row_is_grounded(self):
-        force, row = solve_device_row(BODY, DEVICE, 2e3, 0.0)
-        assert row == solve_pressure_row(BODY, 2e3, 0.0, None)
+        force, required = device_assist(BODY, DEVICE, 2e3)
+        row = solve_pressure_row(BODY, 2e3, 0.0, required)
+        assert required is None and row == solve_pressure_row(BODY, 2e3, 0.0, None)
         assert row.grounded and row.required_tension == 0.0 and row.critical_length is None
         assert force == device_force_for_zero_tension(BODY, DEVICE, 2e3)
         cell = predict_at_length(row, 30.0)
         assert cell.verdict is Verdict.INVERT and math.isinf(cell.limiting_force)
 
     def test_bare_row_applies_no_force(self):
-        force, row = solve_device_row(BODY, None, 2e3, 0.0)
+        force, required = device_assist(BODY, None, 2e3)
+        row = solve_pressure_row(BODY, 2e3, 0.0, required)
         assert force == 0.0
         assert row == solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
 
@@ -215,11 +216,10 @@ class TestRowFunctions:
 
     @pytest.mark.parametrize("efficiency", [math.nan, -0.1, 1.5, math.inf])
     def test_efficiency_is_checked_without_a_device(self, efficiency):
-        # it was ignored on the bare path
+        # it was ignored on the bare path; it is checked before any row is solved
         with pytest.raises(ValueError, match="efficiency"):
-            device_assist(BODY, None, 2e3, efficiency)
-        with pytest.raises(ValueError, match="efficiency"):
-            solve_device_row(BODY, None, 2e3, 0.0, efficiency)
+            _, required = device_assist(BODY, None, 2e3, efficiency)
+            solve_pressure_row(BODY, 2e3, 0.0, required)
 
     @pytest.mark.parametrize("kappa", [0.0, 1e-6, 2e-6, 0.444])
     def test_grounded_oracle_row(self, kappa):
@@ -348,7 +348,8 @@ ROW_CASES = {
 
 def case_row(body, device, efficiency, p_scale, curvature):
     pressure = min_inversion_pressure(body) * p_scale
-    return solve_device_row(body, device, pressure, curvature, efficiency)[1]
+    _, required = device_assist(body, device, pressure, efficiency)
+    return solve_pressure_row(body, pressure, curvature, required)
 
 
 def row_case_examples(test):

@@ -502,6 +502,7 @@ class TestScenarioValidation:
             # ~10^15 steps; only the constructor runs
             {"initial_length": 1e6, "pressure": 1e3, "step": 1e-9},
             {"initial_length": 0.0, "pressure": 1e3, "target_length": 1e4, "step": 1e-3},
+            {"initial_length": 1.0, "pressure_points": ((0.0, 1e3),)},  # one breakpoint
         ],
     )
     def test_bad_fields(self, body, kwargs):

@@ -218,6 +218,18 @@ class TestOracleScan:
                 assert [c.model_used for c in oracle_row] == [c.model_used for c in row]
         assert grounded
 
+    @pytest.mark.parametrize(
+        "cut",
+        [lambda grid: grid[:2], lambda grid: [row[:2] for row in grid]],
+        ids=["fewer rows", "shorter rows"],
+    )
+    def test_grids_of_other_shapes_disagree(self, cut):
+        # the cut grid matches the full one cell for cell as far as it goes
+        full = oracle_scan(straight_request(3, 3))
+        part = replace(full, grid=cut(full.grid))
+        assert diagrams_agree(full, full)
+        assert not diagrams_agree(full, part) and not diagrams_agree(part, full)
+
     def test_degenerate_two_step_grid(self):
         request = SweepRequest(
             body=BodySpec(),
@@ -423,6 +435,12 @@ class TestValidation:
     def test_axis_needs_positive_steps(self):
         with pytest.raises(ValueError):
             AxisRange(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    def test_axis_steps_must_be_an_int(self, steps):
+        # range() raised TypeError from classify_grid
+        with pytest.raises(ValueError, match="axis steps"):
+            AxisRange(0.0, 1e4, steps)
 
     def test_grid_cell_ceiling(self):
         def request(p_steps, l_steps):

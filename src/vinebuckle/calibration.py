@@ -6,15 +6,19 @@ aperture force constants from pull-through tests at zero pressure (ordinary
 least squares against inverse aperture area). Measurement CSVs use bench
 units (kPa, cm^2, N); everything returned is SI.
 
-numpy is imported by the two fits when they run, not with the module, so
-importing the package (and every CLI command but ``fit``) does not load it.
+The inversion fit is pure Python. numpy is imported by the aperture fit when
+it runs, not with the module, so importing the package (and every CLI command
+but ``fit aperture``) does not load it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -69,9 +73,27 @@ class ApertureFit:
 
 
 # numpy's overflow, invalid and divide-by-zero raise FloatingPointError (an
-# ArithmeticError) inside the fits instead of warning and returning a wrong
-# fit; underflow to zero stays silent.
+# ArithmeticError) inside the aperture fit instead of warning and returning a
+# wrong fit; underflow to zero stays silent.
 _RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in numpy's float64 reduction order, so that a mean taken from it
+    rounds exactly as ``np.mean`` does: a plain loop below 8 values, 8
+    interleaved accumulators up to 128, and above that a split in halves
+    whose first part is a multiple of 8 long."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, -0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        blocks = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:], blocks)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> InversionFit:
@@ -79,17 +101,20 @@ def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> Invers
 
     The constrained least squares estimate is the mean of
     tension - pressure*area/2 over all samples; duplicate trials count as
-    individual equally weighted samples.
+    individual equally weighted samples. Both means add from 0.0 in numpy's
+    order (``_pairwise_sum``), so the fit is bit for bit ``np.mean``'s. A
+    result that overflows raises FloatingPointError.
     """
     units.check("area", area, lo_open=True)
     if not samples:
         raise ValueError("need at least one tension sample")
-    import numpy as np
-
-    with np.errstate(**_RAISE):
-        offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])
-        f_i = float(np.mean(offsets))
-        rms = float(np.sqrt(np.mean((offsets - f_i) ** 2)))
+    n = len(samples)
+    offsets = [s.tail_tension - 0.5 * s.pressure * area for s in samples]
+    f_i = (0.0 + _pairwise_sum(offsets)) / n
+    rms = math.sqrt((0.0 + _pairwise_sum([(o - f_i) * (o - f_i) for o in offsets])) / n)
+    # inf or NaN in f_i carries into rms
+    if not math.isfinite(rms):
+        raise FloatingPointError("overflow encountered in the tension fit")
     return InversionFit(inversion_force=f_i, residual_rms=rms)
 
 
@@ -97,7 +122,8 @@ def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
     """Fit F_I = C1/a + C2 by least squares on force/2 against 1/area.
 
     The stored forces are the measured 2*F_I, so they are halved before
-    fitting. Needs at least two distinct aperture areas.
+    fitting. Needs at least two aperture areas far enough apart that the
+    fit has full rank; polyfit would only warn and return a wrong line.
     """
     if len({s.aperture_area for s in samples}) < 2:
         raise ValueError("need samples at two or more distinct aperture areas")
@@ -106,7 +132,9 @@ def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
     with np.errstate(**_RAISE):
         x = np.array([1.0 / s.aperture_area for s in samples])
         y = np.array([0.5 * s.inversion_force for s in samples])
-        c1, c2 = np.polyfit(x, y, 1)
+        (c1, c2), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+        if rank < 2:
+            raise ValueError("aperture areas too close together to fit a line (rank-deficient)")
         residuals = y - (c1 * x + c2)
         rms = float(np.sqrt(np.mean(residuals**2)))
     return ApertureFit(c1=float(c1), c2=float(c2), residual_rms=rms)

@@ -5,11 +5,11 @@ defaults reproduce the reference robot and device with zero configuration;
 a JSON config document overrides individual fields. Each command builds one
 document, printed as JSON with ``--json`` and otherwise as aligned
 ``key  value`` lines (null shows as ``none``). Exit codes: 0 success,
-1 usage error, a missing dependency (numpy, for ``fit``) or a stdout closed
-by its reader (``| head``, with no message), 2 input validation, 3 numeric
-cross-check failure (``sweep --oracle-check`` exits 3 when the grid and the
-oracle differ in a verdict or a model). Errors go to stderr with an
-``error:`` prefix. Every non-finite, out-of-range or
+1 usage error, a missing dependency (numpy, for ``fit aperture``) or a
+stdout closed by its reader (``| head``, with no message), 2 input
+validation, 3 numeric cross-check failure (``sweep --oracle-check`` exits 3
+when the grid and the oracle differ in a verdict or a model). Errors go to
+stderr with an ``error:`` prefix. Every non-finite, out-of-range or
 wrongly typed input that a command uses exits 2, and so does a finite input
 so extreme that the model's arithmetic overflows or divides by an
 underflowed zero.
@@ -84,7 +84,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ModuleNotFoundError as exc:  # numpy, which only the fits import
+    except ModuleNotFoundError as exc:  # numpy, which only the aperture fit imports
         print(f"error: this command needs {exc.name}, which is not installed", file=sys.stderr)
         return EXIT_USAGE
     except CrossCheckError as exc:

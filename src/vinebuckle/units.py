@@ -17,10 +17,14 @@ def check(
     whatever the bounds: NaN fails every comparison, and ``value - value``
     is 0 only for a finite value. There is no type test, so the check costs
     about one chained comparison on per-cell and per-step paths; readers of
-    untyped data (JSON) test the type first.
+    untyped data (JSON) test the type first. A value that cannot be compared
+    or subtracted (a string, None) raises ValueError as well.
     """
-    if (lo < value if lo_open else lo <= value) and value <= hi and value - value == 0:
-        return value
+    try:
+        if (lo < value if lo_open else lo <= value) and value <= hi and value - value == 0:
+            return value
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if hi < math.inf:
         rule = f" and in {'(' if lo_open else '['}{lo:g}, {hi:g}]"
     elif lo > -math.inf:

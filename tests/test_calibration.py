@@ -7,8 +7,8 @@ tolerances that match that provenance. Synthetic data checks are exact.
 
 import math
 import random
+import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +23,7 @@ from vinebuckle import (
     fit_aperture_constants,
     fit_inversion_force,
     load_measurements,
+    units,
 )
 from vinebuckle.calibration import filter_by_shape, parse_measurements
 
@@ -77,6 +78,7 @@ class TestInversionFit:
         assert doubled.residual_rms == pytest.approx(fit.residual_rms, rel=1e-12)
 
     def test_constraint_never_beats_free_fit(self, body, data_dir):
+        np = pytest.importorskip("numpy")
         samples = load_measurements(data_dir / "tension_sweep.csv", "tension")
         constrained = fit_inversion_force(samples, body.cross_section_area)
         p = np.array([s.pressure for s in samples])
@@ -88,6 +90,45 @@ class TestInversionFit:
     def test_empty_input_rejected(self, body):
         with pytest.raises(ValueError):
             fit_inversion_force([], body.cross_section_area)
+
+
+def numpy_inversion_fit(samples, area):
+    """The numpy formula that ``fit_inversion_force`` replaced."""
+    np = pytest.importorskip("numpy")
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        offsets = np.array([s.tail_tension - 0.5 * s.pressure * area for s in samples])
+        f_i = float(np.mean(offsets))
+        rms = float(np.sqrt(np.mean((offsets - f_i) ** 2)))
+    return f_i, rms
+
+
+class TestInversionFitMatchesNumpy:
+    # numpy's summation changes its blocking at 8 and 128 values, and 8192
+    # is its buffer size
+    @given(
+        length=st.sampled_from([1, 7, 8, 9, 127, 128, 129, 8193, 9001]),
+        exponent=st.floats(min_value=-3.0, max_value=3.0),
+        zeros=st.sampled_from(["none", "some", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_numpy_formula_bit_for_bit(self, length, exponent, zeros, seed):
+        area = BodySpec().cross_section_area
+        rng = random.Random(seed)
+        magnitude = 10.0**exponent
+        samples = []
+        for _ in range(length):
+            if zeros == "all" or (zeros == "some" and rng.random() < 0.5):
+                samples.append(TensionSample(pressure=0.0, tail_tension=-0.0))
+            else:
+                p = rng.uniform(0.0, 1e4)
+                t = 0.5 * p * area + magnitude * rng.uniform(0.5, 1.5)
+                samples.append(TensionSample(pressure=p, tail_tension=t))
+        expected = numpy_inversion_fit(samples, area)
+        fit = fit_inversion_force(samples, area)
+        assert (fit.inversion_force, fit.residual_rms) == expected
+        assert [math.copysign(1.0, x) for x in (fit.inversion_force, fit.residual_rms)] == [
+            math.copysign(1.0, x) for x in expected
+        ]
 
 
 class TestApertureFit:
@@ -132,13 +173,15 @@ class TestApertureFit:
         [
             # the sum of the offsets overflows: the mean was inf
             (fit_inversion_force, ([TensionSample(0.0, 1.7e308)] * 2, 1e-3)),
+            # the mean is finite but the squared deviation 2.5e399 is not
+            (fit_inversion_force, ([TensionSample(0.0, 1e200), TensionSample(0.0, 0.0)], 1e-3)),
             # polyfit's column scale squares 1/area and overflows: the slope
             # came out 0 and the intercept 5.125, where the exact fit is 0, 5.5
             (fit_aperture_constants, (
                 [ApertureSample(1e-304, 10.0), ApertureSample(2e-304, 10.5)],
             )),
         ],
-        ids=["inversion", "aperture"],
+        ids=["inversion", "inversion-deviation", "aperture"],
     )
     def test_overflow_raises_instead_of_a_wrong_fit(self, fit, args):
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -151,6 +194,18 @@ class TestApertureFit:
         ]
         with pytest.raises(ValueError):
             fit_aperture_constants(samples)
+
+    def test_areas_one_ulp_apart_are_rank_deficient(self):
+        # polyfit only warned and returned c1 12.8125 N*cm^2 with residual
+        # 0.125 N, where a line through two points has residual 0
+        samples = [
+            ApertureSample(aperture_area=units.cm2_to_m2(5.0), inversion_force=10.0),
+            ApertureSample(aperture_area=units.cm2_to_m2(5.000000000000001), inversion_force=10.5),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rank-deficient"):
+                fit_aperture_constants(samples)
 
 
 class TestLoadMeasurements:

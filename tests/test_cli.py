@@ -439,6 +439,16 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
         assert not recwarn.list
 
+    def test_rank_deficient_aperture_fit_exits_2(self, capsys, tmp_path, recwarn):
+        # areas one ulp apart: polyfit warned and exited 0 with c1 12.8125
+        # and residual 0.125, where a line through two points has residual 0
+        path = tmp_path / "ulp.csv"
+        path.write_text("area_cm2,force_n,shape\n5.0,10,circle\n5.000000000000001,10.5,circle\n")
+        code, out, err = run(capsys, "fit", "aperture", "--csv", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "rank-deficient" in err
+        assert not recwarn.list
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "fit", "inversion", "--csv", str(tmp_path / "nope.csv"))
         assert code == 2

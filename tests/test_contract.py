@@ -208,6 +208,21 @@ class TestRegressions:
         with pytest.raises(ValueError, match="must be finite"):
             call()
 
+    # each of these raised TypeError from the check's comparison
+    @pytest.mark.parametrize(
+        "call,field",
+        [
+            (lambda: AxisRange(0, 1, "3"), "axis steps"),
+            (lambda: BodySpec(radius="0.01"), "radius"),
+            (lambda: BodySpec(radius=None), "radius"),
+            (lambda: Scenario(BODY, "1", pressure=1e3), "initial_length"),
+        ],
+        ids=["axis_range_steps", "body_radius_str", "body_radius_none", "scenario_initial_length"],
+    )
+    def test_non_numeric_input_raises_value_error_naming_the_field(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got "):
+            call()
+
 
 class TestProperties:
     @pytest.mark.parametrize("field", sorted(FIELDS))

@@ -1,5 +1,5 @@
-"""Import hygiene. numpy stays off the import path: only the two calibration
-fits load it. Each CLI command loads only the vinebuckle modules it runs, and
+"""Import hygiene. numpy stays off the import path: only the aperture fit
+loads it. Each CLI command loads only the vinebuckle modules it runs, and
 the package namespace loads a module on first use of one of its names. And no
 module imports a private name from a sibling module.
 
@@ -9,6 +9,7 @@ test process has imported every module already.
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -66,9 +67,10 @@ COMMANDS = [
      "--out-svg", "bare.svg", "--out-transition-csv", "bare_transition.csv", "--oracle-check"],
     ["simulate", "--scenario", "retract.json", "--out-csv", "retract.csv", "--json"],
     ["simulate", "--scenario", "grow.json", "--out-csv", "grow.csv"],
-]
-FIT_COMMANDS = [
     ["fit", "inversion", "--csv", str(DATA / "tension_sweep.csv")],
+    ["fit", "inversion", "--csv", str(DATA / "tension_sweep.csv"), "--json"],
+]
+NUMPY_COMMANDS = [
     ["fit", "aperture", "--csv", str(DATA / "aperture_force.csv"), "--shape", "circle", "--json"],
 ]
 
@@ -113,7 +115,7 @@ def test_importing_the_package_and_cli_leaves_numpy_unloaded(tmp_path):
     assert _interpreter(code, cwd=tmp_path).strip() == "False"
 
 
-def test_non_fit_commands_need_no_numpy(tmp_path):
+def test_every_command_but_fit_aperture_needs_no_numpy(tmp_path):
     blocked, _, blocked_files = _run_commands(tmp_path, "block")
     free, numpy_loaded, free_files = _run_commands(tmp_path, "free")
     assert [code for code, *_ in blocked] == [0] * len(COMMANDS)
@@ -126,19 +128,18 @@ def test_non_fit_commands_need_no_numpy(tmp_path):
     assert blocked_files == free_files
 
 
-def test_fit_without_numpy_exits_1_with_one_error_line(tmp_path):
+def test_fit_aperture_without_numpy_exits_1_with_one_error_line(tmp_path):
     results, _, _ = json.loads(
-        _interpreter(RUNNER, "block", json.dumps(FIT_COMMANDS), cwd=_workdir(tmp_path, "fit"))
+        _interpreter(RUNNER, "block", json.dumps(NUMPY_COMMANDS), cwd=_workdir(tmp_path, "fit"))
     )
     message = "error: this command needs numpy, which is not installed\n"
-    assert results == [[1, "", message]] * len(FIT_COMMANDS)
+    assert results == [[1, "", message]] * len(NUMPY_COMMANDS)
 
 
 @pytest.mark.parametrize("command", sorted(LOADS))
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
-    if command == "fit":
-        pytest.importorskip("numpy")
-    commands = [argv for argv in COMMANDS + FIT_COMMANDS if argv[0] == command]
+    numpy_commands = NUMPY_COMMANDS if importlib.util.find_spec("numpy") else []
+    commands = [argv for argv in COMMANDS + numpy_commands if argv[0] == command]
     results, _, loaded = json.loads(
         _interpreter(RUNNER, "free", json.dumps(commands), cwd=_workdir(tmp_path, command))
     )

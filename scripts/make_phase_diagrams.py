@@ -67,8 +67,9 @@ def main() -> int:
             stem.with_suffix(".csv").write_bytes(emit_diagram(diagram, "csv"))
             transitions = stem.parent / f"{stem.name}_transition.csv"
             transitions.write_bytes(emit_transition_csv(diagram))
+            invert_verdict = Verdict.INVERT
             invert = sum(
-                1 for row in diagram.grid for cell in row if cell.verdict is Verdict.INVERT
+                1 for row in diagram.grid for cell in row if cell.verdict is invert_verdict
             )
             print(
                 f"{name:8s} {tag:6s}  invert {invert:4d} / {args.steps * args.steps}"

@@ -143,6 +143,9 @@ def fit_aperture_constants(samples: Sequence[ApertureSample]) -> ApertureFit:
 TENSION_HEADER = ["pressure_kpa", "tension_n"]
 APERTURE_HEADER = ["area_cm2", "force_n", "shape"]
 
+# shape column token -> member: a dict lookup per row, not an Enum call
+_SHAPES = {member.value: member for member in ApertureShape}
+
 
 def load_measurements(
     path: Union[str, Path], kind: str
@@ -207,13 +210,12 @@ def _parse_aperture_row(cells: list[str], row: int) -> ApertureSample:
     area_cm2 = _parse_float(cells[0], "area_cm2", row)
     force = _parse_float(cells[1], "force_n", row)
     shape_token = cells[2].strip().lower()
-    try:
-        shape = ApertureShape(shape_token)
-    except ValueError:
-        valid = ", ".join(s.value for s in ApertureShape)
+    shape = _SHAPES.get(shape_token)
+    if shape is None:
+        valid = ", ".join(_SHAPES)
         raise MeasurementError(
             f"unknown shape {shape_token!r}, expected one of: {valid}", row=row
-        ) from None
+        )
     try:
         return ApertureSample(
             aperture_area=units.cm2_to_m2(area_cm2),

@@ -456,7 +456,8 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     if args.out_transition_csv:
         Path(args.out_transition_csv).write_bytes(sweep.emit_transition_csv(diagram))
         written.append(args.out_transition_csv)
-    invert = sum(1 for row in diagram.grid for cell in row if cell.verdict is Verdict.INVERT)
+    invert_verdict = Verdict.INVERT
+    invert = sum(1 for row in diagram.grid for cell in row if cell.verdict is invert_verdict)
     total = len(diagram.pressures) * len(diagram.lengths)
     return {
         "input": diagram.metadata,

@@ -54,6 +54,14 @@ class ModelUsed(Enum):
     CURVED = "curved"
 
 
+# The members the per-row and per-step code reads, bound once: on Python
+# < 3.12 each read of an Enum class attribute costs ~150 ns.
+_INVERT, _BUCKLE = Verdict.INVERT, Verdict.BUCKLE
+_NONE, _CRUSH = FailureMode.NONE, FailureMode.CRUSH
+_AXIAL, _TRANSVERSE = FailureMode.AXIAL_BUCKLE, FailureMode.TRANSVERSE_BUCKLE
+_STRAIGHT, _CURVED = ModelUsed.STRAIGHT, ModelUsed.CURVED
+
+
 @dataclass(frozen=True)
 class BodySpec:
     """Geometry and material of a soft robot body.
@@ -385,7 +393,7 @@ def predict_row(
     the same bits.
     """
     body, pressure, _, required, model, _, hint, grounded = row
-    straight = model is ModelUsed.STRAIGHT
+    straight = model is _STRAIGHT
     if not grounded and straight:
         pa = pressure * body.cross_section_area
         num, den_const, den_slope = _axial_terms(body, pressure)
@@ -396,17 +404,17 @@ def predict_row(
     for length, past, arm in terms:
         extrapolated = hint or past
         if grounded:
-            mode, limit = FailureMode.NONE, math.inf
+            mode, limit = _NONE, math.inf
         elif straight:
-            mode, limit = FailureMode.CRUSH, pa
+            mode, limit = _CRUSH, pa
             if length > 0:
                 axial = num / (den_const + den_slope * length * length)
                 if axial < limit:
-                    mode, limit = FailureMode.AXIAL_BUCKLE, axial
+                    mode, limit = _AXIAL, axial
         else:
             # a curved row is at or above the straightness threshold, so
             # every term carries its arm
-            mode = FailureMode.TRANSVERSE_BUCKLE
+            mode = _TRANSVERSE
             if not past:
                 limit = par / arm
             else:
@@ -417,9 +425,9 @@ def predict_row(
             yield cell
             continue
         if required < limit:
-            verdict, mode = Verdict.INVERT, FailureMode.NONE
+            verdict, mode = _INVERT, _NONE
         else:
-            verdict = Verdict.BUCKLE
+            verdict = _BUCKLE
         cell = tuple.__new__(BehaviorPrediction, (
             verdict, mode, required, limit, limit - required, model, extrapolated
         ))
@@ -538,7 +546,7 @@ def oracle_row(
     units.check("curvature", curvature)
     if required is None:
         cell = BehaviorPrediction(
-            Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, _grounded_model(curvature)
+            _INVERT, _NONE, 0.0, math.inf, math.inf, _grounded_model(curvature)
         )
         return [cell] * len(terms)
     units.check("required_tension", required, lo=-math.inf)
@@ -553,7 +561,7 @@ def oracle_row(
             or straight is None
             or (not math.isinf(straight) and transition > straight)
         )
-    model = ModelUsed.CURVED if curved else ModelUsed.STRAIGHT
+    model = _CURVED if curved else _STRAIGHT
     if curved:
         par = crush * body.radius
     else:
@@ -570,9 +578,9 @@ def oracle_row(
             limit = crush
         if limit is not limit_at:
             limit_at = limit
-            verdict = Verdict.INVERT if required < limit else Verdict.BUCKLE
+            verdict = _INVERT if required < limit else _BUCKLE
             cell = tuple.__new__(BehaviorPrediction, (
-                verdict, FailureMode.NONE, required, limit, limit - required, model, False
+                verdict, _NONE, required, limit, limit - required, model, False
             ))
         cells.append(cell)
     return cells
@@ -584,7 +592,7 @@ def oracle_row(
 
 def _grounded_model(curvature: float) -> ModelUsed:
     """The model a grounded row names: the straightness threshold alone."""
-    return ModelUsed.STRAIGHT if curvature < KAPPA_STRAIGHT else ModelUsed.CURVED
+    return _STRAIGHT if curvature < KAPPA_STRAIGHT else _CURVED
 
 
 def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
@@ -684,17 +692,17 @@ def _select_model(
     no transition or predicts a longer one than the straight model.
     """
     if curvature < KAPPA_STRAIGHT:
-        return ModelUsed.STRAIGHT, _straight_transition_for(body, pressure, required), False
+        return _STRAIGHT, _straight_transition_for(body, pressure, required), False
     straight = _straight_transition_for(body, pressure, required)
     curved = _curved_transition_for(body, pressure, curvature, required)
     if curved is None:
-        return ModelUsed.STRAIGHT, straight, False
+        return _STRAIGHT, straight, False
     if math.isinf(curved):
         # buckling unreachable within the moment-arm range; fall back, flagged
-        return ModelUsed.STRAIGHT, straight, True
+        return _STRAIGHT, straight, True
     if straight is None:
-        return ModelUsed.STRAIGHT, straight, False
+        return _STRAIGHT, straight, False
     if not math.isinf(straight) and curved > straight:
-        return ModelUsed.STRAIGHT, straight, False
-    return ModelUsed.CURVED, curved, False
+        return _STRAIGHT, straight, False
+    return _CURVED, curved, False
 

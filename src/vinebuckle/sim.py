@@ -263,7 +263,10 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     start = scenario.initial_length
     records: list[StepRecord] = []
     append, build, buckle = records.append, tuple.__new__, Verdict.BUCKLE
-    terminal = TerminalEvent(TerminalKind.FULLY_RETRACTED)
+    retracted, buckled, stalled = (
+        TerminalKind.FULLY_RETRACTED, TerminalKind.BUCKLED, TerminalKind.STALLED
+    )
+    terminal = TerminalEvent(retracted)
     for index, term in enumerate(terms):
         tip = term[0]
         if scheduled:
@@ -284,11 +287,11 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             prediction.verdict, elapsed, slack,
         )))
         if prediction.verdict is buckle:
-            if terminal.kind is TerminalKind.FULLY_RETRACTED:
-                terminal = TerminalEvent(TerminalKind.BUCKLED, length=tip)
+            if terminal.kind is retracted:
+                terminal = TerminalEvent(buckled, length=tip)
             if retracting:
                 break
         if stalls:
-            terminal = TerminalEvent(TerminalKind.STALLED)
+            terminal = TerminalEvent(stalled)
             break
     return EpisodeLog(steps=tuple(records), terminal=terminal, base_takeup_speed=takeup_speed)

@@ -306,11 +306,12 @@ def _emit_svg(diagram: PhaseDiagram) -> bytes:
     for length in diagram.lengths:
         y = sy(units.m_to_cm(length))
         columns.append((f(y), f(y - 3), f(y + 3)))
+    invert = Verdict.INVERT
     for pressure, row in zip(diagram.pressures, diagram.grid):
         x = sx(units.pa_to_kpa(pressure))
         cx, left, right = f(x), f(x - 3), f(x + 3)
         for (cy, top, bottom), cell in zip(columns, row):
-            if cell.verdict is Verdict.INVERT:
+            if cell.verdict is invert:
                 parts.append(
                     f'<circle cx="{cx}" cy="{cy}" r="3" fill="none" '
                     'stroke="#1a9641" stroke-width="1.2" class="invert"/>'

@@ -573,7 +573,10 @@ def oracle_row(
         if curved:
             limit = par / arm
         elif length > 0:
-            limit = min(crush, num / (den_const + den_slope * length * length))
+            # min(crush, axial) as a comparison: crush itself wherever it
+            # binds (or the axial force is NaN), so those cells share one
+            axial = num / (den_const + den_slope * length * length)
+            limit = axial if axial < crush else crush
         else:
             limit = crush
         if limit is not limit_at:
@@ -615,6 +618,22 @@ def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> floa
     return body.radius + one_minus_cos / curvature
 
 
+def _within_rounding(residual: float, force: float) -> bool:
+    """Whether a closed form's force residual is within rounding of the force
+    scale: |residual| <= max(1e-9 N, 64 machine epsilons of |force|).
+
+    Written with comparisons, not ``abs`` and ``max`` (each builtin call
+    costs more than the test itself), and equal to that form for every pair
+    of floats: a NaN force gives the 1e-9 N floor, a NaN residual fails.
+    """
+    tol = _RESIDUAL_TOL_REL * force
+    if tol < 0.0:
+        tol = -tol
+    if not tol > _RESIDUAL_TOL_N:
+        tol = _RESIDUAL_TOL_N
+    return -tol <= residual <= tol
+
+
 def _cross_check(
     closed: float,
     residual: float,
@@ -623,10 +642,12 @@ def _cross_check(
     *args: object,
 ) -> float:
     """``closed`` once its force residual is within rounding of the force
-    scale ``force`` (or 1e-9 N), else once the bisection solver, called as
-    ``solver(*args)``, confirms it. The solver and its arguments are passed
-    as they are, so no closure is built when the residual check passes."""
-    if abs(residual) <= max(_RESIDUAL_TOL_N, _RESIDUAL_TOL_REL * abs(force)):
+    scale ``force`` (``_within_rounding``), else once the bisection solver,
+    called as ``solver(*args)``, confirms it. The solver and its arguments
+    are passed as they are, so no closure is built. The closed forms test
+    the residual themselves first and call this only when that test fails,
+    so a passing row makes no variadic call."""
+    if _within_rounding(residual, force):
         return closed
     root = solver(*args)
     if abs(root - closed) > _TRANSITION_TOL_M:
@@ -651,6 +672,8 @@ def _straight_transition_for(
         return math.inf
     closed = math.sqrt((num / required - den_const) / den_slope)
     residual = num / (den_const + den_slope * closed * closed) - required
+    if _within_rounding(residual, required):
+        return closed
     return _cross_check(
         closed, residual, required, straight_transition_bisect, body, pressure, required
     )
@@ -676,8 +699,15 @@ def _curved_transition_for(
         return math.inf
     d_min = pa * body.radius / required
     cos_arg = 1.0 - curvature * (d_min - body.radius)
-    closed = math.acos(max(-1.0, min(1.0, cos_arg))) / curvature
+    # max(-1.0, min(1.0, cos_arg)) as comparisons; a NaN clamps to 1.0
+    if not cos_arg < 1.0:
+        cos_arg = 1.0
+    elif not cos_arg > -1.0:
+        cos_arg = -1.0
+    closed = math.acos(cos_arg) / curvature
     residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
+    if _within_rounding(residual, required):
+        return closed
     return _cross_check(
         closed, residual, required, curved_transition_bisect, body, pressure, curvature, required
     )

@@ -109,9 +109,10 @@ class Scenario:
         # the first segment whose end is at or past the tip
         x0, p0, rise, run, lo, hi = segments[bisect_left(ends, tip)]
         # Rounding may carry the interpolant just past an end (below 0 when
-        # p1 == 0); it is held within [lo, hi].
+        # p1 == 0); it is held within [lo, hi]: min(max(p, lo), hi) as
+        # comparisons, which returns the same object for every float.
         p = p0 + rise * (tip - x0) / run
-        return min(max(p, lo), hi)
+        return lo if lo > p else hi if hi < p else p
 
     # Kept in the instance ``__dict__``, which no field, ``==``, ``hash`` or
     # ``repr`` reads, like ``BodySpec._constants``.
@@ -204,16 +205,18 @@ def emit_episode_csv(log: EpisodeLog) -> bytes:
     # than the step above: a constant-pressure episode repeats one pressure,
     # required tension and device force object on every step, and a bare
     # episode one NaN time. Identity, not equality, so -0.0 after 0.0 and
-    # each NaN stay exact.
+    # each NaN stay exact. A saturated device returns its available force as
+    # a new float on every step, so the device column also keeps its text
+    # for an equal nonzero force: equal nonzero floats have the same bits.
     lines = ["step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"]
-    m_to_cm = units.m_to_cm
+    m_to_cm, pa_to_kpa = units.m_to_cm, units.pa_to_kpa
     pressure_at = required_at = device_at = verdict_at = time_at = object()
     for index, tip, pressure, required, device_force, verdict, time, _ in log.steps:
         if pressure is not pressure_at:
-            pressure_at, kpa = pressure, f"{units.pa_to_kpa(pressure)!r}"
+            pressure_at, kpa = pressure, f"{pa_to_kpa(pressure)!r}"
         if required is not required_at:
             required_at, required_text = required, f"{required!r}"
-        if device_force is not device_at:
+        if device_force is not device_at and (device_force != device_at or not device_force):
             device_at, device_text = device_force, f"{device_force!r}"
         if verdict is not verdict_at:
             verdict_at, verdict_text = verdict, verdict.value

@@ -13,6 +13,22 @@ settings.load_profile("default")
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "needs_numpy: runs the aperture fit, which imports numpy; "
+        "skipped where numpy is missing"
+    )
+
+
+def pytest_runtest_setup(item):
+    # every other test runs without numpy
+    if item.get_closest_marker("needs_numpy") is not None:
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            pytest.skip("the aperture fit needs numpy")
+
+
 @pytest.fixture
 def body() -> BodySpec:
     return BodySpec()

@@ -161,7 +161,7 @@ def test_criterion_7_limit_consistency():
 
 
 def test_criterion_8_fit_recovery():
-    with criterion(8, "calibration fit recovery"):
+    with criterion(8, "calibration fit recovery, inversion fit"):
         area = BODY.cross_section_area
         exact_tension = [
             TensionSample(pressure=p, tail_tension=0.5 * p * area + 3.5)
@@ -170,6 +170,10 @@ def test_criterion_8_fit_recovery():
         fit = fit_inversion_force(exact_tension, area)
         assert fit.inversion_force == pytest.approx(3.5, rel=1e-9)
 
+
+@pytest.mark.needs_numpy
+def test_criterion_8_aperture_fit_recovery():
+    with criterion(8, "calibration fit recovery, aperture fit"):
         exact_aperture = [
             ApertureSample(aperture_area=a, inversion_force=2.0 * (6.1e-4 / a + 3.3))
             for a in (1.8e-4, 3.5e-4, 8e-4, 2e-3)

@@ -28,17 +28,9 @@ from vinebuckle import (
 from vinebuckle.calibration import filter_by_shape, parse_measurements
 
 
-def _numpy_missing() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return True
-    return False
-
-
 # The aperture fit imports numpy when it runs; every other test here runs
-# without it.
-needs_numpy = pytest.mark.skipif(_numpy_missing(), reason="the aperture fit needs numpy")
+# without it (see conftest.py).
+needs_numpy = pytest.mark.needs_numpy
 
 
 def synthetic_tension(f_i: float, area: float, pressures_pa) -> list[TensionSample]:

@@ -175,7 +175,10 @@ class TestRendering:
              "--out-transition-csv", "transition.csv", "--oracle-check"),
             DEVICE_INFO,
             ("fit", "inversion", "--csv", "{data}/tension_sweep.csv"),
-            ("fit", "aperture", "--csv", "{data}/aperture_force.csv", "--shape", "circle"),
+            pytest.param(
+                ("fit", "aperture", "--csv", "{data}/aperture_force.csv", "--shape", "circle"),
+                marks=pytest.mark.needs_numpy,
+            ),
             ("simulate", "--scenario", "scenario.json", "--out-csv", "episode.csv"),
             # a grounded device row: limit and margin are null
             ("predict", "--pressure-kpa", "1.4", "--length-cm", "300", "--device"),
@@ -372,6 +375,7 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["f_i_n"] == pytest.approx(3.5, abs=0.1)
 
+    @pytest.mark.needs_numpy
     def test_aperture_fit_on_bench_fixture(self, capsys, data_dir):
         code, out, _ = run(
             capsys,
@@ -429,6 +433,7 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: no samples with shape 'rect'") and err.count("\n") == 1
 
+    @pytest.mark.needs_numpy
     def test_overflowing_aperture_fit_exits_2(self, capsys, tmp_path, recwarn):
         # 1/area squared overflowed inside polyfit, which warned and exited 0
         # with c1 0 and c2 5.125; the exact fit of these two points is c2 = 5.5
@@ -439,6 +444,7 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
         assert not recwarn.list
 
+    @pytest.mark.needs_numpy
     def test_rank_deficient_aperture_fit_exits_2(self, capsys, tmp_path, recwarn):
         # areas one ulp apart: polyfit warned and exited 0 with c1 12.8125
         # and residual 0.125, where a line through two points has residual 0

@@ -32,6 +32,7 @@ from vinebuckle import (
     curved_transition_length,
     device_assist,
     max_device_force,
+    mechanics,
     min_buckling_moment_arm,
     min_inversion_pressure,
     predict_at_length,
@@ -489,6 +490,69 @@ class TestTransitionCrossCheck:
         with pytest.raises(CrossCheckError, match="disagrees"):
             # true root is near 2.39 m
             _cross_check(1.0, residual, required, straight_transition_bisect, body, 2e3, required)
+
+    # (solver name, closed form) on the reference body at 2 kPa, whose
+    # residuals are -1.8e-15 N and -3.6e-15 N: nonzero, so a tolerance can
+    # be set an ulp below them
+    CLOSED_FORMS = {
+        "straight": (
+            "straight_transition_bisect",
+            lambda body, required: mechanics._straight_transition_for(body, 2e3, required),
+        ),
+        "curved": (
+            "curved_transition_bisect",
+            lambda body, required: mechanics._curved_transition_for(
+                body, 2e3, K_MEDIUM, required
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+    def test_residual_just_past_the_tolerance_bisects_once(self, body, monkeypatch, form):
+        name, closed_form = self.CLOSED_FORMS[form]
+        required = tail_tension_to_invert(body, 2e3)
+        residuals = []
+        within = mechanics._within_rounding
+        monkeypatch.setattr(
+            mechanics, "_within_rounding", lambda r, f: residuals.append(r) or within(r, f)
+        )
+        closed = closed_form(body, required)
+        (residual,) = residuals
+        assert residual != 0.0
+        solver, calls = getattr(mechanics, name), []
+        monkeypatch.setattr(mechanics, name, lambda *a: calls.append(a) or solver(*a))
+        monkeypatch.setattr(mechanics, "_RESIDUAL_TOL_REL", 0.0)
+        # a tolerance equal to the residual passes it without bisection
+        monkeypatch.setattr(mechanics, "_RESIDUAL_TOL_N", abs(residual))
+        assert closed_form(body, required).hex() == closed.hex() and calls == []
+        # one ulp below it fails, and the closed value survives the cross-check
+        monkeypatch.setattr(mechanics, "_RESIDUAL_TOL_N", math.nextafter(abs(residual), 0.0))
+        assert closed_form(body, required).hex() == closed.hex()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+    def test_disagreeing_fallback_raises_from_the_closed_form(self, body, monkeypatch, form):
+        name, closed_form = self.CLOSED_FORMS[form]
+        solver = getattr(mechanics, name)
+        monkeypatch.setattr(mechanics, name, lambda *a: solver(*a) + 1.0)
+        monkeypatch.setattr(mechanics, "_within_rounding", lambda residual, force: False)
+        with pytest.raises(CrossCheckError, match="disagrees"):
+            closed_form(body, tail_tension_to_invert(body, 2e3))
+
+    @pytest.mark.parametrize("form, kappa", [("straight", "0"), ("curved", "0.444")])
+    def test_disagreeing_fallback_makes_predict_exit_3(self, capsys, monkeypatch, form, kappa):
+        from vinebuckle import cli
+
+        name, _ = self.CLOSED_FORMS[form]
+        solver = getattr(mechanics, name)
+        monkeypatch.setattr(mechanics, name, lambda *a: solver(*a) + 1.0)
+        monkeypatch.setattr(mechanics, "_within_rounding", lambda residual, force: False)
+        code = cli.main(
+            ["predict", "--pressure-kpa", "2", "--length-cm", "100", "--kappa-per-m", kappa]
+        )
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("error: closed-form transition") and "disagrees" in err
 
     @pytest.mark.parametrize("kappa", [0.0, 0.444])
     @pytest.mark.parametrize(

@@ -392,8 +392,9 @@ class TestEpisodeCsvMatchesReference:
 
     def test_column_reused_only_for_the_same_object(self):
         # The emitter reuses a column's text while the step holds the same
-        # float object. These steps hold -0.0 after 0.0 (equal, different
-        # text), two distinct NaN objects, and equal but distinct floats.
+        # float object (the device column also for an equal nonzero float).
+        # These steps hold -0.0 after 0.0 (equal, different text), two
+        # distinct NaN objects, and equal but distinct floats.
         zero, negative_zero = 0.0, -0.0
         nan_a, nan_b = float("nan"), float("nan")
         equal_a, equal_b = float("2500.25"), float("2500.25")
@@ -419,6 +420,25 @@ class TestEpisodeCsvMatchesReference:
         emitted = emit_episode_csv(log)
         assert emitted == reference_episode_csv(log)
         assert emitted.decode().split("\n")[2] == "1,99.0,-0.0,-0.0,-0.0,buckle,nan"
+
+    def test_device_column_is_each_step_own_repr(self):
+        # the device column keeps its text for an equal nonzero force held in
+        # a new object, as a saturated device gives one on every step; zeros
+        # and NaNs of distinct objects are formatted again
+        nan_a, nan_b = float("nan"), float("nan")
+        forces = [
+            float("41.5"), float("41.5"), float("41.5"),  # equal, distinct objects
+            0.0, -0.0, float("-0.0"), 0.0, float("0.0"),
+            nan_a, nan_a, nan_b, float("41.5"), 41.500000000000007, -41.5, -41.5,
+        ]
+        assert forces[0] is not forces[1] and forces[5] is not forces[4]
+        steps = tuple(
+            StepRecord(index, 1.0, 2e3, 9.0, force, Verdict.INVERT, math.nan, 0.0)
+            for index, force in enumerate(forces)
+        )
+        log = EpisodeLog(steps=steps, terminal=TerminalEvent(TerminalKind.FULLY_RETRACTED))
+        lines = emit_episode_csv(log).decode().split("\n")[1:-1]
+        assert [line.split(",")[4] for line in lines] == [repr(force) for force in forces]
 
 
 class TestStepRecord:

@@ -18,9 +18,9 @@ from .mechanics import (
     BehaviorPrediction,
     BodySpec,
     RobotState,
-    predict_at_length,
-    solve_pressure_row,
-    tail_tension_to_invert,
+    predict_at_length_unchecked,
+    solve_pressure_row_unchecked,
+    tail_tension_to_invert_unchecked,
 )
 
 _TIP_RING_AREA = math.pi * 0.016**2  # 3.2 cm diameter grounding ring
@@ -139,7 +139,7 @@ def device_force_for_zero_tension(
 
 
 # The two equations, unchecked: the functions above check first, and
-# device_assist calls them on its per-row path with checks of its own.
+# device_assist_unchecked calls them on every row and scheduled step.
 def _zero_tension_need(body: BodySpec, pressure: float, f_i: float) -> float:
     return pressure * body.cross_section_area + 2.0 * f_i
 
@@ -234,19 +234,40 @@ def device_assist(
     P*A + 2*F_I: that need and None, since the tail needs no tension from
     the base. Saturated otherwise: the available force and the residual
     tail tension P*A/2 + F_I - F_avail/2. The efficiency is checked first,
-    with or without a device.
+    with or without a device, and a saturated device's available force
+    once it is computed.
     """
     units.check("efficiency", efficiency, hi=1.0)
-    if device is None:
-        return 0.0, tail_tension_to_invert(body, pressure)
     units.check("pressure", pressure)
+    force, required = device_assist_unchecked(body, device, pressure, efficiency)
+    if device is not None and required is not None:
+        units.check("device_force", force)
+    return force, required
+
+
+def device_assist_unchecked(
+    body: BodySpec, device: Optional[DeviceSpec], pressure: float, efficiency: float
+) -> tuple[float, Optional[float]]:
+    """``device_assist`` for inputs already checked. The forces it derives
+    may overflow; ``check_assist`` checks them once per request."""
+    if device is None:
+        return 0.0, tail_tension_to_invert_unchecked(body, pressure)
     force_max, f_i = device._constants
     available = efficiency * force_max
     needed = _zero_tension_need(body, pressure, f_i)
     if needed <= available:
         return needed, None
-    units.check("device_force", available)
     return available, _residual_tension(body, pressure, f_i, available)
+
+
+def check_assist(force: float, required: Optional[float]) -> None:
+    """Check the forces ``device_assist_unchecked`` derived: where the row
+    needs tension from the base, the applied force (0 without a device) and
+    that tension. Raises ValueError for one that overflowed. A grounded
+    row's force is not checked, as ``device_assist`` does not check it."""
+    if required is not None:
+        units.check("device_force", force)
+        units.check("required_tension", required, lo=-math.inf)
 
 
 def predict_with_device(
@@ -261,6 +282,9 @@ def predict_with_device(
     must come from the base, and the ordinary model comparison runs with
     that residual (a model extension beyond the zero-tension regime).
     """
-    _, required = device_assist(body, device, state.pressure, efficiency)
-    row = solve_pressure_row(body, state.pressure, state.curvature, required)
-    return predict_at_length(row, state.length)
+    units.check("efficiency", efficiency, hi=1.0)
+    pressure = state.pressure
+    force, required = device_assist_unchecked(body, device, pressure, efficiency)
+    check_assist(force, required)
+    row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
+    return predict_at_length_unchecked(row, state.length)

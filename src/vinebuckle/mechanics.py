@@ -6,6 +6,12 @@ or buckles, depending on which outcome needs the lower tail force. Straight
 bodies fail by axial beam buckling or by crushing of the wall; constant
 curvature bodies fail by transverse buckling about the base. All quantities
 are SI (m, Pa, N) and all functions here are pure.
+
+Each public function checks its inputs and then calls a kernel that trusts
+them. The request-level functions (the predictors here and in ``device``,
+the diagram scans and the episodes) check each input once per request and
+call the kernels; a kernel that another module calls is public, named after
+its function with ``_unchecked``, and is not exported from the package.
 """
 
 from __future__ import annotations
@@ -157,9 +163,9 @@ class PressureRow(NamedTuple):
     reachable buckling point. A ``grounded`` row has no finite buckling
     limit at any length: the tail force path is grounded at the tip, as
     when the retraction device covers the whole zero-tension need. Since a
-    scheduled episode solves one row per step, ``solve_pressure_row`` builds
-    it by position with ``tuple.__new__``; that applies no defaults, so
-    every field is given.
+    scheduled episode solves one row per step, the row solver
+    (``solve_pressure_row_unchecked``) builds it by position with
+    ``tuple.__new__``; that applies no defaults, so every field is given.
     """
 
     body: BodySpec
@@ -185,6 +191,12 @@ def tail_tension_to_invert(body: BodySpec, pressure: float) -> float:
     offset by the tip deformation force.
     """
     units.check("pressure", pressure)
+    return tail_tension_to_invert_unchecked(body, pressure)
+
+
+def tail_tension_to_invert_unchecked(body: BodySpec, pressure: float) -> float:
+    """``tail_tension_to_invert`` for inputs already checked. The result may
+    overflow; its caller checks it once per request."""
     return 0.5 * pressure * body.cross_section_area + body.inversion_force
 
 
@@ -271,7 +283,8 @@ def straight_transition_length(body: BodySpec, pressure: float) -> Optional[floa
     is cross-checked against bisection on every call.
     """
     units.check("pressure", pressure)
-    result = _straight_transition_for(body, pressure, tail_tension_to_invert(body, pressure))
+    required = tail_tension_to_invert_unchecked(body, pressure)
+    result = _straight_transition_for(body, pressure, required)
     return None if result is None or math.isinf(result) else result
 
 
@@ -288,7 +301,7 @@ def curved_transition_length(
     units.check("pressure", pressure)
     units.check("curvature", curvature, lo_open=True)
     result = _curved_transition_for(
-        body, pressure, curvature, tail_tension_to_invert(body, pressure)
+        body, pressure, curvature, tail_tension_to_invert_unchecked(body, pressure)
     )
     return None if result is None or math.isinf(result) else result
 
@@ -297,8 +310,11 @@ def transition_length(
     body: BodySpec, pressure: float, curvature: float = 0.0
 ) -> Optional[float]:
     """Critical length under whichever model the dispatcher would apply."""
-    required = tail_tension_to_invert(body, pressure)
-    return solve_pressure_row(body, pressure, curvature, required).critical_length
+    units.check("pressure", pressure)
+    units.check("curvature", curvature)
+    required = tail_tension_to_invert_unchecked(body, pressure)
+    units.check("required_tension", required, lo=-math.inf)
+    return solve_pressure_row_unchecked(body, pressure, curvature, required).critical_length
 
 
 def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
@@ -308,10 +324,14 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
     buckling and crushing). Curved bodies use the transverse model unless it
     would predict a longer transition length than the straight model, in
     which case the body behaves as straight. Exact ties classify as BUCKLE.
+    The state was checked when it was built, so the one check left is the
+    required tension's, which overflows on a large enough body.
     """
-    required = tail_tension_to_invert(body, state.pressure)
-    row = solve_pressure_row(body, state.pressure, state.curvature, required)
-    return predict_at_length(row, state.length)
+    pressure = state.pressure
+    required = tail_tension_to_invert_unchecked(body, pressure)
+    units.check("required_tension", required, lo=-math.inf)
+    row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
+    return predict_at_length_unchecked(row, state.length)
 
 
 def solve_pressure_row(
@@ -329,11 +349,20 @@ def solve_pressure_row(
     """
     units.check("pressure", pressure)
     units.check("curvature", curvature)
+    if required_tension is not None:
+        units.check("required_tension", required_tension, lo=-math.inf)
+    return solve_pressure_row_unchecked(body, pressure, curvature, required_tension)
+
+
+def solve_pressure_row_unchecked(
+    body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
+) -> PressureRow:
+    """``solve_pressure_row`` for inputs already checked: the row solver of
+    the predictors, the diagram rows and every scheduled step."""
     if required_tension is None:
         return tuple.__new__(PressureRow, (
             body, pressure, curvature, 0.0, _grounded_model(curvature), math.inf, False, True
         ))
-    units.check("required_tension", required_tension, lo=-math.inf)
     model, transition, extrapolated = _select_model(body, pressure, curvature, required_tension)
     return tuple.__new__(PressureRow, (
         body, pressure, curvature, required_tension, model, transition, extrapolated, False
@@ -354,25 +383,41 @@ def length_terms(
     when the first term is asked for, and for a negative or non-finite
     length when that length is reached.
     """
-    check, pi = units.check, math.pi
+    check = units.check
     check("curvature", curvature)
+    yield from length_terms_unchecked(
+        body, curvature, (check("length", length) for length in lengths)
+    )
+
+
+def length_terms_unchecked(
+    body: BodySpec, curvature: float, lengths: Iterable[float]
+) -> Iterator[tuple[float, bool, Optional[float]]]:
+    """``length_terms`` for inputs already checked: an episode's tips, or a
+    diagram's lengths once each is checked."""
+    pi = math.pi
     if curvature < KAPPA_STRAIGHT:
         for length in lengths:
-            check("length", length)
             yield length, curvature * length > pi, None
     else:
         for length in lengths:
-            check("length", length)
             yield length, curvature * length > pi, _moment_arm_clamped(body, curvature, length)
 
 
 def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
     """Evaluate a solved row at one length: ``predict_row``'s one-length case.
 
-    Raises ValueError for a negative or non-finite length.
+    Raises ValueError for a negative or non-finite curvature or length.
     """
+    units.check("curvature", row.curvature)
+    units.check("length", length)
+    return predict_at_length_unchecked(row, length)
+
+
+def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
+    """``predict_at_length`` for inputs already checked."""
     # unpacking runs the row to its end, so no suspended generator is closed
-    (cell,) = predict_row(row, length_terms(row.body, row.curvature, (length,)))
+    (cell,) = predict_row(row, length_terms_unchecked(row.body, row.curvature, (length,)))
     return cell
 
 
@@ -470,7 +515,12 @@ def straight_transition_bisect(
     force balance, sharing no algebra with the closed form: its fallback and
     the oracle's solver. None: crush at zero length. inf: inverts everywhere."""
     units.check("required_tension", required, lo=-math.inf)
-    if required >= crushing_force(body, pressure):
+    units.check("pressure", pressure)
+    return _straight_bisect_for(body, pressure, required)
+
+
+def _straight_bisect_for(body: BodySpec, pressure: float, required: float) -> Optional[float]:
+    if required >= pressure * body.cross_section_area:
         return None
     if required <= 0:
         return math.inf
@@ -498,7 +548,14 @@ def curved_transition_bisect(
     arm is clamped because kappa * (pi/kappa) may round past pi."""
     units.check("curvature", curvature)
     units.check("required_tension", required, lo=-math.inf)
-    pa = crushing_force(body, pressure)
+    units.check("pressure", pressure)
+    return _curved_bisect_for(body, pressure, curvature, required)
+
+
+def _curved_bisect_for(
+    body: BodySpec, pressure: float, curvature: float, required: float
+) -> Optional[float]:
+    pa = pressure * body.cross_section_area
     if required > pa:
         return None
     if required <= 0 or curvature < KAPPA_STRAIGHT:
@@ -542,19 +599,32 @@ def oracle_row(
     curvature, or a non-finite required tension; each is checked once,
     before any cell.
     """
-    crush = crushing_force(body, pressure)
+    units.check("pressure", pressure)
     units.check("curvature", curvature)
+    if required is not None:
+        units.check("required_tension", required, lo=-math.inf)
+    return oracle_row_unchecked(body, pressure, curvature, required, terms)
+
+
+def oracle_row_unchecked(
+    body: BodySpec,
+    pressure: float,
+    curvature: float,
+    required: Optional[float],
+    terms: Sequence[tuple[float, bool, Optional[float]]],
+) -> list[BehaviorPrediction]:
+    """``oracle_row`` for inputs already checked: ``oracle_scan``'s row."""
+    crush = pressure * body.cross_section_area
     if required is None:
         cell = BehaviorPrediction(
             _INVERT, _NONE, 0.0, math.inf, math.inf, _grounded_model(curvature)
         )
         return [cell] * len(terms)
-    units.check("required_tension", required, lo=-math.inf)
 
     curved = False
     if curvature >= KAPPA_STRAIGHT:
-        straight = straight_transition_bisect(body, pressure, required)
-        transition = curved_transition_bisect(body, pressure, curvature, required)
+        straight = _straight_bisect_for(body, pressure, required)
+        transition = _curved_bisect_for(body, pressure, curvature, required)
         curved = not (
             transition is None
             or math.isinf(transition)

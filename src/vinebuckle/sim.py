@@ -19,8 +19,20 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from . import units
-from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist, retraction_kinematics
-from .mechanics import BodySpec, Verdict, length_terms, predict_row, solve_pressure_row
+from .device import (
+    DEFAULT_EFFICIENCY,
+    DeviceSpec,
+    check_assist,
+    device_assist_unchecked,
+    retraction_kinematics,
+)
+from .mechanics import (
+    BodySpec,
+    Verdict,
+    length_terms_unchecked,
+    predict_row,
+    solve_pressure_row_unchecked,
+)
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -239,11 +251,21 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     Travel is measured from initial_length either way. A retraction ends at
     its first buckle, or after its first step when the device stalls at
     zero motor speed; only a retraction pays out tail slack. Each tip's
-    length terms (``length_terms``) are computed once, lazily, so a
-    retraction evaluates no tip past its first buckle. A constant-pressure
+    length terms (``length_terms_unchecked``) are computed once, lazily, so
+    a retraction evaluates no tip past its first buckle. A constant-pressure
     episode solves its one row up front and evaluates it over those terms;
     under a pressure schedule each step solves the row at its own pressure
     and evaluates it at the step's one term.
+
+    The scenario checked its inputs, and every tip lies within its checked
+    lengths, so the steps call the unchecked kernels. The forces derived
+    from a pressure (the required tension and the device's available force)
+    are checked before the first step: at the one pressure, or at the
+    largest and smallest breakpoint pressures of a schedule. A scheduled
+    step's pressure lies between two breakpoint pressures and each force is
+    monotone in pressure, so those checks cover every step; the smallest
+    catches a zero pressure times an infinite area. The interpolant itself
+    is NaN only where a segment's span overflowed, and is checked then.
     """
     body, device, curvature, efficiency = (
         scenario.body, scenario.device, scenario.curvature, scenario.efficiency
@@ -256,10 +278,15 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     stalls = retracting and device is not None and tip_speed == 0.0
     pays_out = retracting and device is not None and not scenario.base_takeup
     scheduled = scenario.pressure is None
-    terms = length_terms(body, curvature, tips)
-    if not scheduled:
-        force, required = device_assist(body, device, scenario.pressure, efficiency)
-        row = solve_pressure_row(body, scenario.pressure, curvature, required)
+    terms = length_terms_unchecked(body, curvature, tips)
+    if scheduled:
+        breakpoints = [pressure for _, pressure in scenario.pressure_points]
+        for pressure in (max(breakpoints), min(breakpoints)):
+            check_assist(*device_assist_unchecked(body, device, pressure, efficiency))
+    else:
+        force, required = device_assist_unchecked(body, device, scenario.pressure, efficiency)
+        check_assist(force, required)
+        row = solve_pressure_row_unchecked(body, scenario.pressure, curvature, required)
         terms, row_terms = itertools.tee(terms)
         predictions = predict_row(row, row_terms)
     pressure_at = scenario.pressure_at
@@ -274,8 +301,10 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         tip = term[0]
         if scheduled:
             pressure = pressure_at(tip)
-            force, required = device_assist(body, device, pressure, efficiency)
-            row = solve_pressure_row(body, pressure, curvature, required)
+            if pressure != pressure:  # NaN: the segment's span overflowed
+                units.check("pressure", pressure)
+            force, required = device_assist_unchecked(body, device, pressure, efficiency)
+            row = solve_pressure_row_unchecked(body, pressure, curvature, required)
             (prediction,) = predict_row(row, (term,))
         else:
             prediction = next(predictions)

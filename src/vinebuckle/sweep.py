@@ -4,13 +4,15 @@
 predictor over the row's cell centers and takes the invert/buckle
 transition curve from the rows' closed-form solutions. ``oracle_scan``
 classifies the same grid by direct force comparison: it takes each row's
-required tension from ``device.device_assist`` (bare, saturated or
-grounded) and hands it to ``mechanics.oracle_row``, which checks the row's
-inputs once and dispatches with the bisection solvers (the closed forms'
-fallback, sharing no transition algebra with them); the two diagrams must
-agree cell for cell in verdict and model. Both build their length axis's
-terms (``mechanics.length_terms``) once per diagram. Diagrams serialize to
-CSV and to a deterministic standalone SVG.
+required tension from ``device.device_assist_unchecked`` (bare, saturated
+or grounded) and hands it to ``mechanics.oracle_row_unchecked``, which
+dispatches with the bisection solvers (the closed forms' fallback, sharing
+no transition algebra with them); the two diagrams must agree cell for cell
+in verdict and model. The request is checked when it is built; both scans
+check each length once per diagram (building its terms), and each pressure
+and the forces derived from it once per row, and call the unchecked kernels
+behind those checks. Diagrams serialize to CSV and to a deterministic
+standalone SVG.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import units
-from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, check_assist, device_assist_unchecked
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
     Verdict,
-    length_terms,
-    oracle_row,
+    length_terms_unchecked,
+    oracle_row_unchecked,
     predict_row,
-    solve_pressure_row,
+    solve_pressure_row_unchecked,
 )
 from .version import __version__
 
@@ -94,15 +96,13 @@ def classify_grid(request: SweepRequest) -> PhaseDiagram:
     limit, and a cell equal in every bit to the one before it is that same
     object. Raises ValueError for a negative length before any row.
     """
-    body, device, curvature = request.body, request.device, request.curvature
-    pressures = request.pressure_range.centers()
-    lengths = request.length_range.centers()
-    terms = tuple(length_terms(body, curvature, lengths))
+    body, curvature = request.body, request.curvature
+    pressures, lengths, terms = _axes(request)
     grid = []
     curve = []
     for pressure in pressures:
-        _, required = device_assist(body, device, pressure, request.efficiency)
-        row = solve_pressure_row(body, pressure, curvature, required)
+        required = _row_tension(request, pressure)
+        row = solve_pressure_row_unchecked(body, pressure, curvature, required)
         grid.append(list(predict_row(row, terms)))
         critical = row.critical_length
         if critical is not None:
@@ -129,14 +129,12 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     limit. The lengths' terms are built once, as for ``classify_grid``, so a
     negative length raises ValueError before any row.
     """
-    body, device, curvature = request.body, request.device, request.curvature
-    pressures = request.pressure_range.centers()
-    lengths = request.length_range.centers()
-    terms = tuple(length_terms(body, curvature, lengths))
+    body, curvature = request.body, request.curvature
+    pressures, lengths, terms = _axes(request)
     grid = []
     for pressure in pressures:
-        _, required = device_assist(body, device, pressure, request.efficiency)
-        grid.append(oracle_row(body, pressure, curvature, required, terms))
+        required = _row_tension(request, pressure)
+        grid.append(oracle_row_unchecked(body, pressure, curvature, required, terms))
     return PhaseDiagram(
         pressures=pressures,
         lengths=lengths,
@@ -178,6 +176,28 @@ def emit_transition_csv(diagram: PhaseDiagram) -> bytes:
 
 # ---------------------------------------------------------------------------
 # internals
+
+
+def _axes(request: SweepRequest) -> tuple[list[float], list[float], tuple]:
+    """The cell centers of both axes, and the length terms of the length
+    axis, each length checked once."""
+    pressures = request.pressure_range.centers()
+    lengths = request.length_range.centers()
+    for length in lengths:
+        units.check("length", length)
+    terms = tuple(length_terms_unchecked(request.body, request.curvature, lengths))
+    return pressures, lengths, terms
+
+
+def _row_tension(request: SweepRequest, pressure: float) -> Optional[float]:
+    """The required tension of one row, ``device_assist``'s, with the row's
+    pressure and the forces derived from it checked."""
+    units.check("pressure", pressure)
+    force, required = device_assist_unchecked(
+        request.body, request.device, pressure, request.efficiency
+    )
+    check_assist(force, required)
+    return required
 
 
 def _metadata(request: SweepRequest) -> dict:

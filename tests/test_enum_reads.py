@@ -17,6 +17,8 @@ ENUMS = {"Verdict", "FailureMode", "ModelUsed", "TerminalKind"}
 WHOLE = [
     ("mechanics", "predict_row"),
     ("mechanics", "oracle_row"),
+    ("mechanics", "oracle_row_unchecked"),
+    ("mechanics", "solve_pressure_row_unchecked"),
     ("mechanics", "_select_model"),
     ("mechanics", "_grounded_model"),
 ]

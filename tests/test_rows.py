@@ -425,7 +425,7 @@ class TestPredictRow:
     def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
         # the tips that reach the length terms, and the terms that reach the row
         reached, advanced = [], []
-        terms_rule, row_evaluator = sim.length_terms, sim.predict_row
+        terms_rule, row_evaluator = sim.length_terms_unchecked, sim.predict_row
 
         def counted(items, seen, key):
             for item in items:
@@ -438,7 +438,7 @@ class TestPredictRow:
         def counting_row(row, terms):
             return row_evaluator(row, counted(terms, advanced, lambda term: term[0]))
 
-        monkeypatch.setattr(sim, "length_terms", counting_terms)
+        monkeypatch.setattr(sim, "length_terms_unchecked", counting_terms)
         monkeypatch.setattr(sim, "predict_row", counting_row)
         log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
         assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1

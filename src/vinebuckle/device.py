@@ -234,14 +234,14 @@ def device_assist(
     P*A + 2*F_I: that need and None, since the tail needs no tension from
     the base. Saturated otherwise: the available force and the residual
     tail tension P*A/2 + F_I - F_avail/2. The efficiency is checked first,
-    with or without a device, and a saturated device's available force
-    once it is computed.
+    with or without a device, then the pressure, and then the derived
+    forces by ``check_assist``, the drivers' rule: a bare or saturated
+    row's force or tension that overflowed raises ValueError.
     """
     units.check("efficiency", efficiency, hi=1.0)
     units.check("pressure", pressure)
     force, required = device_assist_unchecked(body, device, pressure, efficiency)
-    if device is not None and required is not None:
-        units.check("device_force", force)
+    check_assist(force, required)
     return force, required
 
 
@@ -264,7 +264,7 @@ def check_assist(force: float, required: Optional[float]) -> None:
     """Check the forces ``device_assist_unchecked`` derived: where the row
     needs tension from the base, the applied force (0 without a device) and
     that tension. Raises ValueError for one that overflowed. A grounded
-    row's force is not checked, as ``device_assist`` does not check it."""
+    row's force is not checked."""
     if required is not None:
         units.check("device_force", force)
         units.check("required_tension", required, lo=-math.inf)

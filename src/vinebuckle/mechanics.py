@@ -278,14 +278,12 @@ def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> 
 def straight_transition_length(body: BodySpec, pressure: float) -> Optional[float]:
     """Critical length of a straight body: invert below, buckle above.
 
-    None when pressure is at or below the minimum inversion pressure (no
-    length inverts; crushing binds already at zero length). The closed form
-    is cross-checked against bisection on every call.
+    ``transition_length`` at zero curvature. None when pressure is at or
+    below the minimum inversion pressure (no length inverts; crushing binds
+    already at zero length). The closed form's force residual is tested on
+    every call, and a bisection runs only where that test fails.
     """
-    units.check("pressure", pressure)
-    required = tail_tension_to_invert_unchecked(body, pressure)
-    result = _straight_transition_for(body, pressure, required)
-    return None if result is None or math.isinf(result) else result
+    return transition_length(body, pressure)
 
 
 def curved_transition_length(
@@ -296,13 +294,14 @@ def curved_transition_length(
     None when no transition exists: either pressure is below the minimum
     inversion pressure (crush at zero length) or the required moment arm
     exceeds its maximum R + 2/kappa within the valid range (buckling
-    unreachable). Cross-checked against bisection on every call.
+    unreachable). The closed form's force residual is tested on every call,
+    and a bisection runs only where that test fails.
     """
     units.check("pressure", pressure)
     units.check("curvature", curvature, lo_open=True)
-    result = _curved_transition_for(
-        body, pressure, curvature, tail_tension_to_invert_unchecked(body, pressure)
-    )
+    required = tail_tension_to_invert_unchecked(body, pressure)
+    units.check("required_tension", required, lo=-math.inf)
+    result = _curved_transition_for(body, pressure, curvature, required)
     return None if result is None or math.isinf(result) else result
 
 
@@ -704,22 +703,11 @@ def _within_rounding(residual: float, force: float) -> bool:
     return -tol <= residual <= tol
 
 
-def _cross_check(
-    closed: float,
-    residual: float,
-    force: float,
-    solver: Callable[..., Optional[float]],
-    *args: object,
-) -> float:
-    """``closed`` once its force residual is within rounding of the force
-    scale ``force`` (``_within_rounding``), else once the bisection solver,
-    called as ``solver(*args)``, confirms it. The solver and its arguments
-    are passed as they are, so no closure is built. The closed forms test
-    the residual themselves first and call this only when that test fails,
-    so a passing row makes no variadic call."""
-    if _within_rounding(residual, force):
-        return closed
-    root = solver(*args)
+def _confirmed(closed: float, root: Optional[float]) -> float:
+    """``closed`` once the bisection ``root`` confirms it: a closed form
+    whose residual fails ``_within_rounding`` passes its model's bisection
+    root here. Raises CrossCheckError where the two differ by more than
+    1e-6 m."""
     if abs(root - closed) > _TRANSITION_TOL_M:
         raise CrossCheckError(
             f"closed-form transition {closed} m disagrees with bisection {root} m"
@@ -744,9 +732,7 @@ def _straight_transition_for(
     residual = num / (den_const + den_slope * closed * closed) - required
     if _within_rounding(residual, required):
         return closed
-    return _cross_check(
-        closed, residual, required, straight_transition_bisect, body, pressure, required
-    )
+    return _confirmed(closed, straight_transition_bisect(body, pressure, required))
 
 
 def _curved_transition_for(
@@ -778,9 +764,7 @@ def _curved_transition_for(
     residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
     if _within_rounding(residual, required):
         return closed
-    return _cross_check(
-        closed, residual, required, curved_transition_bisect, body, pressure, curvature, required
-    )
+    return _confirmed(closed, curved_transition_bisect(body, pressure, curvature, required))
 
 
 def _select_model(
@@ -791,9 +775,9 @@ def _select_model(
     A curved body is still modeled as straight when the transverse model has
     no transition or predicts a longer one than the straight model.
     """
-    if curvature < KAPPA_STRAIGHT:
-        return _STRAIGHT, _straight_transition_for(body, pressure, required), False
     straight = _straight_transition_for(body, pressure, required)
+    if curvature < KAPPA_STRAIGHT:
+        return _STRAIGHT, straight, False
     curved = _curved_transition_for(body, pressure, curvature, required)
     if curved is None:
         return _STRAIGHT, straight, False

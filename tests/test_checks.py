@@ -25,6 +25,7 @@ from vinebuckle import (
     SweepRequest,
     classify_grid,
     cli,
+    curved_transition_length,
     device_assist,
     oracle_scan,
     predict_at_length,
@@ -33,6 +34,8 @@ from vinebuckle import (
     simulate_growth,
     simulate_retraction,
     solve_pressure_row,
+    straight_transition_length,
+    transition_length,
     units,
 )
 
@@ -170,6 +173,27 @@ class TestOverflowIsRejected:
         )
         with pytest.raises(ValueError, match=message):
             scan(request)
+
+    # every transition entry and device_assist check the tension they derive
+    ENTRIES = {
+        "straight_transition_length": straight_transition_length,
+        "curved_transition_length": lambda body, p: curved_transition_length(body, p, 0.5),
+        "transition_length": transition_length,
+        "curved transition_length": lambda body, p: transition_length(body, p, 0.5),
+        "bare device_assist": lambda body, p: device_assist(body, None, p),
+        "device_assist": lambda body, p: device_assist(body, DEVICE, p),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize(
+        "body,pressure",
+        # P*A/2 overflows; 0 Pa times an infinite area is NaN
+        [(BodySpec(radius=1.0), 1.7e308), (HUGE, 0.0)],
+        ids=["inf", "nan"],
+    )
+    def test_every_entry_rejects_its_derived_tension(self, entry, body, pressure):
+        with pytest.raises(ValueError, match="^required_tension must be finite"):
+            self.ENTRIES[entry](body, pressure)
 
     @pytest.mark.parametrize(
         "schedule",

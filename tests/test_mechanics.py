@@ -483,13 +483,12 @@ class TestTransitionCrossCheck:
         assert 0.5 * (lo + hi) == pytest.approx(critical, abs=1e-6)
 
     def test_disagreeing_solver_raises(self, body):
-        from vinebuckle.mechanics import _cross_check
+        from vinebuckle.mechanics import _confirmed
 
         required = tail_tension_to_invert(body, 2e3)
-        residual = axial_buckling_force(body, 2e3, 1.0) - required
         with pytest.raises(CrossCheckError, match="disagrees"):
             # true root is near 2.39 m
-            _cross_check(1.0, residual, required, straight_transition_bisect, body, 2e3, required)
+            _confirmed(1.0, straight_transition_bisect(body, 2e3, required))
 
     # (solver name, closed form) on the reference body at 2 kPa, whose
     # residuals are -1.8e-15 N and -3.6e-15 N: nonzero, so a tolerance can

@@ -5,7 +5,7 @@ rejected before any row is solved."""
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from test_sweep import RANDOM_BODIES, log_uniform
 
@@ -443,6 +443,60 @@ class TestPredictRow:
         log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
         assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1
         assert reached == advanced == [3.0]
+
+
+# Bodies from 3 mm to 20 cm in radius, 10-316 um walls, E over 2.5 decades,
+# G over 2 and F_I from 0.1 to 32 N
+FLIP_BODIES = st.builds(
+    BodySpec,
+    radius=log_uniform(math.log10(3e-3), math.log10(0.2)),
+    wall_thickness=log_uniform(-5.0, -3.5),
+    youngs_modulus=log_uniform(7.25, 9.75),
+    shear_modulus=log_uniform(7.3, 9.3),
+    inversion_force=log_uniform(-1.0, 1.5),
+)
+
+
+class TestOneFlipPerRow:
+    # Near the straightness threshold and just above the minimum inversion
+    # pressure, the curved closed form can miss the bisection root and raise
+    # CrossCheckError (test_near_straight_small_body_has_a_transition), a
+    # defect this property does not test. So a curvature is 0 or at least
+    # 1e-5 /m, and a curved row's pressure is not within 1% above the
+    # minimum inversion pressure: at 1e-5 /m the defect still reaches
+    # 1.0009 times it on a 3 mm body.
+    @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=0.0)
+    @example(body=BODY, device_efficiency=(DEVICE, 0.3), p_scale=4.0, curvature=1 / 0.72)
+    @given(
+        body=FLIP_BODIES,
+        device_efficiency=st.just((None, 1.0)) | st.tuples(st.just(DEVICE), st.floats(0.0, 1.0)),
+        p_scale=log_uniform(math.log10(0.6), 3.0),
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.0),
+    )
+    def test_verdicts_flip_once_at_the_transition(
+        self, body, device_efficiency, p_scale, curvature
+    ):
+        # a shape check that needs no solver: the verdicts of 201 lengths,
+        # bare or behind the device, run INVERT then BUCKLE and change where
+        # the row's transition says
+        assume(curvature == 0.0 or not 1.0 < p_scale <= 1.01)
+        device, efficiency = device_efficiency
+        row = case_row(body, device, efficiency, p_scale, curvature)
+        critical = row.critical_length
+        l_hi = 3.0 * critical if critical else 30.0
+        lengths = [l_hi * i / 200 for i in range(201)]
+        cells = predict_row(row, length_terms(body, curvature, lengths))
+        verdicts = [cell.verdict for cell in cells]
+        inverting = verdicts.count(Verdict.INVERT)
+        assert verdicts == [Verdict.INVERT] * inverting + [Verdict.BUCKLE] * (201 - inverting)
+        transition = row.transition
+        for length, verdict in zip(lengths, verdicts):
+            if transition is None:
+                assert verdict is Verdict.BUCKLE
+            elif length < transition * (1.0 - 1e-9):
+                assert verdict is Verdict.INVERT
+            elif length > transition * (1.0 + 1e-9):
+                assert verdict is Verdict.BUCKLE
 
 
 class TestLengthTerms:

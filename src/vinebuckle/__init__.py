@@ -47,23 +47,17 @@ _EXPORTS = {
         "CrossCheckError",
         "FailureMode",
         "ModelUsed",
-        "PressureRow",
         "RobotState",
         "Verdict",
         "axial_buckling_force",
-        "bisect_root",
         "clamped_moment_arm",
         "crushing_force",
         "curved_buckling_force",
         "curved_transition_bisect",
         "curved_transition_length",
-        "length_terms",
         "min_buckling_moment_arm",
         "min_inversion_pressure",
-        "predict_at_length",
         "predict_behavior",
-        "predict_row",
-        "solve_pressure_row",
         "straight_transition_bisect",
         "straight_transition_length",
         "tail_tension_to_invert",

@@ -235,8 +235,8 @@ def device_assist(
     the base. Saturated otherwise: the available force and the residual
     tail tension P*A/2 + F_I - F_avail/2. The efficiency is checked first,
     with or without a device, then the pressure, and then the derived
-    forces by ``check_assist``, the drivers' rule: a bare or saturated
-    row's force or tension that overflowed raises ValueError.
+    forces by ``check_assist``, the drivers' rule: a force or tension that
+    overflowed raises ValueError, a grounded row's force included.
     """
     units.check("efficiency", efficiency, hi=1.0)
     units.check("pressure", pressure)
@@ -261,12 +261,12 @@ def device_assist_unchecked(
 
 
 def check_assist(force: float, required: Optional[float]) -> None:
-    """Check the forces ``device_assist_unchecked`` derived: where the row
-    needs tension from the base, the applied force (0 without a device) and
-    that tension. Raises ValueError for one that overflowed. A grounded
-    row's force is not checked."""
+    """Check the forces ``device_assist_unchecked`` derived: the applied
+    force (0 without a device, the zero-tension need on a grounded row) and,
+    where the row needs tension from the base, that tension. Raises
+    ValueError for one that overflowed."""
+    units.check("device_force", force)
     if required is not None:
-        units.check("device_force", force)
         units.check("required_tension", required, lo=-math.inf)
 
 

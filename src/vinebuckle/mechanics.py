@@ -7,11 +7,13 @@ bodies fail by axial beam buckling or by crushing of the wall; constant
 curvature bodies fail by transverse buckling about the base. All quantities
 are SI (m, Pa, N) and all functions here are pure.
 
-Each public function checks its inputs and then calls a kernel that trusts
-them. The request-level functions (the predictors here and in ``device``,
-the diagram scans and the episodes) check each input once per request and
-call the kernels; a kernel that another module calls is public, named after
-its function with ``_unchecked``, and is not exported from the package.
+Each exported function checks its inputs. The request-level functions (the
+predictors here and in ``device``, the diagram scans and the episodes)
+check each input once per request and call kernels that trust them: the
+row primitives (``solve_pressure_row_unchecked``, ``length_terms_unchecked``,
+``predict_row``, ``predict_at_length_unchecked``, ``oracle_row_unchecked``)
+and the ``_unchecked`` twins of checked functions. They are public here,
+for the other modules, and not exported from the package.
 """
 
 from __future__ import annotations
@@ -157,15 +159,15 @@ class PressureRow(NamedTuple):
     The model choice, the transition length and the extrapolation hint
     depend on (body, pressure, curvature, required tension) and never on
     length, so a phase-diagram row or a constant-pressure episode solves
-    them once (``solve_pressure_row``) and evaluates ``predict_row`` over
-    its lengths. ``transition`` is None when no length inverts and inf when
-    every length does. ``extrapolated`` is set when the curved model had no
-    reachable buckling point. A ``grounded`` row has no finite buckling
-    limit at any length: the tail force path is grounded at the tip, as
-    when the retraction device covers the whole zero-tension need. Since a
-    scheduled episode solves one row per step, the row solver
-    (``solve_pressure_row_unchecked``) builds it by position with
-    ``tuple.__new__``; that applies no defaults, so every field is given.
+    them once (``solve_pressure_row_unchecked``) and evaluates
+    ``predict_row`` over its lengths. ``transition`` is None when no length
+    inverts and inf when every length does. ``extrapolated`` is set when
+    the curved model had no reachable buckling point. A ``grounded`` row
+    has no finite buckling limit at any length: the tail force path is
+    grounded at the tip, as when the retraction device covers the whole
+    zero-tension need. Since a scheduled episode solves one row per step,
+    the row solver builds it by position with ``tuple.__new__``; that
+    applies no defaults, so every field is given.
     """
 
     body: BodySpec
@@ -333,31 +335,20 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
     return predict_at_length_unchecked(row, state.length)
 
 
-def solve_pressure_row(
+def solve_pressure_row_unchecked(
     body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
 ) -> PressureRow:
-    """Solve the model dispatch once for every length at one pressure.
+    """Solve the model dispatch once for every length at one pressure: the
+    row solver of the predictors, the diagram rows and every scheduled step.
 
     ``required_tension`` is ``device.device_assist``'s answer: the tail
     tension the base must supply, or None for a grounded row, which skips
     the dispatch and inverts at every length with zero required tension. A
     curved body is modeled as straight when the transverse model has no
-    transition or predicts a longer one than the straight model. Raises
-    ValueError for a negative or non-finite pressure or curvature, or a
-    non-finite required tension.
+    transition or predicts a longer one than the straight model. Trusts its
+    inputs: a finite pressure and curvature >= 0 and a finite required
+    tension, checked by its caller.
     """
-    units.check("pressure", pressure)
-    units.check("curvature", curvature)
-    if required_tension is not None:
-        units.check("required_tension", required_tension, lo=-math.inf)
-    return solve_pressure_row_unchecked(body, pressure, curvature, required_tension)
-
-
-def solve_pressure_row_unchecked(
-    body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
-) -> PressureRow:
-    """``solve_pressure_row`` for inputs already checked: the row solver of
-    the predictors, the diagram rows and every scheduled step."""
     if required_tension is None:
         return tuple.__new__(PressureRow, (
             body, pressure, curvature, 0.0, _grounded_model(curvature), math.inf, False, True
@@ -368,7 +359,7 @@ def solve_pressure_row_unchecked(
     ))
 
 
-def length_terms(
+def length_terms_unchecked(
     body: BodySpec, curvature: float, lengths: Iterable[float]
 ) -> Iterator[tuple[float, bool, Optional[float]]]:
     """The pressure-free terms of each length in turn, lazily: ``(length,
@@ -377,23 +368,11 @@ def length_terms(
     reads it.
 
     Every row of a phase diagram shares its lengths, so a diagram computes
-    these once and hands them to ``predict_row`` and ``oracle_row`` for each
-    of its rows. Raises ValueError for a negative or non-finite curvature
-    when the first term is asked for, and for a negative or non-finite
-    length when that length is reached.
+    these once, after checking each length, and hands them to
+    ``predict_row`` or ``oracle_row_unchecked`` for each of its rows; an
+    episode computes them over its tips. Trusts its inputs: a finite
+    curvature and finite lengths >= 0.
     """
-    check = units.check
-    check("curvature", curvature)
-    yield from length_terms_unchecked(
-        body, curvature, (check("length", length) for length in lengths)
-    )
-
-
-def length_terms_unchecked(
-    body: BodySpec, curvature: float, lengths: Iterable[float]
-) -> Iterator[tuple[float, bool, Optional[float]]]:
-    """``length_terms`` for inputs already checked: an episode's tips, or a
-    diagram's lengths once each is checked."""
     pi = math.pi
     if curvature < KAPPA_STRAIGHT:
         for length in lengths:
@@ -403,18 +382,9 @@ def length_terms_unchecked(
             yield length, curvature * length > pi, _moment_arm_clamped(body, curvature, length)
 
 
-def predict_at_length(row: PressureRow, length: float) -> BehaviorPrediction:
-    """Evaluate a solved row at one length: ``predict_row``'s one-length case.
-
-    Raises ValueError for a negative or non-finite curvature or length.
-    """
-    units.check("curvature", row.curvature)
-    units.check("length", length)
-    return predict_at_length_unchecked(row, length)
-
-
 def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
-    """``predict_at_length`` for inputs already checked."""
+    """Evaluate a solved row at one finite length >= 0: ``predict_row``'s
+    one-length case."""
     # unpacking runs the row to its end, so no suspended generator is closed
     (cell,) = predict_row(row, length_terms_unchecked(row.body, row.curvature, (length,)))
     return cell
@@ -427,8 +397,8 @@ def predict_row(
     force of the row's model there, the verdict, and the kappa*L > pi
     extrapolation flag.
 
-    ``terms`` are ``length_terms`` of the row's body and curvature: they
-    check each length and carry its flag and clamped moment arm, so the
+    ``terms`` are ``length_terms_unchecked`` of the row's body and
+    curvature: they carry each length's flag and clamped moment arm, so the
     rows of a diagram share that work. The row's length-independent terms
     are computed once. A cell whose limit is one of the row's
     length-independent limits (P*A, the clamped-arm limit beyond
@@ -571,40 +541,6 @@ def _curved_bisect_for(
     return bisect_root(gap, 0.0, math.pi / curvature)
 
 
-def oracle_row(
-    body: BodySpec,
-    pressure: float,
-    curvature: float,
-    required: Optional[float],
-    terms: Sequence[tuple[float, bool, Optional[float]]],
-) -> list[BehaviorPrediction]:
-    """Classify one pressure row by direct force comparison: the oracle that
-    cross-checks ``predict_row``.
-
-    ``terms`` are ``length_terms`` of the body and curvature, built (and so
-    each length checked) once for all rows of a diagram. The model is
-    dispatched with the bisection solvers, which share no transition
-    algebra with the closed forms, and each cell compares ``required`` with
-    the limiting force of that model at its length: the smaller of crushing
-    and axial buckling when straight, from the row's axial terms, and the
-    transverse limit P*A*R / arm when curved, from the term's arm. These
-    are the public force functions' formulas without their checks. A cell
-    carries its verdict, the forces and the model; its mode is NONE and its
-    flag False. A cell whose limit is the same object as the previous
-    cell's (where crushing binds) is that same cell object again, as in
-    ``predict_row``. A None ``required`` is a grounded row, as for
-    ``solve_pressure_row``: one shared INVERT cell with an infinite limit.
-    Raises ValueError for a negative or non-finite pressure or
-    curvature, or a non-finite required tension; each is checked once,
-    before any cell.
-    """
-    units.check("pressure", pressure)
-    units.check("curvature", curvature)
-    if required is not None:
-        units.check("required_tension", required, lo=-math.inf)
-    return oracle_row_unchecked(body, pressure, curvature, required, terms)
-
-
 def oracle_row_unchecked(
     body: BodySpec,
     pressure: float,
@@ -612,7 +548,24 @@ def oracle_row_unchecked(
     required: Optional[float],
     terms: Sequence[tuple[float, bool, Optional[float]]],
 ) -> list[BehaviorPrediction]:
-    """``oracle_row`` for inputs already checked: ``oracle_scan``'s row."""
+    """Classify one pressure row by direct force comparison: ``oracle_scan``'s
+    row, the oracle that cross-checks ``predict_row``.
+
+    ``terms`` are ``length_terms_unchecked`` of the body and curvature, as a
+    sequence, built once for all rows of a diagram. The model is dispatched
+    with the bisection solvers, which share no transition algebra with the
+    closed forms, and each cell compares ``required`` with the limiting
+    force of that model at its length: the smaller of crushing and axial
+    buckling when straight, from the row's axial terms, and the transverse
+    limit P*A*R / arm when curved, from the term's arm. These are the public
+    force functions' formulas without their checks. A cell carries its
+    verdict, the forces and the model; its mode is NONE and its flag False.
+    A cell whose limit is the same object as the previous cell's (where
+    crushing binds) is that same cell object again, as in ``predict_row``.
+    A None ``required`` is a grounded row, as for
+    ``solve_pressure_row_unchecked``: one shared INVERT cell with an
+    infinite limit. Trusts its inputs as that row solver does.
+    """
     crush = pressure * body.cross_section_area
     if required is None:
         cell = BehaviorPrediction(

@@ -60,10 +60,11 @@ class Scenario:
     position (``pressure_points`` as (tip m, Pa) breakpoints). A tip on a
     breakpoint uses the segment that ends there, and the interpolant is
     held within that segment's end pressures. A tip outside the span, or a
-    NaN tip, raises ValueError. The segments are computed once per scenario,
-    on first use. ``target_length`` is only used by growth episodes.
-    ``motor_speed`` defaults to the device maximum. Neither span may take
-    more than ``MAX_EPISODE_STEPS`` steps.
+    NaN tip, raises ValueError, and so does a tip on a segment whose span
+    overflows, where the interpolant is NaN. The segments are computed once
+    per scenario, on first use. ``target_length`` is only used by growth
+    episodes. ``motor_speed`` defaults to the device maximum. Neither span
+    may take more than ``MAX_EPISODE_STEPS`` steps.
     """
 
     body: BodySpec
@@ -124,7 +125,10 @@ class Scenario:
         # p1 == 0); it is held within [lo, hi]: min(max(p, lo), hi) as
         # comparisons, which returns the same object for every float.
         p = p0 + rise * (tip - x0) / run
-        return lo if lo > p else hi if hi < p else p
+        p = lo if lo > p else hi if hi < p else p
+        if p != p:  # NaN: x1 - x0 overflowed, so the interpolant is inf/inf
+            units.check("pressure", p)
+        return p
 
     # Kept in the instance ``__dict__``, which no field, ``==``, ``hash`` or
     # ``repr`` reads, like ``BodySpec._constants``.
@@ -259,13 +263,14 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
 
     The scenario checked its inputs, and every tip lies within its checked
     lengths, so the steps call the unchecked kernels. The forces derived
-    from a pressure (the required tension and the device's available force)
-    are checked before the first step: at the one pressure, or at the
-    largest and smallest breakpoint pressures of a schedule. A scheduled
-    step's pressure lies between two breakpoint pressures and each force is
+    from a pressure (the required tension and the device's applied force:
+    its available force, or a grounded row's zero-tension need) are checked
+    before the first step: at the one pressure, or at the largest and
+    smallest breakpoint pressures of a schedule. A scheduled step's
+    pressure lies between two breakpoint pressures and each force is
     monotone in pressure, so those checks cover every step; the smallest
-    catches a zero pressure times an infinite area. The interpolant itself
-    is NaN only where a segment's span overflowed, and is checked then.
+    catches a zero pressure times an infinite area. ``Scenario.pressure_at``
+    rejects a NaN interpolant.
     """
     body, device, curvature, efficiency = (
         scenario.body, scenario.device, scenario.curvature, scenario.efficiency
@@ -301,8 +306,6 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         tip = term[0]
         if scheduled:
             pressure = pressure_at(tip)
-            if pressure != pressure:  # NaN: the segment's span overflowed
-                units.check("pressure", pressure)
             force, required = device_assist_unchecked(body, device, pressure, efficiency)
             row = solve_pressure_row_unchecked(body, pressure, curvature, required)
             (prediction,) = predict_row(row, (term,))

@@ -125,9 +125,9 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     diagram carries verdict-bearing predictions and an empty transition curve.
     Each row's required tension is ``device_assist``'s, as for
     ``classify_grid``; where the device covers the zero-tension need,
-    ``oracle_row`` makes the row invert at every length with an infinite
-    limit. The lengths' terms are built once, as for ``classify_grid``, so a
-    negative length raises ValueError before any row.
+    ``oracle_row_unchecked`` makes the row invert at every length with an
+    infinite limit. The lengths' terms are built once, as for
+    ``classify_grid``, so a negative length raises ValueError before any row.
     """
     body, curvature = request.body, request.curvature
     pressures, lengths, terms = _axes(request)

@@ -10,7 +10,6 @@ is still rejected by each of them."""
 import contextlib
 import io
 import json
-import math
 
 import pytest
 from hypothesis import example, given
@@ -28,12 +27,10 @@ from vinebuckle import (
     curved_transition_length,
     device_assist,
     oracle_scan,
-    predict_at_length,
     predict_behavior,
     predict_with_device,
     simulate_growth,
     simulate_retraction,
-    solve_pressure_row,
     straight_transition_length,
     transition_length,
     units,
@@ -47,6 +44,7 @@ HUGE = BodySpec(radius=1e160)
 FORCEFUL = DeviceSpec(max_motor_torque=1e300, roller_radius=1e-300)
 REQUIRED_INF = "^required_tension must be finite, got inf$"
 DEVICE_NAN = "^device_force must be finite and >= 0, got nan$"
+DEVICE_INF = "^device_force must be finite and >= 0, got inf$"
 SATURATED = ["device_force", "required_tension"]
 
 
@@ -83,7 +81,7 @@ class TestChecksPerRequest:
     @pytest.mark.parametrize("kappa", [0.0, 0.444])
     @pytest.mark.parametrize(
         "device,pressure,derived",
-        [(DEVICE, 2e3, []), (DEVICE, 9e3, SATURATED), (None, 2e3, SATURATED)],
+        [(DEVICE, 2e3, ["device_force"]), (DEVICE, 9e3, SATURATED), (None, 2e3, SATURATED)],
         ids=["grounded", "saturated", "bare"],
     )
     def test_a_device_prediction_checks_its_efficiency_and_derived_forces(
@@ -108,8 +106,8 @@ class TestChecksPerRequest:
             row_checks = names[columns:]
             starts = [i for i, name in enumerate(row_checks) if name == "pressure"]
             assert len(starts) == rows and starts[0] == 0
-            # a grounded device row derives no force to check
-            allowed = [SATURATED, []] if device else [SATURATED]
+            # a grounded device row derives no tension to check, only its force
+            allowed = [SATURATED, ["device_force"]] if device else [SATURATED]
             for start, end in zip(starts, starts[1:] + [len(row_checks)]):
                 assert row_checks[start + 1:end] in allowed
 
@@ -119,9 +117,13 @@ class TestChecksPerRequest:
             curvature=0.444, pressure_points=((0.0, 2e3), (30.0, 9e3))
         ),
         "device-straight-constant": dict(pressure=9e3, device=DEVICE, efficiency=0.5),
+        "device-straight-grounded-constant": dict(pressure=2e3, device=DEVICE),
         "device-curved-scheduled": dict(
             curvature=0.444, pressure_points=((0.0, 2e3), (30.0, 9e3)), device=DEVICE,
             efficiency=0.05,
+        ),
+        "device-curved-grounded-scheduled": dict(
+            curvature=0.444, pressure_points=((0.0, 1e3), (30.0, 2e3)), device=DEVICE,
         ),
     }
 
@@ -138,11 +140,19 @@ class TestChecksPerRequest:
         retract_long = checks_of(checks, simulate_retraction, Scenario(BODY, 25.0, **fields))
         assert retract_short == retract_long
 
-    def test_a_scheduled_device_episode_checks_its_top_and_bottom_breakpoints(self, checks):
-        # five checks for 2,500 steps, none of them per step
-        scenario = Scenario(BODY, 0.0, target_length=25.0,
-                            **self.SCENARIOS["device-curved-scheduled"])
-        assert checks_of(checks, simulate_growth, scenario) == ["motor_speed", *SATURATED * 2]
+    @pytest.mark.parametrize(
+        "kind,derived",
+        [
+            ("device-curved-scheduled", SATURATED),
+            ("device-curved-grounded-scheduled", ["device_force"]),
+        ],
+    )
+    def test_a_scheduled_device_episode_checks_its_top_and_bottom_breakpoints(
+        self, checks, kind, derived
+    ):
+        # a few checks for 2,500 steps, none of them per step
+        scenario = Scenario(BODY, 0.0, target_length=25.0, **self.SCENARIOS[kind])
+        assert checks_of(checks, simulate_growth, scenario) == ["motor_speed", *derived * 2]
 
 
 class TestOverflowIsRejected:
@@ -153,19 +163,25 @@ class TestOverflowIsRejected:
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
         [(HUGE, DEVICE, 0.5, REQUIRED_INF), (HUGE, None, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN)],
-        ids=["tension", "bare", "device-force"],
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        ids=["tension", "bare", "device-force", "grounded-force"],
     )
     def test_device_prediction(self, body, device, efficiency, message):
         with pytest.raises(ValueError, match=message):
             predict_with_device(body, device, RobotState(1.0, 1e3), efficiency)
 
+    def test_device_assist_rejects_an_infinite_grounded_force(self):
+        # eta*F_max and the zero-tension need P*A + 2*F_I are both inf, so
+        # the device covers the need and the row is grounded
+        with pytest.raises(ValueError, match=DEVICE_INF):
+            device_assist(HUGE, FORCEFUL, 2e3, 0.5)
+
     @pytest.mark.parametrize("scan", [classify_grid, oracle_scan])
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
         [(HUGE, None, 1.0, REQUIRED_INF), (HUGE, DEVICE, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN)],
-        ids=["bare", "device", "device-force"],
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        ids=["bare", "device", "device-force", "grounded-force"],
     )
     def test_diagram(self, scan, body, device, efficiency, message):
         request = SweepRequest(
@@ -203,8 +219,8 @@ class TestOverflowIsRejected:
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
         [(HUGE, None, 1.0, REQUIRED_INF), (HUGE, DEVICE, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN)],
-        ids=["bare", "device", "device-force"],
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        ids=["bare", "device", "device-force", "grounded-force"],
     )
     def test_episode(self, schedule, body, device, efficiency, message):
         scenario = Scenario(body, 3.0, device=device, efficiency=efficiency, target_length=4.0,
@@ -229,7 +245,8 @@ class TestOverflowIsRejected:
         # x1 - x0 is inf, so the interpolant at a tip is inf/inf
         points = ((-1e308, 0.0), (1e308, 5e3))
         scenario = Scenario(BODY, 3.0, pressure_points=points)
-        assert math.isnan(scenario.pressure_at(3.0))
+        with pytest.raises(ValueError, match="^pressure must be finite and >= 0, got nan$"):
+            scenario.pressure_at(3.0)
         with pytest.raises(ValueError, match="^pressure must be finite and >= 0, got nan$"):
             simulate_retraction(scenario)
 
@@ -262,8 +279,12 @@ class TestOverflowIsRejected:
         try:
             for tip in tips:
                 pressure = scenario.pressure_at(tip)
-                _, required = device_assist(body, device, pressure, efficiency)
-                predict_at_length(solve_pressure_row(body, pressure, 0.0, required), tip)
+                device_assist(body, device, pressure, efficiency)
+                state = RobotState(tip, pressure)
+                if device is None:
+                    predict_behavior(body, state)
+                else:
+                    predict_with_device(body, device, state, efficiency)
         except (ValueError, ArithmeticError) as exc:
             per_step = type(exc)
         try:
@@ -296,3 +317,30 @@ def test_an_overflowing_episode_exits_2(tmp_path, schedule):
     code, out, err = run_cli("simulate", "--scenario", str(path), "--json")
     assert (code, out) == (2, "")
     assert err == "error: required_tension must be finite, got inf\n"
+
+
+# eta*F_max is inf, and so is the zero-tension need it covers
+GROUNDED_INF = {
+    "body": {"radius_cm": 1e160},
+    "device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-298, "efficiency": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--pressure-kpa", "2", "--length-cm", "100", "--device", "--config"],
+        ["sweep", "--p", "1:10:3", "--l", "0:300:3", "--device", "--oracle-check", "--config"],
+        ["simulate", "--scenario"],
+    ],
+    ids=["predict", "sweep", "simulate"],
+)
+def test_an_infinite_grounded_force_exits_2(tmp_path, argv):
+    document = dict(GROUNDED_INF)
+    if argv[0] == "simulate":
+        document.update(initial_length_cm=5, pressure_kpa=2)
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(*argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: device_force must be finite and >= 0, got inf\n"

@@ -14,8 +14,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vinebuckle import BodySpec, Scenario, crushing_force, length_terms, mechanics
-from vinebuckle.mechanics import _axial_terms, _within_rounding, oracle_row
+from vinebuckle import BodySpec, Scenario, crushing_force, mechanics
+from vinebuckle.mechanics import (
+    _axial_terms,
+    _within_rounding,
+    length_terms_unchecked,
+    oracle_row_unchecked,
+)
 
 BODY = BodySpec()
 TOL_N, TOL_REL = mechanics._RESIDUAL_TOL_N, mechanics._RESIDUAL_TOL_REL
@@ -116,9 +121,14 @@ class TestScheduleClamp:
         lo, hi = ends
         scenario = Scenario(BODY, 1.0, pressure_points=((0.0, 1.0), (1.0, 2.0)))
         vars(scenario)["_segments"] = (0.0, [1.0], [(0.0, p, -0.0, 1.0, lo, hi)])
-        got = scenario.pressure_at(0.5)
         interpolant = p + -0.0
         expected = min(max(interpolant, lo), hi)
+        if math.isnan(expected):
+            # the builtin clamp passes a NaN on; pressure_at rejects it
+            with pytest.raises(ValueError, match="^pressure must be finite"):
+                scenario.pressure_at(0.5)
+            return
+        got = scenario.pressure_at(0.5)
         assert got.hex() == expected.hex()
         assert (got is lo) == (expected is lo) and (got is hi) == (expected is hi)
 
@@ -135,8 +145,8 @@ class TestOracleMinimum:
     @example(pressure=1e308, lengths=[1e-3, 1e2, 1e-3], required=1.0)
     @example(pressure=2e3, lengths=[0.5, 1.0, 3.0, 3.0, 10.0], required=9.0)
     def test_straight_cells_take_the_builtin_minimum(self, pressure, lengths, required):
-        terms = tuple(length_terms(BODY, 0.0, [0.0] + lengths))
-        cells = oracle_row(BODY, pressure, 0.0, required, terms)
+        terms = tuple(length_terms_unchecked(BODY, 0.0, [0.0] + lengths))
+        cells = oracle_row_unchecked(BODY, pressure, 0.0, required, terms)
         crush = cells[0].limiting_force  # zero length: crushing alone
         assert crush.hex() == crushing_force(BODY, pressure).hex()
         num, den_const, den_slope = _axial_terms(BODY, pressure)

@@ -5,6 +5,7 @@ NaN, +-inf and everything outside it; the CLI turns every such input into
 exit 2 with one ``error:`` line and never prints non-RFC JSON."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import vinebuckle
 from vinebuckle import (
     ApertureSample,
     AxisRange,
@@ -34,13 +36,10 @@ from vinebuckle import (
     device_force_for_zero_tension,
     efficiency_for_pressure_ceiling,
     fit_inversion_force,
-    length_terms,
     max_zero_tension_pressure,
     min_buckling_moment_arm,
-    predict_at_length,
-    predict_row,
+    predict_with_device,
     retraction_kinematics,
-    solve_pressure_row,
     straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
@@ -142,14 +141,6 @@ FUNCTIONS = {
     "curved_transition_bisect": (
         lambda p, k, t: curved_transition_bisect(BODY, p, k, t), [GE0, GE0, ANY]),
     "transition_length": (lambda p, k: transition_length(BODY, p, k), [GE0, GE0]),
-    "solve_pressure_row": (lambda p, k, t: solve_pressure_row(BODY, p, k, t), [GE0, GE0, ANY]),
-    "predict_at_length": (
-        lambda l: predict_at_length(solve_pressure_row(BODY, 2e3, 0.3, 5.0), l), [GE0]),
-    # the drawn length comes second, so it is checked when reached
-    "length_terms": (lambda k, l: tuple(length_terms(BODY, k, (1.0, l))), [GE0, GE0]),
-    "predict_row": (
-        lambda l: tuple(predict_row(solve_pressure_row(BODY, 2e3, 0.3, 5.0),
-                                    length_terms(BODY, 0.3, (1.0, l)))), [GE0]),
     "aperture_inversion_force": (lambda a: aperture_inversion_force(DEVICE, a), [GT0]),
     "tail_tension_with_device": (
         lambda p, f: tail_tension_with_device(BODY, DEVICE, p, f), [GE0, GE0]),
@@ -164,8 +155,29 @@ FUNCTIONS = {
     "retraction_kinematics": (
         lambda w: retraction_kinematics(DEVICE, w), [(0.0, DEVICE.motor_speed_max, False)]),
     "device_assist": (lambda p, e: device_assist(BODY, DEVICE, p, e), [GE0, UNIT]),
+    "predict_with_device": (
+        lambda e: predict_with_device(BODY, DEVICE, RobotState(1.0, 2e3), e), [UNIT]),
     "fit_inversion_force": (lambda a: fit_inversion_force([TensionSample(0.0, 1.0)], a), [GT0]),
 }
+
+
+# the string annotations (``from __future__ import annotations``) of a
+# numeric parameter
+NUMERIC = {"float", "Optional[float]", "int", "Optional[int]"}
+
+
+def test_every_exported_function_with_a_numeric_parameter_is_in_the_table():
+    numeric = set()
+    for name in vinebuckle.__all__:
+        value = getattr(vinebuckle, name)
+        if inspect.isfunction(value) and any(
+            parameter.annotation in NUMERIC
+            for parameter in inspect.signature(value).parameters.values()
+        ):
+            numeric.add(name)
+    assert numeric
+    assert sorted(numeric - set(FUNCTIONS)) == []
+    assert not [name for name in vinebuckle.__all__ if name.endswith("_unchecked")]
 
 
 class TestCheck:

@@ -16,7 +16,6 @@ ENUMS = {"Verdict", "FailureMode", "ModelUsed", "TerminalKind"}
 # run once per row or step: no member read anywhere in them
 WHOLE = [
     ("mechanics", "predict_row"),
-    ("mechanics", "oracle_row"),
     ("mechanics", "oracle_row_unchecked"),
     ("mechanics", "solve_pressure_row_unchecked"),
     ("mechanics", "_select_model"),

@@ -24,7 +24,6 @@ from vinebuckle import (
     Verdict,
     aperture_inversion_force,
     axial_buckling_force,
-    bisect_root,
     clamped_moment_arm,
     crushing_force,
     curved_buckling_force,
@@ -35,15 +34,18 @@ from vinebuckle import (
     mechanics,
     min_buckling_moment_arm,
     min_inversion_pressure,
-    predict_at_length,
     predict_behavior,
-    solve_pressure_row,
     straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
     transition_length,
     units,
     wall_tension,
+)
+from vinebuckle.mechanics import (
+    bisect_root,
+    predict_at_length_unchecked,
+    solve_pressure_row_unchecked,
 )
 
 K_SMALL = 1 / 4.55   # 455 cm radius of curvature
@@ -396,7 +398,7 @@ class TestPredictionRecord:
     def test_straight_invert_row(self, body):
         pressure, length = 2e3, 1.0
         required = tail_tension_to_invert(body, pressure)
-        row = solve_pressure_row(body, pressure, 0.0, required)
+        row = solve_pressure_row_unchecked(body, pressure, 0.0, required)
         limit = crushing_force(body, pressure)  # crushing binds at 1 m
         expected = BehaviorPrediction(
             verdict=Verdict.INVERT,
@@ -407,14 +409,14 @@ class TestPredictionRecord:
             model_used=ModelUsed.STRAIGHT,
             extrapolated=False,
         )
-        actual = predict_at_length(row, length)
+        actual = predict_at_length_unchecked(row, length)
         assert type(actual) is BehaviorPrediction
         assert actual == expected
 
     def test_axial_buckle_row(self, body):
         pressure, length = 2e3, 3.0
         required = tail_tension_to_invert(body, pressure)
-        row = solve_pressure_row(body, pressure, 0.0, required)
+        row = solve_pressure_row_unchecked(body, pressure, 0.0, required)
         limit = axial_buckling_force(body, pressure, length)
         expected = BehaviorPrediction(
             verdict=Verdict.BUCKLE,
@@ -425,12 +427,12 @@ class TestPredictionRecord:
             model_used=ModelUsed.STRAIGHT,
             extrapolated=False,
         )
-        assert predict_at_length(row, length) == expected
+        assert predict_at_length_unchecked(row, length) == expected
 
     def test_transverse_buckle_row(self, body):
         pressure, length = 2e3, 0.5
         required = tail_tension_to_invert(body, pressure)
-        row = solve_pressure_row(body, pressure, K_MEDIUM, required)
+        row = solve_pressure_row_unchecked(body, pressure, K_MEDIUM, required)
         limit = curved_buckling_force(body, pressure, K_MEDIUM, length)
         expected = BehaviorPrediction(
             verdict=Verdict.BUCKLE,
@@ -441,11 +443,11 @@ class TestPredictionRecord:
             model_used=ModelUsed.CURVED,
             extrapolated=False,
         )
-        assert predict_at_length(row, length) == expected
+        assert predict_at_length_unchecked(row, length) == expected
 
     def test_grounded_device_row(self, body):
         _, required = device_assist(body, DeviceSpec(), 2e3)
-        row = solve_pressure_row(body, 2e3, 0.0, required)
+        row = solve_pressure_row_unchecked(body, 2e3, 0.0, required)
         assert row.grounded
         expected = BehaviorPrediction(
             verdict=Verdict.INVERT,
@@ -455,7 +457,7 @@ class TestPredictionRecord:
             margin=math.inf,
             model_used=ModelUsed.STRAIGHT,
         )
-        assert predict_at_length(row, 1.0) == expected
+        assert predict_at_length_unchecked(row, 1.0) == expected
 
 
 class TestTransitionCrossCheck:
@@ -613,7 +615,7 @@ class TestTransitionCrossCheck:
         # k1*P overflows to inf above ~8.0049e307 Pa on this body, so the
         # straight force is inf at every length; the closed form's NaN residual
         # once sent this to a bisection that stopped where the force turns NaN
-        row = solve_pressure_row(body, 8.004924629771919e307, kappa, 1.0)
+        row = solve_pressure_row_unchecked(body, 8.004924629771919e307, kappa, 1.0)
         assert row.transition == math.inf
 
     def test_root_finder(self):

@@ -15,7 +15,6 @@ from vinebuckle import (
     DeviceSpec,
     FailureMode,
     ModelUsed,
-    PressureRow,
     RobotState,
     Scenario,
     SweepRequest,
@@ -31,26 +30,29 @@ from vinebuckle import (
     device_force_for_zero_tension,
     diagrams_agree,
     emit_episode_csv,
-    length_terms,
     max_device_force,
     mechanics,
     min_inversion_pressure,
     oracle_scan,
-    predict_at_length,
     predict_behavior,
-    predict_row,
     predict_with_device,
     sim,
     simulate_growth,
     simulate_retraction,
-    solve_pressure_row,
     straight_transition_bisect,
     straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
     transition_length,
 )
-from vinebuckle.mechanics import oracle_row
+from vinebuckle.mechanics import (
+    PressureRow,
+    length_terms_unchecked,
+    oracle_row_unchecked,
+    predict_at_length_unchecked,
+    predict_row,
+    solve_pressure_row_unchecked,
+)
 
 BODY = BodySpec()
 DEVICE = DeviceSpec()
@@ -121,9 +123,6 @@ class TestGridRows:
             req = SweepRequest(BODY, kappa, AxisRange(0.0, p_hi, 3), lengths, device)
             with pytest.raises(ValueError, match="length"):
                 oracle_scan(req)
-        with pytest.raises(ValueError, match="length"):
-            terms = tuple(length_terms(BODY, 0.0, [1.0, -0.0625]))
-            oracle_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3), terms)
 
     @pytest.mark.parametrize("kappa", [0.0, 1 / 2.25])
     @pytest.mark.parametrize("device", [None, DEVICE])
@@ -145,6 +144,19 @@ class TestGridRows:
             assert len(scan(req).grid) == 100
             assert checked == req.length_range.centers()
 
+    @pytest.mark.parametrize("scan", [classify_grid, oracle_scan])
+    @pytest.mark.parametrize("device", [None, DEVICE], ids=["bare", "device"])
+    @pytest.mark.parametrize(
+        # the first center is negative; a span that overflows puts every center at inf
+        "pressures", [AxisRange(-10e3, 10e3, 4), AxisRange(-1.7e308, 1.7e308, 2)],
+        ids=["negative", "inf"],
+    )
+    def test_each_row_pressure_is_checked(self, scan, device, pressures):
+        # the pressure is checked before the device decides whether a row is grounded
+        req = SweepRequest(BODY, 0.444, pressures, AxisRange(0.0, 3.0, 4), device)
+        with pytest.raises(ValueError, match="^pressure must be finite and >= 0"):
+            scan(req)
+
     def test_length_is_named_before_pressure(self):
         # every row shares the lengths, so they are checked before any row
         req = SweepRequest(BODY, 0.0, AxisRange(-10e3, 10e3, 4), AxisRange(-0.5, 3.0, 4))
@@ -162,31 +174,33 @@ class TestGridRows:
 class TestRowFunctions:
     def test_row_is_length_independent(self):
         required = tail_tension_to_invert(BODY, 5e3)
-        row = solve_pressure_row(BODY, 5e3, 1 / 2.25, required)
+        row = solve_pressure_row_unchecked(BODY, 5e3, 1 / 2.25, required)
         assert row.model_used is ModelUsed.CURVED
         assert row.critical_length == transition_length(BODY, 5e3, 1 / 2.25)
         for length in (0.0, 0.3, 1.2, 4.0, 20.0):
             state = RobotState(length=length, pressure=5e3, curvature=1 / 2.25)
-            assert predict_at_length(row, length) == predict_behavior(BODY, state)
+            assert predict_at_length_unchecked(row, length) == predict_behavior(BODY, state)
 
     def test_no_critical_length_below_minimum_pressure(self):
-        row = solve_pressure_row(BODY, 100.0, 0.0, tail_tension_to_invert(BODY, 100.0))
+        required = tail_tension_to_invert(BODY, 100.0)
+        row = solve_pressure_row_unchecked(BODY, 100.0, 0.0, required)
         assert row.transition is None and row.critical_length is None
 
     def test_covered_device_row_is_grounded(self):
         force, required = device_assist(BODY, DEVICE, 2e3)
-        row = solve_pressure_row(BODY, 2e3, 0.0, required)
-        assert required is None and row == solve_pressure_row(BODY, 2e3, 0.0, None)
+        row = solve_pressure_row_unchecked(BODY, 2e3, 0.0, required)
+        assert required is None and row == solve_pressure_row_unchecked(BODY, 2e3, 0.0, None)
         assert row.grounded and row.required_tension == 0.0 and row.critical_length is None
         assert force == device_force_for_zero_tension(BODY, DEVICE, 2e3)
-        cell = predict_at_length(row, 30.0)
+        cell = predict_at_length_unchecked(row, 30.0)
         assert cell.verdict is Verdict.INVERT and math.isinf(cell.limiting_force)
 
     def test_bare_row_applies_no_force(self):
         force, required = device_assist(BODY, None, 2e3)
-        row = solve_pressure_row(BODY, 2e3, 0.0, required)
+        row = solve_pressure_row_unchecked(BODY, 2e3, 0.0, required)
         assert force == 0.0
-        assert row == solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
+        bare = solve_pressure_row_unchecked(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
+        assert row == bare
 
     @pytest.mark.parametrize("pressure", [0.0, 2e3, 5.9e3, 6.2e3, 12e3])
     @pytest.mark.parametrize("efficiency", [0.0, 0.4, 1.0])
@@ -218,33 +232,20 @@ class TestRowFunctions:
     def test_efficiency_is_checked_without_a_device(self, efficiency):
         # it was ignored on the bare path; it is checked before any row is solved
         with pytest.raises(ValueError, match="efficiency"):
-            _, required = device_assist(BODY, None, 2e3, efficiency)
-            solve_pressure_row(BODY, 2e3, 0.0, required)
+            device_assist(BODY, None, 2e3, efficiency)
 
     @pytest.mark.parametrize("kappa", [0.0, 1e-6, 2e-6, 0.444])
     def test_grounded_oracle_row(self, kappa):
         lengths = [0.0, 0.5, 3.0, 20.0]
-        cells = oracle_row(BODY, 2e3, kappa, None, tuple(length_terms(BODY, kappa, lengths)))
+        cells = oracle_row_unchecked(
+            BODY, 2e3, kappa, None, tuple(length_terms_unchecked(BODY, kappa, lengths))
+        )
         assert len(cells) == len(lengths) and len({id(cell) for cell in cells}) == 1
-        model = solve_pressure_row(BODY, 2e3, kappa, None).model_used
+        model = solve_pressure_row_unchecked(BODY, 2e3, kappa, None).model_used
         assert model is (ModelUsed.STRAIGHT if kappa < 1e-6 else ModelUsed.CURVED)
         assert cell_bits(cells[0]) == cell_bits(
             (Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, model, False)
         )
-
-    @pytest.mark.parametrize(
-        "pressure,curvature,lengths,name",
-        [
-            (2e3, 0.0, [1.0, -0.0625], "length"),
-            (math.nan, 0.0, [1.0], "pressure"),
-            (2e3, math.nan, [1.0], "curvature"),
-        ],
-    )
-    def test_grounded_oracle_row_checks_its_inputs(self, pressure, curvature, lengths, name):
-        with pytest.raises(ValueError, match=name):
-            # the terms check the lengths; the row checks pressure and curvature
-            terms = tuple(length_terms(BODY, 0.0, lengths))
-            oracle_row(BODY, pressure, curvature, None, terms)
 
     def test_clamped_moment_arm(self):
         kappa = 1 / 0.72
@@ -259,7 +260,7 @@ class TestRowFunctions:
 
 
 # (pressure, curvature, device, model): one row of each kind that
-# solve_pressure_row builds by position
+# solve_pressure_row_unchecked builds by position
 BUILT_ROWS = {
     "bare straight": (2e3, 0.0, None, ModelUsed.STRAIGHT),
     "curved": (5e3, 1 / 2.25, None, ModelUsed.CURVED),
@@ -275,7 +276,7 @@ class TestBuiltRows:
         # dropped would be a shorter tuple that no default fills in
         pressure, curvature, device, model = BUILT_ROWS[name]
         _, required = device_assist(BODY, device, pressure)
-        row = solve_pressure_row(BODY, pressure, curvature, required)
+        row = solve_pressure_row_unchecked(BODY, pressure, curvature, required)
         grounded, flagged = name == "grounded", name.endswith("flagged")
         if grounded:
             transition = math.inf
@@ -349,7 +350,7 @@ ROW_CASES = {
 def case_row(body, device, efficiency, p_scale, curvature):
     pressure = min_inversion_pressure(body) * p_scale
     _, required = device_assist(body, device, pressure, efficiency)
-    return solve_pressure_row(body, pressure, curvature, required)
+    return solve_pressure_row_unchecked(body, pressure, curvature, required)
 
 
 def row_case_examples(test):
@@ -379,20 +380,20 @@ class TestPredictRow:
         device, efficiency = device_efficiency
         row = case_row(body, device, efficiency, p_scale, curvature)
         lengths = row_lengths(l_hi, steps)
-        cells = list(predict_row(row, length_terms(body, curvature, lengths)))
+        cells = list(predict_row(row, length_terms_unchecked(body, curvature, lengths)))
         expected = [cell_bits(reference_cell(row, length)) for length in lengths]
         assert [cell_bits(cell) for cell in cells] == expected
         for j in range(1, len(cells)):
             if cells[j] is cells[j - 1]:
                 assert expected[j] == expected[j - 1]
-        assert cell_bits(predict_at_length(row, lengths[-1])) == expected[-1]
+        assert cell_bits(predict_at_length_unchecked(row, lengths[-1])) == expected[-1]
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
     def test_row_cases_cover_their_kind(self, name):
         device, efficiency, p_scale, curvature, l_hi = ROW_CASES[name]
         row = case_row(BODY, device, efficiency, p_scale, curvature)
         lengths = row_lengths(l_hi, 24)
-        cells = list(predict_row(row, length_terms(BODY, curvature, lengths)))
+        cells = list(predict_row(row, length_terms_unchecked(BODY, curvature, lengths)))
         past = [curvature * length > math.pi for length in lengths]
         crush = [cell.limiting_force == row.pressure * BODY.cross_section_area for cell in cells]
         shared = sum(b is a for a, b in zip(cells, cells[1:]))
@@ -414,13 +415,6 @@ class TestPredictRow:
             assert row.model_used is ModelUsed.CURVED and any(past) and not all(past)
             tail = [cell for cell, beyond in zip(cells, past) if beyond]
             assert len({id(cell) for cell in tail}) == 1 and tail[0].extrapolated
-
-    def test_length_errors_are_raised_where_they_are_reached(self):
-        row = solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
-        cells = predict_row(row, length_terms(BODY, 0.0, [1.0, math.nan, 2.0]))
-        assert next(cells) == predict_at_length(row, 1.0)
-        with pytest.raises(ValueError, match="length"):
-            next(cells)
 
     def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
         # the tips that reach the length terms, and the terms that reach the row
@@ -457,14 +451,22 @@ FLIP_BODIES = st.builds(
 )
 
 
+def in_the_cross_check_band(curvature, p_scale):
+    """Whether a curved row's pressure is within 1% above the minimum
+    inversion pressure, where the shape properties below skip their draws.
+
+    Near the straightness threshold and just above the minimum inversion
+    pressure, the curved closed form can miss the bisection root and raise
+    CrossCheckError (test_near_straight_small_body_has_a_transition), a
+    defect these properties do not test. So a curvature is 0 or at least
+    1e-5 /m, and a curved row's pressure is not within 1% above the minimum
+    inversion pressure: at 1e-5 /m the defect still reaches 1.0009 times it
+    on a 3 mm body.
+    """
+    return curvature != 0.0 and 1.0 < p_scale <= 1.01
+
+
 class TestOneFlipPerRow:
-    # Near the straightness threshold and just above the minimum inversion
-    # pressure, the curved closed form can miss the bisection root and raise
-    # CrossCheckError (test_near_straight_small_body_has_a_transition), a
-    # defect this property does not test. So a curvature is 0 or at least
-    # 1e-5 /m, and a curved row's pressure is not within 1% above the
-    # minimum inversion pressure: at 1e-5 /m the defect still reaches
-    # 1.0009 times it on a 3 mm body.
     @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=0.0)
     @example(body=BODY, device_efficiency=(DEVICE, 0.3), p_scale=4.0, curvature=1 / 0.72)
     @given(
@@ -479,13 +481,13 @@ class TestOneFlipPerRow:
         # a shape check that needs no solver: the verdicts of 201 lengths,
         # bare or behind the device, run INVERT then BUCKLE and change where
         # the row's transition says
-        assume(curvature == 0.0 or not 1.0 < p_scale <= 1.01)
+        assume(not in_the_cross_check_band(curvature, p_scale))
         device, efficiency = device_efficiency
         row = case_row(body, device, efficiency, p_scale, curvature)
         critical = row.critical_length
         l_hi = 3.0 * critical if critical else 30.0
         lengths = [l_hi * i / 200 for i in range(201)]
-        cells = predict_row(row, length_terms(body, curvature, lengths))
+        cells = predict_row(row, length_terms_unchecked(body, curvature, lengths))
         verdicts = [cell.verdict for cell in cells]
         inverting = verdicts.count(Verdict.INVERT)
         assert verdicts == [Verdict.INVERT] * inverting + [Verdict.BUCKLE] * (201 - inverting)
@@ -499,13 +501,59 @@ class TestOneFlipPerRow:
                 assert verdict is Verdict.BUCKLE
 
 
+class TestMoreDeviceIsNeverWorse:
+    @example(body=BODY, p_scale=4.0, curvature=0.0, length=3.0)
+    @example(body=BODY, p_scale=4.0, curvature=1 / 0.72, length=1.0)
+    @given(
+        body=FLIP_BODIES,
+        p_scale=log_uniform(math.log10(0.6), 3.0),
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.0),
+        length=log_uniform(-2.0, 2.0),
+    )
+    def test_raising_the_efficiency_never_turns_invert_into_buckle(
+        self, body, p_scale, curvature, length
+    ):
+        # 40 efficiencies over [0, 1] on one operating point: BUCKLE, then INVERT
+        assume(not in_the_cross_check_band(curvature, p_scale))
+        state = RobotState(length, min_inversion_pressure(body) * p_scale, curvature)
+        verdicts = [
+            predict_with_device(body, DEVICE, state, i / 39).verdict for i in range(40)
+        ]
+        buckling = verdicts.count(Verdict.BUCKLE)
+        assert verdicts == [Verdict.BUCKLE] * buckling + [Verdict.INVERT] * (40 - buckling)
+
+
+class TestOnePressureBandPerLength:
+    # The band has an upper end: the straight transition falls like
+    # 1/sqrt(P) at high pressure.
+    @example(body=BODY, curvature=0.0, length=1.0)
+    @example(body=BODY, curvature=1 / 2.25, length=0.2)
+    @given(
+        body=FLIP_BODIES,
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.0),
+        length=log_uniform(-2.0, 2.0),
+    )
+    def test_the_inverting_pressures_form_one_interval(self, body, curvature, length):
+        # 150 pressures from 0.5 to 10^4 times the minimum inversion pressure
+        p_scales = [0.5 * 2e4 ** (i / 149) for i in range(150)]
+        p_min = min_inversion_pressure(body)
+        verdicts = [
+            predict_behavior(body, RobotState(length, p_min * p_scale, curvature)).verdict
+            for p_scale in p_scales
+            if not in_the_cross_check_band(curvature, p_scale)
+        ]
+        inverting = [i for i, verdict in enumerate(verdicts) if verdict is Verdict.INVERT]
+        if inverting:
+            assert inverting == list(range(inverting[0], inverting[-1] + 1))
+
+
 class TestLengthTerms:
     @pytest.mark.parametrize(
         "kappa", [0.0, 5e-7, math.nextafter(mechanics.KAPPA_STRAIGHT, 0.0)]
     )
     def test_no_arm_below_the_straightness_threshold(self, kappa):
         lengths = [0.0, 1.0, 3.0, 1e7]
-        terms = list(length_terms(BODY, kappa, lengths))
+        terms = list(length_terms_unchecked(BODY, kappa, lengths))
         assert [length for length, _, _ in terms] == lengths
         assert all(arm is None for _, _, arm in terms)
         assert [past for _, past, _ in terms] == [kappa * length > math.pi for length in lengths]
@@ -514,14 +562,10 @@ class TestLengthTerms:
     @pytest.mark.parametrize("kappa", [mechanics.KAPPA_STRAIGHT, 1 / 2.25, 1 / 0.72])
     def test_arm_is_the_clamped_moment_arm(self, kappa):
         lengths = [0.0, 0.5, 3.0, 20.0]
-        for length, (term_length, past, arm) in zip(lengths, length_terms(BODY, kappa, lengths)):
+        terms = length_terms_unchecked(BODY, kappa, lengths)
+        for length, (term_length, past, arm) in zip(lengths, terms):
             assert term_length is length and past is (kappa * length > math.pi)
             assert float.hex(arm) == float.hex(clamped_moment_arm(BODY, kappa, length))
-
-    @pytest.mark.parametrize("kappa", [math.nan, -1.0, math.inf])
-    def test_curvature_is_checked(self, kappa):
-        with pytest.raises(ValueError, match="curvature"):
-            next(length_terms(BODY, kappa, [1.0]))
 
 
 def reference_oracle(request):
@@ -700,20 +744,6 @@ class TestNonFiniteInputs:
         # it used to raise CrossCheckError, which reports an implementation bug
         with pytest.raises(ValueError):
             transition_length(BODY, math.nan, 0.444)
-
-    @pytest.mark.parametrize(
-        "pressure,curvature", [(math.nan, 0.0), (math.inf, 0.0), (2e3, math.nan), (2e3, math.inf)]
-    )
-    @pytest.mark.parametrize("grounded", [False, True])
-    def test_row_solver(self, pressure, curvature, grounded):
-        with pytest.raises(ValueError):
-            solve_pressure_row(BODY, pressure, curvature, None if grounded else 5.0)
-
-    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
-    def test_row_length(self, length):
-        row = solve_pressure_row(BODY, 2e3, 0.0, tail_tension_to_invert(BODY, 2e3))
-        with pytest.raises(ValueError):
-            predict_at_length(row, length)
 
     def test_nan_step_scenario_is_rejected(self):
         # the episode never ended; only the constructor runs here

@@ -154,10 +154,9 @@ def load_measurements(
 
     Rows may appear in any order. Raises MeasurementError with the 1-based
     data row index for malformed rows, EmptyMeasurementFileError for files
-    with no data.
+    with no data, and ValueError (from ``parse_measurements``) for an
+    unknown kind.
     """
-    if kind not in ("tension", "aperture"):
-        raise ValueError(f"unknown measurement kind {kind!r}")
     text = Path(path).read_text(encoding="utf-8")
     return parse_measurements(text, kind)
 

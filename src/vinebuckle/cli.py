@@ -239,13 +239,19 @@ def load_config_from_doc(doc: dict) -> tuple[BodySpec, DeviceSpec, float, dict]:
     # routing aperture defaults to the tip ring.
     fields.setdefault("tip_ring_area", _ring_area(3.2))
     fields.setdefault("routing_aperture_area", fields["tip_ring_area"])
-    return body, DeviceSpec(**fields), efficiency, doc.get("defaults", {})
+    return body, DeviceSpec(**fields), efficiency, _object(doc, "defaults")
 
 
-def _section(doc: dict, name: str, table: dict) -> dict:
+def _object(doc: dict, name: str) -> dict:
+    """The config section ``name``, which must be a JSON object; {} when absent."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
+    return section
+
+
+def _section(doc: dict, name: str, table: dict) -> dict:
+    section = _object(doc, name)
     unknown = set(section) - set(table)
     if unknown:
         raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")

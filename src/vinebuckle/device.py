@@ -138,7 +138,7 @@ def device_force_for_zero_tension(
     return _zero_tension_need(body, pressure, aperture_inversion_force(device))
 
 
-# The two equations, unchecked: the functions above check first, and
+# The two equations, unchecked: their callers check first, and
 # device_assist_unchecked calls them on every row and scheduled step.
 def _zero_tension_need(body: BodySpec, pressure: float, f_i: float) -> float:
     return pressure * body.cross_section_area + 2.0 * f_i
@@ -167,12 +167,15 @@ def max_zero_tension_pressure(
 
     (efficiency * F_max - 2*F_I) / A for efficiency in [0, 1], floored at
     zero. ``inversion_force`` defaults to the aperture model value; pass
-    ``body.inversion_force`` for the device-free bare offset.
+    ``body.inversion_force`` for the device-free bare offset. Raises
+    ValueError where the available force efficiency * F_max overflows.
     """
     units.check("efficiency", efficiency, hi=1.0)
     f_i = aperture_inversion_force(device) if inversion_force is None else inversion_force
     units.check("inversion_force", f_i, lo=-math.inf)
-    ceiling = (efficiency * max_device_force(device) - 2.0 * f_i) / body.cross_section_area
+    available = efficiency * max_device_force(device)
+    units.check("device_force", available)
+    ceiling = (available - 2.0 * f_i) / body.cross_section_area
     return max(ceiling, 0.0)
 
 
@@ -184,10 +187,12 @@ def efficiency_for_pressure_ceiling(
     Back-solves ``max_zero_tension_pressure`` for efficiency, so field data on
     the highest self-retraction pressure calibrates the drivetrain losses.
     Raises ValueError when the ceiling is above the lossless one, which no
-    efficiency in [0, 1] reaches.
+    efficiency in [0, 1] reaches, or where the zero-tension need there
+    overflows.
     """
     units.check("max_pressure", max_pressure)
-    needed = device_force_for_zero_tension(body, device, max_pressure)
+    needed = _zero_tension_need(body, max_pressure, aperture_inversion_force(device))
+    units.check("device_force", needed)
     efficiency = needed / max_device_force(device)
     if efficiency > 1.0:
         raise ValueError(

@@ -254,11 +254,14 @@ def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:
     """Smallest moment arm at which buckling wins over inversion.
 
     Equals R at the minimum inversion pressure and approaches 2R at high
-    pressure. Requires pressure > 0.
+    pressure. Requires pressure > 0. Raises ValueError where the required
+    tension P*A/2 + F_I overflows.
     """
     units.check("pressure", pressure, lo_open=True)
     pa = pressure * body.cross_section_area
-    return pa * body.radius / (0.5 * pa + body.inversion_force)
+    required = 0.5 * pa + body.inversion_force
+    units.check("required_tension", required, lo=-math.inf)
+    return pa * body.radius / required
 
 
 def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> float:
@@ -345,15 +348,26 @@ def solve_pressure_row_unchecked(
     tension the base must supply, or None for a grounded row, which skips
     the dispatch and inverts at every length with zero required tension. A
     curved body is modeled as straight when the transverse model has no
-    transition or predicts a longer one than the straight model. Trusts its
-    inputs: a finite pressure and curvature >= 0 and a finite required
-    tension, checked by its caller.
+    transition or predicts a longer one than the straight model. A closed
+    form that fails its residual test is confirmed by its model's bisection
+    kernel, which trusts the same inputs. Trusts its inputs: a finite
+    pressure and curvature >= 0 and a finite required tension, checked by
+    its caller.
     """
     if required_tension is None:
         return tuple.__new__(PressureRow, (
             body, pressure, curvature, 0.0, _grounded_model(curvature), math.inf, False, True
         ))
-    model, transition, extrapolated = _select_model(body, pressure, curvature, required_tension)
+    model, extrapolated = _STRAIGHT, False
+    transition = _straight_transition_for(body, pressure, required_tension)
+    if curvature >= KAPPA_STRAIGHT:  # else below the straightness threshold
+        curved = _curved_transition_for(body, pressure, curvature, required_tension)
+        if curved is None:  # crush at zero length
+            pass
+        elif math.isinf(curved):  # curved buckling unreachable: flagged
+            extrapolated = True
+        elif transition is not None and (math.isinf(transition) or not curved > transition):
+            model, transition = _CURVED, curved  # else curved longer than straight
     return tuple.__new__(PressureRow, (
         body, pressure, curvature, required_tension, model, transition, extrapolated, False
     ))
@@ -481,8 +495,9 @@ def straight_transition_bisect(
     body: BodySpec, pressure: float, required: float
 ) -> Optional[float]:
     """Straight transition at a given required tension by bisection on the
-    force balance, sharing no algebra with the closed form: its fallback and
-    the oracle's solver. None: crush at zero length. inf: inverts everywhere."""
+    force balance, sharing no algebra with the closed form. Its kernel,
+    ``_straight_bisect_for``, is the closed form's fallback and the oracle's
+    solver. None: crush at zero length. inf: inverts everywhere."""
     units.check("required_tension", required, lo=-math.inf)
     units.check("pressure", pressure)
     return _straight_bisect_for(body, pressure, required)
@@ -512,9 +527,10 @@ def curved_transition_bisect(
     body: BodySpec, pressure: float, curvature: float, required: float
 ) -> Optional[float]:
     """Curved transition at a given required tension by bisection on the
-    moment balance over [0, pi/kappa]: the closed form's fallback and the
-    oracle's solver. None and inf as for ``curved_transition_length``. The
-    arm is clamped because kappa * (pi/kappa) may round past pi."""
+    moment balance over [0, pi/kappa]. Its kernel, ``_curved_bisect_for``,
+    is the closed form's fallback and the oracle's solver. None and inf as
+    for ``curved_transition_length``. The arm is clamped because
+    kappa * (pi/kappa) may round past pi."""
     units.check("curvature", curvature)
     units.check("required_tension", required, lo=-math.inf)
     units.check("pressure", pressure)
@@ -658,9 +674,9 @@ def _within_rounding(residual: float, force: float) -> bool:
 
 def _confirmed(closed: float, root: Optional[float]) -> float:
     """``closed`` once the bisection ``root`` confirms it: a closed form
-    whose residual fails ``_within_rounding`` passes its model's bisection
-    root here. Raises CrossCheckError where the two differ by more than
-    1e-6 m."""
+    whose residual fails ``_within_rounding`` passes the root of its model's
+    bisection kernel here. Raises CrossCheckError where the two differ by
+    more than 1e-6 m."""
     if abs(root - closed) > _TRANSITION_TOL_M:
         raise CrossCheckError(
             f"closed-form transition {closed} m disagrees with bisection {root} m"
@@ -685,7 +701,7 @@ def _straight_transition_for(
     residual = num / (den_const + den_slope * closed * closed) - required
     if _within_rounding(residual, required):
         return closed
-    return _confirmed(closed, straight_transition_bisect(body, pressure, required))
+    return _confirmed(closed, _straight_bisect_for(body, pressure, required))
 
 
 def _curved_transition_for(
@@ -717,29 +733,5 @@ def _curved_transition_for(
     residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
     if _within_rounding(residual, required):
         return closed
-    return _confirmed(closed, curved_transition_bisect(body, pressure, curvature, required))
-
-
-def _select_model(
-    body: BodySpec, pressure: float, curvature: float, required: float
-) -> tuple[ModelUsed, Optional[float], bool]:
-    """Pick straight vs curved model; return (model, transition, extrapolated hint).
-
-    A curved body is still modeled as straight when the transverse model has
-    no transition or predicts a longer one than the straight model.
-    """
-    straight = _straight_transition_for(body, pressure, required)
-    if curvature < KAPPA_STRAIGHT:
-        return _STRAIGHT, straight, False
-    curved = _curved_transition_for(body, pressure, curvature, required)
-    if curved is None:
-        return _STRAIGHT, straight, False
-    if math.isinf(curved):
-        # buckling unreachable within the moment-arm range; fall back, flagged
-        return _STRAIGHT, straight, True
-    if straight is None:
-        return _STRAIGHT, straight, False
-    if not math.isinf(straight) and curved > straight:
-        return _STRAIGHT, straight, False
-    return _CURVED, curved, False
+    return _confirmed(closed, _curved_bisect_for(body, pressure, curvature, required))
 

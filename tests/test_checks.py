@@ -26,6 +26,9 @@ from vinebuckle import (
     cli,
     curved_transition_length,
     device_assist,
+    efficiency_for_pressure_ceiling,
+    max_zero_tension_pressure,
+    min_buckling_moment_arm,
     oracle_scan,
     predict_behavior,
     predict_with_device,
@@ -71,12 +74,27 @@ def checks_of(names, call, *args):
     return list(names)
 
 
+# just above the straightness threshold, where the curved closed form
+# cancels and falls back to bisection at 2 and 9 kPa
+NEAR_STRAIGHT = 2e-6
+
+
 class TestChecksPerRequest:
-    @pytest.mark.parametrize("kappa", [0.0, 0.444])
+    @pytest.mark.parametrize("kappa", [0.0, NEAR_STRAIGHT, 0.444])
     @pytest.mark.parametrize("length,pressure", [(0.0, 0.0), (1.0, 2e3), (50.0, 9e3)])
     def test_a_prediction_checks_only_its_required_tension(self, checks, kappa, length, pressure):
         state = RobotState(length, pressure, kappa)
         assert checks_of(checks, predict_behavior, BODY, state) == ["required_tension"]
+
+    @pytest.mark.parametrize("kappa", [0.0, NEAR_STRAIGHT, 0.444])
+    @pytest.mark.parametrize("pressure", [0.0, 2e3, 9e3])
+    def test_a_transition_checks_its_inputs_and_required_tension(self, checks, kappa, pressure):
+        names = checks_of(checks, transition_length, BODY, pressure, kappa)
+        assert names == ["pressure", "curvature", "required_tension"]
+
+    def test_a_pressure_ceiling_checks_its_pressure_once(self, checks):
+        names = checks_of(checks, efficiency_for_pressure_ceiling, BODY, DEVICE, 2e3)
+        assert names == ["max_pressure", "device_force"]
 
     @pytest.mark.parametrize("kappa", [0.0, 0.444])
     @pytest.mark.parametrize(
@@ -92,7 +110,7 @@ class TestChecksPerRequest:
         assert names == ["efficiency", *derived]
 
     @pytest.mark.parametrize("scan", [classify_grid, oracle_scan])
-    @pytest.mark.parametrize("kappa", [0.0, 0.444])
+    @pytest.mark.parametrize("kappa", [0.0, NEAR_STRAIGHT, 0.444])
     @pytest.mark.parametrize("device", [None, DEVICE], ids=["bare", "device"])
     def test_a_diagram_checks_each_length_once_and_each_row_alike(
         self, checks, scan, kappa, device
@@ -169,6 +187,22 @@ class TestOverflowIsRejected:
     def test_device_prediction(self, body, device, efficiency, message):
         with pytest.raises(ValueError, match=message):
             predict_with_device(body, device, RobotState(1.0, 1e3), efficiency)
+
+    # each derives a tension or force that overflows on finite inputs, where
+    # its result would be NaN (inf/inf)
+    DERIVED = {
+        "min_buckling_moment_arm": (lambda: min_buckling_moment_arm(HUGE, 2e3), REQUIRED_INF),
+        "max_zero_tension_pressure": (
+            lambda: max_zero_tension_pressure(HUGE, FORCEFUL), DEVICE_INF),
+        "efficiency_for_pressure_ceiling": (
+            lambda: efficiency_for_pressure_ceiling(HUGE, FORCEFUL, 2e3), DEVICE_INF),
+    }
+
+    @pytest.mark.parametrize("function", sorted(DERIVED))
+    def test_a_derived_force_that_overflows_is_rejected(self, function):
+        call, message = self.DERIVED[function]
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_device_assist_rejects_an_infinite_grounded_force(self):
         # eta*F_max and the zero-tension need P*A + 2*F_I are both inf, so

@@ -17,9 +17,12 @@ from vinebuckle import (
     DeviceSpec,
     Scenario,
     SweepRequest,
+    Verdict,
     cli,
+    crushing_force,
     device_assist,
     diagrams_agree,
+    max_device_force,
     mechanics,
     sweep,
 )
@@ -33,11 +36,18 @@ DATA = """pressure_kpa,tension_n
 DEVICE_INFO = ("device", "info")
 PREDICT = ("predict", "--pressure-kpa", "2", "--length-cm", "100")
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block after the README line ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n{heading}\n")
+    return re.compile(rf"^```{lang}\n(.*?)^```$", re.M | re.S).search(text, start).group(1)
+
+
 SCENARIOS = {
-    # the README's scenario document
-    "scenario.json": {"mode": "retract", "initial_length_cm": 300, "pressure_kpa": 2.0,
-                      "kappa_per_m": 0.0, "step_cm": 1.0, "device": True, "efficiency": 1.0,
-                      "motor_rpm": 33, "base_takeup": True},
+    "scenario.json": json.loads(readme_block("### Scenario document", "json")),
     "grow.json": {"mode": "grow", "initial_length_cm": 0, "target_length_cm": 300,
                   "pressure_schedule": [[0, 1.5], [300, 3.0]]},
 }
@@ -47,6 +57,36 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestReadme:
+    def test_the_library_example_prints_its_commented_figures(self):
+        code = readme_block("## Library", "python")
+        printed = []
+        exec(compile(code, str(README), "exec"), {"print": printed.append})
+        prediction, force, ceiling = printed
+        assert "# INVERT, crush-limited, 2.17 N margin" in code
+        assert prediction.verdict is Verdict.INVERT
+        assert prediction.limiting_force == crushing_force(BodySpec(), 2e3)
+        assert round(prediction.margin, 2) == 2.17
+        assert "# 40.83 N" in code and round(force, 2) == 40.83
+        assert "# ~5962 Pa" in code and round(ceiling) == 5962
+
+    def test_the_config_document_builds(self):
+        doc = json.loads(readme_block("### Config document", "json"))
+        body, device, efficiency, defaults = cli.load_config_from_doc(doc)
+        assert body == BodySpec() and efficiency == 1.0
+        assert max_device_force(device) == max_device_force(DeviceSpec())
+        assert device.routing_aperture_area == pytest.approx(8.04e-4)
+        assert defaults == {"units": "kPa/cm/N at the boundary, SI inside"}
+
+    def test_the_scenario_document_builds(self):
+        scenario, mode = cli.scenario_from_json(SCENARIOS["scenario.json"])
+        assert mode == "retract" and scenario.body == BodySpec()
+        assert (scenario.initial_length, scenario.pressure, scenario.curvature) == (3.0, 2e3, 0.0)
+        assert scenario.step == 0.01 and scenario.device is not None
+        assert scenario.efficiency == 1.0 and scenario.base_takeup is True
+        assert scenario.motor_speed == DeviceSpec().motor_speed_max
 
 
 class TestPredict:
@@ -625,6 +665,7 @@ class TestConfig:
             ("[]", PREDICT, "config document must be a JSON object"),
             ('{"motor": {}}', PREDICT, "unknown config sections: ['motor']"),
             ('{"body": 1}', DEVICE_INFO, "config section 'body' must be a JSON object"),
+            ('{"defaults": 5}', PREDICT, "config section 'defaults' must be a JSON object"),
         ],
     )
     def test_bad_value_exits_2(self, capsys, tmp_path, text, argv, message):

@@ -93,11 +93,13 @@ class TestAcosClamp:
 
     def test_nan_clamps_to_one(self):
         # a NaN required tension passes every guard, so cos_arg is NaN; the
-        # clamp hands acos 1.0 and the fallback's input check then rejects it
+        # clamp hands acos 1.0, and the NaN residual sends the closed form to
+        # the bisection kernel, which trusts its input and whose root then
+        # disagrees (every entry rejects a NaN tension before this point)
         seen = []
         with mock.patch.object(
             mechanics.math, "acos", side_effect=lambda x: seen.append(x) or 0.0
-        ), pytest.raises(ValueError, match="required_tension"):
+        ), pytest.raises(mechanics.CrossCheckError, match="disagrees"):
             mechanics._curved_transition_for(BODY, 2e3, 0.444, math.nan)
         assert [x.hex() for x in seen] == [(1.0).hex()]
 

@@ -18,7 +18,6 @@ WHOLE = [
     ("mechanics", "predict_row"),
     ("mechanics", "oracle_row_unchecked"),
     ("mechanics", "solve_pressure_row_unchecked"),
-    ("mechanics", "_select_model"),
     ("mechanics", "_grounded_model"),
 ]
 # loop once per cell or step: no member read inside a loop

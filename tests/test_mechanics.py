@@ -492,16 +492,16 @@ class TestTransitionCrossCheck:
             # true root is near 2.39 m
             _confirmed(1.0, straight_transition_bisect(body, 2e3, required))
 
-    # (solver name, closed form) on the reference body at 2 kPa, whose
+    # (bisection kernel, closed form) on the reference body at 2 kPa, whose
     # residuals are -1.8e-15 N and -3.6e-15 N: nonzero, so a tolerance can
     # be set an ulp below them
     CLOSED_FORMS = {
         "straight": (
-            "straight_transition_bisect",
+            "_straight_bisect_for",
             lambda body, required: mechanics._straight_transition_for(body, 2e3, required),
         ),
         "curved": (
-            "curved_transition_bisect",
+            "_curved_bisect_for",
             lambda body, required: mechanics._curved_transition_for(
                 body, 2e3, K_MEDIUM, required
             ),
@@ -568,7 +568,7 @@ class TestTransitionCrossCheck:
         from vinebuckle import mechanics
 
         calls = []
-        for name in ("bisect_root", "straight_transition_bisect", "curved_transition_bisect"):
+        for name in ("bisect_root", "_straight_bisect_for", "_curved_bisect_for"):
             solver = getattr(mechanics, name)
             monkeypatch.setattr(
                 mechanics, name, lambda *a, s=solver, n=name: calls.append(n) or s(*a)
@@ -593,11 +593,9 @@ class TestTransitionCrossCheck:
         # the value returned is still the closed form's
         from vinebuckle import mechanics
 
-        calls = []
+        calls, solver = [], mechanics._curved_bisect_for
         monkeypatch.setattr(
-            mechanics,
-            "curved_transition_bisect",
-            lambda *a: calls.append(a) or curved_transition_bisect(*a),
+            mechanics, "_curved_bisect_for", lambda *a: calls.append(a) or solver(*a)
         )
         length = curved_transition_length(body, pressure, 2e-6)
         assert length.hex() == self.NEAR_STRAIGHT[pressure]

@@ -547,6 +547,30 @@ class TestOnePressureBandPerLength:
             assert inverting == list(range(inverting[0], inverting[-1] + 1))
 
 
+class TestMoreCurvatureIsNeverBetter:
+    # Beyond kappa*R = 1 it can be: the row falls back to the straight model,
+    # flagged, and inverts (README, "Where the model holds").
+    @example(body=BODY, p_scale=2e3 / min_inversion_pressure(BODY), length=1.0)
+    @example(body=BODY, p_scale=4.0, length=0.2)
+    @given(
+        body=FLIP_BODIES,
+        p_scale=log_uniform(math.log10(0.6), 3.0),
+        length=log_uniform(-2.0, 2.0),
+    )
+    def test_raising_the_curvature_never_turns_buckle_into_invert(self, body, p_scale, length):
+        # 40 curvatures from 1e-5 /m to 1/R at one operating point: INVERT,
+        # then BUCKLE
+        assume(not in_the_cross_check_band(1e-5, p_scale))
+        pressure = min_inversion_pressure(body) * p_scale
+        lo, hi = 1e-5, 1.0 / body.radius
+        verdicts = [
+            predict_behavior(body, RobotState(length, pressure, kappa)).verdict
+            for kappa in (min(hi, lo * (hi / lo) ** (i / 39)) for i in range(40))
+        ]
+        inverting = verdicts.count(Verdict.INVERT)
+        assert verdicts == [Verdict.INVERT] * inverting + [Verdict.BUCKLE] * (40 - inverting)
+
+
 class TestLengthTerms:
     @pytest.mark.parametrize(
         "kappa", [0.0, 5e-7, math.nextafter(mechanics.KAPPA_STRAIGHT, 0.0)]
@@ -691,8 +715,8 @@ class TestOracleMatchesReference:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached the closed-form path")
 
-        for name in ("_straight_transition_for", "_curved_transition_for", "_select_model",
-                     "predict_row"):
+        for name in ("_straight_transition_for", "_curved_transition_for",
+                     "solve_pressure_row_unchecked", "predict_row"):
             monkeypatch.setattr(mechanics, name, forbidden)
         assert repr(oracle_scan(req).grid) == expected
 

@@ -89,6 +89,13 @@ class BodySpec:
         for name in ("radius", "wall_thickness", "youngs_modulus", "shear_modulus"):
             units.check(name, getattr(self, name), lo_open=True)
         units.check("inversion_force", self.inversion_force)
+        # every force scales with or divides by the area; a subnormal one has
+        # lost digits, and a zero one divides by zero
+        if math.pi * self.radius * self.radius < sys.float_info.min:
+            raise ValueError(
+                "radius must give a cross-section area pi*R^2 within the normal "
+                f"numeric range, got {self.radius}"
+            )
 
     # Derived constants are computed on first use and kept in the instance
     # ``__dict__``, which no field, ``==``, ``hash`` or ``repr`` reads. Each
@@ -261,7 +268,10 @@ def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:
     pa = pressure * body.cross_section_area
     required = 0.5 * pa + body.inversion_force
     units.check("required_tension", required, lo=-math.inf)
-    return pa * body.radius / required
+    par = pa * body.radius
+    if par == math.inf:  # P*A*R overflows, though the arm is below 2R
+        return pa / required * body.radius
+    return par / required
 
 
 def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> float:
@@ -463,11 +473,28 @@ def predict_row(
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """A root of ``f`` in [lo, hi] by bisection, to adjacent floats or 200 halvings.
+    """Bisection's root of ``f`` in [lo, hi]: the midpoint of its bracket once
+    the ends are adjacent floats, or after 200 halvings.
 
     An end point where ``f`` is exactly 0 is returned as it is. Raises
     CrossCheckError when ``f`` has the same sign at both ends, since every
     caller builds its bracket to straddle a root.
+
+    The bracket is narrowed by Illinois (modified regula falsi) steps, with
+    bisection's rule for which end a point replaces: ``lo`` keeps f's
+    starting sign, and a point where ``f_lo * f_x <= 0`` becomes ``hi``. A
+    secant point on or past an end is moved to the float next to that end,
+    inside the bracket; a NaN one, or three steps that together failed to
+    halve the bracket, take the midpoint instead. Where that rule sends
+    every float below one point to ``lo`` and every float above it to
+    ``hi``, as it does for the transition gaps (monotone in floating point:
+    IEEE +, -, * and / are, and so is the arm's sin on [0, pi/2]), both
+    methods close on the same adjacent pair, so the root is bisection's bit
+    for bit; on the transition gaps it takes under a third of halving's
+    evaluations. Where bisection's 200 halvings may stop short of that pair
+    (a bracket over 2**180 times the pair's width), or 200 steps leave the
+    bracket open, bisection's halvings are replayed over the known bracket,
+    evaluating ``f`` only at midpoints not yet decided.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -479,15 +506,68 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         raise CrossCheckError(
             f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
         )
+    start = lo, hi
+    # the secant's weights: f at each end, the kept end's halved each time
+    # the other end moves twice in a row
+    w_lo, w_hi = f_lo, f_hi
+    moved = 0  # +1 after hi moved, -1 after lo moved
+    width_1 = width_2 = width_3 = math.inf  # the bracket's width 1, 2, 3 steps ago
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # halving closes a bracket in about log2 of its width over the
+            # pair's, plus a few steps for rounding; past 180 its 200
+            # halvings may run out first
+            if start[1] - start[0] <= (hi - lo) * 2.0**180:
+                return mid
+            break
+        width = hi - lo
+        x = mid
+        if not width > 0.5 * width_3:
+            secant = lo + width * (w_lo / (w_lo - w_hi))
+            if lo < secant < hi:
+                x = secant
+            elif secant >= hi:
+                x = math.nextafter(hi, lo)
+            elif secant <= lo:
+                x = math.nextafter(lo, hi)
+        width_3, width_2, width_1 = width_2, width_1, width
+        f_x = f(x)
+        if f_lo * f_x <= 0:
+            if moved > 0:
+                w_lo *= 0.5
+            hi, w_hi, moved = x, f_x, 1
+        else:
+            if moved < 0:
+                w_hi *= 0.5
+            lo, f_lo, w_lo, moved = x, f_x, f_x, -1
+    return _replay_halvings(f, start, lo, hi, f_lo)
+
+
+def _replay_halvings(
+    f: Callable[[float], float], start: tuple[float, float], a: float, b: float, f_a: float
+) -> float:
+    """Bisection's 200 halvings of the ``start`` bracket, given that every
+    float up to ``a`` (where f is ``f_a``) keeps f's starting sign and every
+    float from ``b`` on does not: ``f`` is evaluated only at midpoints
+    strictly between them. For brackets that 200 halvings, or 200 steps of
+    ``bisect_root``, may not close."""
+    lo, hi = start
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0:
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
+            f_mid = f(mid)
+            if f_a * f_mid <= 0:
+                hi = b = mid
+            else:
+                lo = a = mid
+                f_a = f_mid
     return 0.5 * (lo + hi)
 
 

@@ -662,6 +662,8 @@ class TestConfig:
             # R**4 overflowed, pi*R*R underflowed to a division by zero: tracebacks
             ('{"body": {"radius_cm": 1e100}}', PREDICT, "numeric range"),
             ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO, "numeric range"),
+            # pi*R^2 is 0: predict exited 0 with limit_n 0
+            ('{"body": {"radius_cm": 1e-168}}', PREDICT, "radius must give a cross-section area"),
             ("[]", PREDICT, "config document must be a JSON object"),
             ('{"motor": {}}', PREDICT, "unknown config sections: ['motor']"),
             ('{"body": 1}', DEVICE_INFO, "config section 'body' must be a JSON object"),

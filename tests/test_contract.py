@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -69,6 +70,17 @@ BELOW_1E300 = (-INF, math.nextafter(1e300, -INF), False)
 UNIT = (0.0, 1.0, False)
 
 
+def smallest_radius():
+    """The smallest radius whose cross-section area pi*R^2 is a normal float."""
+    radius = math.sqrt(sys.float_info.min / math.pi)
+    while math.pi * radius * radius >= sys.float_info.min:
+        radius = math.nextafter(radius, 0.0)
+    return math.nextafter(radius, INF)
+
+
+NORMAL_AREA = (smallest_radius(), INF, False)
+
+
 def within(value, rule):
     lo, hi, lo_open = rule
     above = lo < value if lo_open else lo <= value
@@ -93,8 +105,9 @@ def flat(result):
 
 # constructor: (factory taking one value, range of that field)
 FIELDS = {
+    "BodySpec.radius": (lambda v: BodySpec(radius=v), NORMAL_AREA),
     **{f"BodySpec.{n}": (lambda v, n=n: BodySpec(**{n: v}), GT0)
-       for n in ("radius", "wall_thickness", "youngs_modulus", "shear_modulus")},
+       for n in ("wall_thickness", "youngs_modulus", "shear_modulus")},
     "BodySpec.inversion_force": (lambda v: BodySpec(inversion_force=v), GE0),
     **{f"RobotState.{n}": (lambda v, n=n: RobotState(**{"length": 1.0, "pressure": 2e3, n: v}), GE0)
        for n in ("length", "pressure", "curvature")},

@@ -48,6 +48,8 @@ from vinebuckle.mechanics import (
     solve_pressure_row_unchecked,
 )
 
+from test_contract import smallest_radius
+
 K_SMALL = 1 / 4.55   # 455 cm radius of curvature
 K_MEDIUM = 1 / 2.25  # 225 cm
 K_LARGE = 1 / 0.72   # 72 cm
@@ -204,6 +206,27 @@ class TestMinBucklingMomentArm:
         assert min_buckling_moment_arm(body, 2e3) == pytest.approx(
             0.05257317086665625, rel=1e-12
         )
+
+    def test_arm_where_the_moment_overflows(self):
+        # P*A*R = 3.1e310 overflows; the arm is about 2R
+        arm = min_buckling_moment_arm(BodySpec(radius=1e100), 1e10)
+        assert arm == pytest.approx(2e100, rel=1e-12)
+
+    @given(
+        radius=st.floats(-3.0, 150.0).map(lambda e: 10.0**e),
+        pressure=st.floats(0.0, 300.0).map(lambda e: 10.0**e),
+    )
+    def test_finite_arms_keep_their_bits(self, radius, pressure):
+        body = BodySpec(radius=radius)
+        pa = pressure * body.cross_section_area
+        required = 0.5 * pa + body.inversion_force
+        assume(math.isfinite(required))
+        expected = pa * body.radius / required
+        arm = min_buckling_moment_arm(body, pressure)
+        if math.isfinite(expected):
+            assert arm.hex() == expected.hex()
+        else:  # P*A*R overflowed; the arm is still between R and 2R
+            assert body.radius <= arm <= 2 * body.radius
 
 
 class TestWallTension:
@@ -663,6 +686,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             RobotState(**kwargs)
 
+    @pytest.mark.parametrize("radius", [1e-160, 1e-170, 5e-324])
+    def test_radius_whose_area_underflows(self, radius):
+        # pi*R^2 subnormal (at 1e-160 m max_zero_tension_pressure returned
+        # inf) or zero (at 1e-170 m min_inversion_pressure divided by zero)
+        with pytest.raises(ValueError, match="^radius must give a cross-section area"):
+            BodySpec(radius=radius)
+
+    def test_smallest_radius_with_a_normal_area(self):
+        radius = smallest_radius()
+        assert BodySpec(radius=radius).cross_section_area >= sys.float_info.min
+        with pytest.raises(ValueError, match="^radius"):
+            BodySpec(radius=math.nextafter(radius, 0.0))
+
     def test_body_is_immutable(self, body):
         with pytest.raises(AttributeError):
             body.radius = 0.05  # type: ignore[misc]
@@ -834,7 +870,33 @@ class TestCachedConstants:
 
 # The bisection solvers as they were written before their gaps called the
 # check-free force helpers: every gap evaluation goes through the public
-# checked force functions. The solvers must find the same roots.
+# checked force functions, and the root finder is plain halving. The solvers
+# must find the same roots.
+
+
+def reference_bisect_root(f, lo, hi):
+    """``bisect_root`` as plain halving: the midpoint of the bracket once
+    its ends are adjacent floats, or after 200 halvings."""
+    f_lo = f(lo)
+    f_hi = f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        raise CrossCheckError(
+            f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
 
 
 def reference_straight_bisect(body, pressure, required):
@@ -850,7 +912,7 @@ def reference_straight_bisect(body, pressure, required):
     hi = 1.0
     while gap(hi) > 0:
         hi *= 2.0
-    return bisect_root(gap, math.ulp(0.0), hi)
+    return reference_bisect_root(gap, math.ulp(0.0), hi)
 
 
 def reference_curved_bisect(body, pressure, curvature, required):
@@ -867,7 +929,7 @@ def reference_curved_bisect(body, pressure, curvature, required):
     def gap(length):
         return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
 
-    return bisect_root(gap, 0.0, math.pi / curvature)
+    return reference_bisect_root(gap, 0.0, math.pi / curvature)
 
 
 def outcome(solver, *args):
@@ -922,3 +984,82 @@ class TestBisectMatchesReference:
         required = tail_tension_to_invert(OVERFLOW_BODY, 1e298)
         assert straight_transition_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0
         assert reference_straight_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0
+
+
+# Random bodies over the ranges of the physics-invariant tests: radius
+# 3 mm-20 cm, wall 10-316 um, E over 2.5 decades, G over 2, F_I 0.1-32 N.
+SPREAD_BODIES = st.builds(
+    BodySpec,
+    radius=decades(math.log10(3e-3), math.log10(0.2)),
+    wall_thickness=decades(-5.0, -3.5),
+    youngs_modulus=decades(7.5, 10.0),
+    shear_modulus=decades(7.0, 9.0),
+    inversion_force=decades(-1.0, 1.5),
+)
+
+
+def counting(f, calls):
+    """``f``, appending each point it is evaluated at to ``calls``."""
+    return lambda x: calls.append(x) or f(x)
+
+
+class TestRootFinder:
+    @settings(max_examples=300)
+    @given(
+        body=SPREAD_BODIES,
+        p_scale=decades(0.0, 3.0),
+        kappa_share=st.floats(0.0, 1.0),
+    )
+    def test_kernels_find_the_halving_root(self, body, p_scale, kappa_share):
+        # pressure 1-1000 P_min; curvature log-uniform from 1e-6 /m to 1/R
+        pressure = p_scale * min_inversion_pressure(body)
+        kappa = 1e-6 * (1.0 / (1e-6 * body.radius)) ** kappa_share
+        required = tail_tension_to_invert(body, pressure)
+        assert outcome(mechanics._straight_bisect_for, body, pressure, required) == outcome(
+            reference_straight_bisect, body, pressure, required
+        )
+        assert outcome(
+            mechanics._curved_bisect_for, body, pressure, kappa, required
+        ) == outcome(reference_curved_bisect, body, pressure, kappa, required)
+
+    def test_half_the_gap_evaluations_of_halving(self, body, monkeypatch):
+        # the oracle's brackets on the reference body from 0.5 to 10 kPa at
+        # the reference curvatures: the same roots, each from at most 60% of
+        # the halving loop's evaluations on average
+        brackets, solver = [], mechanics.bisect_root
+        monkeypatch.setattr(
+            mechanics,
+            "bisect_root",
+            lambda f, lo, hi: brackets.append((f, lo, hi)) or solver(f, lo, hi),
+        )
+        for kappa in (K_SMALL, K_MEDIUM, K_LARGE):
+            for step in range(20):
+                pressure = 500.0 * (step + 1)
+                required = tail_tension_to_invert(body, pressure)
+                mechanics._straight_bisect_for(body, pressure, required)
+                mechanics._curved_bisect_for(body, pressure, kappa, required)
+        monkeypatch.undo()
+        assert len(brackets) == 108
+        calls, reference_calls = [], []
+        for f, lo, hi in brackets:
+            root = bisect_root(counting(f, calls), lo, hi)
+            assert bits(root) == bits(reference_bisect_root(counting(f, reference_calls), lo, hi))
+        assert len(calls) <= 0.6 * len(reference_calls)
+
+    @pytest.mark.parametrize(
+        "f, hi",
+        [
+            # a root far below the bracket's float spacing: halving stops
+            # after 200 halvings, short of it
+            (lambda x: 1e-100 - x, 1.0),
+            # exact zeros over [0.3, 0.7): the secant points at an end, and
+            # the bracket closes at the first zero
+            (lambda x: 1.0 if x < 0.3 else (0.0 if x < 0.7 else -1.0), 1.0),
+            (lambda x: x * x - 2.0, 2.0),
+            (lambda x: math.exp(-x) - 0.5, 4.0),
+        ],
+        ids=["far_below", "zero_plateau", "sqrt2", "exp"],
+    )
+    def test_same_root_as_halving(self, f, hi):
+        assert bits(bisect_root(f, 0.0, hi)) == bits(reference_bisect_root(f, 0.0, hi))
+

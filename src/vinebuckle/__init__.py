@@ -59,7 +59,6 @@ _EXPORTS = {
         "min_inversion_pressure",
         "predict_behavior",
         "straight_transition_bisect",
-        "straight_transition_length",
         "tail_tension_to_invert",
         "transition_length",
         "wall_tension",

@@ -96,6 +96,14 @@ class BodySpec:
                 "radius must give a cross-section area pi*R^2 within the normal "
                 f"numeric range, got {self.radius}"
             )
+        # the axial buckling force takes R**4, which raises where it overflows
+        # (R above ~1.16e77 m, well below where pi*R^2 does)
+        try:
+            self.radius**4
+        except OverflowError:
+            raise ValueError(
+                f"radius must give R^4 within the numeric range, got {self.radius}"
+            ) from None
 
     # Derived constants are computed on first use and kept in the instance
     # ``__dict__``, which no field, ``==``, ``hash`` or ``repr`` reads. Each
@@ -290,17 +298,6 @@ def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> 
     )
 
 
-def straight_transition_length(body: BodySpec, pressure: float) -> Optional[float]:
-    """Critical length of a straight body: invert below, buckle above.
-
-    ``transition_length`` at zero curvature. None when pressure is at or
-    below the minimum inversion pressure (no length inverts; crushing binds
-    already at zero length). The closed form's force residual is tested on
-    every call, and a bisection runs only where that test fails.
-    """
-    return transition_length(body, pressure)
-
-
 def curved_transition_length(
     body: BodySpec, pressure: float, curvature: float
 ) -> Optional[float]:
@@ -493,8 +490,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     for bit; on the transition gaps it takes under a third of halving's
     evaluations. Where bisection's 200 halvings may stop short of that pair
     (a bracket over 2**180 times the pair's width), or 200 steps leave the
-    bracket open, bisection's halvings are replayed over the known bracket,
-    evaluating ``f`` only at midpoints not yet decided.
+    bracket open, bisection's own halvings run over the starting bracket,
+    so the root is bisection's for every ``f``.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -506,7 +503,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         raise CrossCheckError(
             f"bisection bracket does not straddle a root: f({lo})={f_lo}, f({hi})={f_hi}"
         )
-    start = lo, hi
+    start = lo, hi, f_lo
     # the secant's weights: f at each end, the kept end's halved each time
     # the other end moves twice in a row
     w_lo, w_hi = f_lo, f_hi
@@ -541,33 +538,17 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             if moved < 0:
                 w_hi *= 0.5
             lo, f_lo, w_lo, moved = x, f_x, f_x, -1
-    return _replay_halvings(f, start, lo, hi, f_lo)
-
-
-def _replay_halvings(
-    f: Callable[[float], float], start: tuple[float, float], a: float, b: float, f_a: float
-) -> float:
-    """Bisection's 200 halvings of the ``start`` bracket, given that every
-    float up to ``a`` (where f is ``f_a``) keeps f's starting sign and every
-    float from ``b`` on does not: ``f`` is evaluated only at midpoints
-    strictly between them. For brackets that 200 halvings, or 200 steps of
-    ``bisect_root``, may not close."""
-    lo, hi = start
+    # bisection itself, over the starting bracket
+    lo, hi, f_lo = start
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0:
             hi = mid
         else:
-            f_mid = f(mid)
-            if f_a * f_mid <= 0:
-                hi = b = mid
-            else:
-                lo = a = mid
-                f_a = f_mid
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
 
 
@@ -626,7 +607,7 @@ def _curved_bisect_for(
     if required <= 0 or curvature < KAPPA_STRAIGHT:
         return math.inf
     par = pa * body.radius
-    if par / (body.radius + 2.0 / curvature) > required:
+    if par / _moment_arm_clamped(body, curvature, math.inf) > required:
         return math.inf
 
     # every length the solver tries is in [0, pi/kappa] and kappa > 0, so the
@@ -634,6 +615,10 @@ def _curved_bisect_for(
     def gap(length: float) -> float:
         return par / _moment_arm_clamped(body, curvature, length) - required
 
+    # at the crush boundary (required == P*A) the gap at zero length is 0,
+    # or rounds just below it: the transition is 0, as the closed form says
+    if gap(0.0) <= 0.0:
+        return 0.0
     return bisect_root(gap, 0.0, math.pi / curvature)
 
 
@@ -799,8 +784,7 @@ def _curved_transition_for(
         return None
     if required <= 0 or curvature < KAPPA_STRAIGHT:
         return math.inf
-    arm_max = body.radius + 2.0 / curvature
-    if pa * body.radius / arm_max > required:
+    if pa * body.radius / _moment_arm_clamped(body, curvature, math.inf) > required:
         return math.inf
     d_min = pa * body.radius / required
     cos_arg = 1.0 - curvature * (d_min - body.radius)

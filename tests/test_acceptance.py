@@ -43,7 +43,6 @@ from vinebuckle import (
     retraction_kinematics,
     simulate_retraction,
     straight_transition_bisect,
-    straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
     transition_length,
@@ -211,7 +210,7 @@ def test_criterion_9_equivalences():
             pressure = rng.uniform(1.3e3, 15e3)
             kappa = rng.uniform(0.05, 2.0)
             required = tail_tension_to_invert(BODY, pressure)
-            straight = straight_transition_length(BODY, pressure)
+            straight = transition_length(BODY, pressure)
             straight_ref = straight_transition_bisect(BODY, pressure, required)
             assert abs(straight - straight_ref) <= 1e-6
             curved = curved_transition_length(BODY, pressure, kappa)

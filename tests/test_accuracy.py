@@ -19,7 +19,7 @@ from vinebuckle import (
     BodySpec,
     curved_transition_length,
     min_inversion_pressure,
-    straight_transition_length,
+    transition_length,
 )
 
 DIGITS = 60
@@ -133,7 +133,7 @@ def straight_errors(body, pressures):
     """(ulps, amplification) at each pressure with a straight transition."""
     errors = []
     for pressure in pressures:
-        closed = straight_transition_length(body, pressure)
+        closed = transition_length(body, pressure)
         if closed is not None:
             error = ulps(closed, straight_reference(body, pressure))
             errors.append((error, straight_amplification(body, pressure)))
@@ -150,7 +150,7 @@ def test_reference_functions():
         x = Decimal("0.999999999999")
         assert abs(_sin(_asin(x)) - x) < tiny
     assert float(straight_reference(BodySpec(), 5e3)) == pytest.approx(
-        straight_transition_length(BodySpec(), 5e3), rel=1e-12
+        transition_length(BodySpec(), 5e3), rel=1e-12
     )
 
 

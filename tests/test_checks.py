@@ -34,15 +34,16 @@ from vinebuckle import (
     predict_with_device,
     simulate_growth,
     simulate_retraction,
-    straight_transition_length,
     transition_length,
     units,
 )
 
 BODY = BodySpec()
 DEVICE = DeviceSpec()
-# P*A, and so the required tension, is inf at any positive pressure
-HUGE = BodySpec(radius=1e160)
+# an accepted radius (R**4 is finite below ~1.16e77 m) whose P*A, and so the
+# required tension, is inf at an overflowing pressure
+LARGE = BodySpec(radius=1e77)
+OVERFLOWING = 1e155
 # 2*tau/r is inf, so the available force at efficiency 0 is NaN
 FORCEFUL = DeviceSpec(max_motor_torque=1e300, roller_radius=1e-300)
 REQUIRED_INF = "^required_tension must be finite, got inf$"
@@ -176,26 +177,27 @@ class TestChecksPerRequest:
 class TestOverflowIsRejected:
     def test_prediction(self):
         with pytest.raises(ValueError, match=REQUIRED_INF):
-            predict_behavior(HUGE, RobotState(1.0, 1e3))
+            predict_behavior(LARGE, RobotState(1.0, OVERFLOWING))
 
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
-        [(HUGE, DEVICE, 0.5, REQUIRED_INF), (HUGE, None, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        [(LARGE, DEVICE, 0.5, REQUIRED_INF), (LARGE, None, 0.5, REQUIRED_INF),
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (LARGE, FORCEFUL, 0.5, DEVICE_INF)],
         ids=["tension", "bare", "device-force", "grounded-force"],
     )
     def test_device_prediction(self, body, device, efficiency, message):
         with pytest.raises(ValueError, match=message):
-            predict_with_device(body, device, RobotState(1.0, 1e3), efficiency)
+            predict_with_device(body, device, RobotState(1.0, OVERFLOWING), efficiency)
 
     # each derives a tension or force that overflows on finite inputs, where
-    # its result would be NaN (inf/inf)
+    # its result would be inf or NaN (inf/inf)
     DERIVED = {
-        "min_buckling_moment_arm": (lambda: min_buckling_moment_arm(HUGE, 2e3), REQUIRED_INF),
+        "min_buckling_moment_arm": (
+            lambda: min_buckling_moment_arm(LARGE, OVERFLOWING), REQUIRED_INF),
         "max_zero_tension_pressure": (
-            lambda: max_zero_tension_pressure(HUGE, FORCEFUL), DEVICE_INF),
+            lambda: max_zero_tension_pressure(LARGE, FORCEFUL), DEVICE_INF),
         "efficiency_for_pressure_ceiling": (
-            lambda: efficiency_for_pressure_ceiling(HUGE, FORCEFUL, 2e3), DEVICE_INF),
+            lambda: efficiency_for_pressure_ceiling(LARGE, FORCEFUL, OVERFLOWING), DEVICE_INF),
     }
 
     @pytest.mark.parametrize("function", sorted(DERIVED))
@@ -208,25 +210,25 @@ class TestOverflowIsRejected:
         # eta*F_max and the zero-tension need P*A + 2*F_I are both inf, so
         # the device covers the need and the row is grounded
         with pytest.raises(ValueError, match=DEVICE_INF):
-            device_assist(HUGE, FORCEFUL, 2e3, 0.5)
+            device_assist(LARGE, FORCEFUL, OVERFLOWING, 0.5)
 
     @pytest.mark.parametrize("scan", [classify_grid, oracle_scan])
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
-        [(HUGE, None, 1.0, REQUIRED_INF), (HUGE, DEVICE, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        [(LARGE, None, 1.0, REQUIRED_INF), (LARGE, DEVICE, 0.5, REQUIRED_INF),
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (LARGE, FORCEFUL, 0.5, DEVICE_INF)],
         ids=["bare", "device", "device-force", "grounded-force"],
     )
     def test_diagram(self, scan, body, device, efficiency, message):
         request = SweepRequest(
-            body, 0.444, AxisRange(0.0, 10e3, 4), AxisRange(0.0, 3.0, 4), device, efficiency
+            body, 0.444, AxisRange(OVERFLOWING, 2 * OVERFLOWING, 4), AxisRange(0.0, 3.0, 4),
+            device, efficiency,
         )
         with pytest.raises(ValueError, match=message):
             scan(request)
 
     # every transition entry and device_assist check the tension they derive
     ENTRIES = {
-        "straight_transition_length": straight_transition_length,
         "curved_transition_length": lambda body, p: curved_transition_length(body, p, 0.5),
         "transition_length": transition_length,
         "curved transition_length": lambda body, p: transition_length(body, p, 0.5),
@@ -237,9 +239,9 @@ class TestOverflowIsRejected:
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     @pytest.mark.parametrize(
         "body,pressure",
-        # P*A/2 overflows; 0 Pa times an infinite area is NaN
-        [(BodySpec(radius=1.0), 1.7e308), (HUGE, 0.0)],
-        ids=["inf", "nan"],
+        # P*A/2 overflows, by the pressure or by the area
+        [(BodySpec(radius=1.0), 1.7e308), (LARGE, OVERFLOWING)],
+        ids=["inf", "large-radius"],
     )
     def test_every_entry_rejects_its_derived_tension(self, entry, body, pressure):
         with pytest.raises(ValueError, match="^required_tension must be finite"):
@@ -247,13 +249,14 @@ class TestOverflowIsRejected:
 
     @pytest.mark.parametrize(
         "schedule",
-        [dict(pressure=2e3), dict(pressure_points=((0.0, 2e3), (5.0, 5e3)))],
+        [dict(pressure=OVERFLOWING),
+         dict(pressure_points=((0.0, OVERFLOWING), (5.0, 2 * OVERFLOWING)))],
         ids=["constant", "scheduled"],
     )
     @pytest.mark.parametrize(
         "body,device,efficiency,message",
-        [(HUGE, None, 1.0, REQUIRED_INF), (HUGE, DEVICE, 0.5, REQUIRED_INF),
-         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (HUGE, FORCEFUL, 0.5, DEVICE_INF)],
+        [(LARGE, None, 1.0, REQUIRED_INF), (LARGE, DEVICE, 0.5, REQUIRED_INF),
+         (BODY, FORCEFUL, 0.0, DEVICE_NAN), (LARGE, FORCEFUL, 0.5, DEVICE_INF)],
         ids=["bare", "device", "device-force", "grounded-force"],
     )
     def test_episode(self, schedule, body, device, efficiency, message):
@@ -284,11 +287,11 @@ class TestOverflowIsRejected:
         with pytest.raises(ValueError, match="^pressure must be finite and >= 0, got nan$"):
             simulate_retraction(scenario)
 
-    # 0 Pa times an infinite area is NaN, so the bottom breakpoint saturates
-    # a device whose available force is inf, while the top one grounds it
-    @example(radius=1e160, pressures=[2e3, 0.0], device=FORCEFUL, efficiency=0.5)
+    # the top breakpoint's zero-tension need overflows, and a device whose
+    # available force is inf grounds it with an infinite force
+    @example(radius=1e77, pressures=[OVERFLOWING, 0.0], device=FORCEFUL, efficiency=0.5)
     @given(
-        radius=st.floats(1e-3, 1e160),
+        radius=st.floats(1e-3, 1e77),
         pressures=st.lists(st.sampled_from([0.0, 2e3, 1e150, 1e300, 1.7e308])
                            | st.floats(0.0, 1.7e308), min_size=2, max_size=4),
         device=st.sampled_from([None, DEVICE, FORCEFUL]),
@@ -338,24 +341,25 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# 1e155 Pa on a 1e77 m body: P*A overflows
 @pytest.mark.parametrize(
     "schedule",
-    [{"pressure_kpa": 2}, {"pressure_schedule": [[0, 2], [100, 5]]}],
+    [{"pressure_kpa": 1e152}, {"pressure_schedule": [[0, 2], [100, 1e152]]}],
     ids=["constant", "scheduled"],
 )
 def test_an_overflowing_episode_exits_2(tmp_path, schedule):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(
-        {"initial_length_cm": 90, "body": {"radius_cm": 1e160}, **schedule}
+        {"initial_length_cm": 90, "body": {"radius_cm": 1e79}, **schedule}
     ))
     code, out, err = run_cli("simulate", "--scenario", str(path), "--json")
     assert (code, out) == (2, "")
     assert err == "error: required_tension must be finite, got inf\n"
 
 
-# eta*F_max is inf, and so is the zero-tension need it covers
+# eta*F_max is inf, and so is the zero-tension need it covers at 1e155 Pa
 GROUNDED_INF = {
-    "body": {"radius_cm": 1e160},
+    "body": {"radius_cm": 1e79},
     "device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-298, "efficiency": 0.5},
 }
 
@@ -363,8 +367,9 @@ GROUNDED_INF = {
 @pytest.mark.parametrize(
     "argv",
     [
-        ["predict", "--pressure-kpa", "2", "--length-cm", "100", "--device", "--config"],
-        ["sweep", "--p", "1:10:3", "--l", "0:300:3", "--device", "--oracle-check", "--config"],
+        ["predict", "--pressure-kpa", "1e152", "--length-cm", "100", "--device", "--config"],
+        ["sweep", "--p", "1e152:1e153:3", "--l", "0:300:3", "--device", "--oracle-check",
+         "--config"],
         ["simulate", "--scenario"],
     ],
     ids=["predict", "sweep", "simulate"],
@@ -372,7 +377,7 @@ GROUNDED_INF = {
 def test_an_infinite_grounded_force_exits_2(tmp_path, argv):
     document = dict(GROUNDED_INF)
     if argv[0] == "simulate":
-        document.update(initial_length_cm=5, pressure_kpa=2)
+        document.update(initial_length_cm=5, pressure_kpa=1e152)
     path = tmp_path / "document.json"
     path.write_text(json.dumps(document))
     code, out, err = run_cli(*argv, str(path))

@@ -42,7 +42,6 @@ from vinebuckle import (
     predict_with_device,
     retraction_kinematics,
     straight_transition_bisect,
-    straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
     transition_length,
@@ -78,13 +77,49 @@ def smallest_radius():
     return math.nextafter(radius, INF)
 
 
-NORMAL_AREA = (smallest_radius(), INF, False)
+def fourth_power_overflows(radius):
+    try:
+        radius**4
+    except OverflowError:
+        return True
+    return False
+
+
+def largest_radius():
+    """The largest radius whose R**4 is a finite float."""
+    radius = sys.float_info.max ** 0.25
+    while fourth_power_overflows(radius):
+        radius = math.nextafter(radius, 0.0)
+    while not fourth_power_overflows(math.nextafter(radius, INF)):
+        radius = math.nextafter(radius, INF)
+    return radius
+
+
+# pi*R^2 a normal float and R**4 finite
+RADIUS = (smallest_radius(), largest_radius(), False)
 
 
 def within(value, rule):
     lo, hi, lo_open = rule
     above = lo < value if lo_open else lo <= value
     return math.isfinite(value) and above and value <= hi
+
+
+def ends(rule):
+    """Each finite end of a range and its two float neighbors."""
+    return [
+        value
+        for end in rule[:2] if math.isfinite(end)
+        for value in (math.nextafter(end, -INF), end, math.nextafter(end, INF))
+    ]
+
+
+def inside(rule):
+    """A value in the range: its closed lower end, else its upper end, else 1."""
+    lo, hi, lo_open = rule
+    if not lo_open and math.isfinite(lo):
+        return lo
+    return hi if math.isfinite(hi) else 1.0
 
 
 def accepts(call, args):
@@ -105,7 +140,7 @@ def flat(result):
 
 # constructor: (factory taking one value, range of that field)
 FIELDS = {
-    "BodySpec.radius": (lambda v: BodySpec(radius=v), NORMAL_AREA),
+    "BodySpec.radius": (lambda v: BodySpec(radius=v), RADIUS),
     **{f"BodySpec.{n}": (lambda v, n=n: BodySpec(**{n: v}), GT0)
        for n in ("wall_thickness", "youngs_modulus", "shear_modulus")},
     "BodySpec.inversion_force": (lambda v: BodySpec(inversion_force=v), GE0),
@@ -147,7 +182,6 @@ FUNCTIONS = {
         lambda p, k: curved_buckling_force(BODY, p, k, 1.0), [GE0, (0.0, math.pi, True)]),
     "min_buckling_moment_arm": (lambda p: min_buckling_moment_arm(BODY, p), [GT0]),
     "wall_tension": (lambda p, f: wall_tension(BODY, p, f), [GE0, GE0]),
-    "straight_transition_length": (lambda p: straight_transition_length(BODY, p), [GE0]),
     "curved_transition_length": (lambda p, k: curved_transition_length(BODY, p, k), [GE0, GT0]),
     "straight_transition_bisect": (
         lambda p, t: straight_transition_bisect(BODY, p, t), [GE0, ANY]),
@@ -277,6 +311,24 @@ class TestProperties:
         assert accepted == all(within(v, rule) for v, rule in zip(args, rules))
         if accepted and all(abs(v) <= 1e100 for v in args):
             assert not any(isinstance(x, float) and math.isnan(x) for x in flat(result))
+
+    # each finite end of each range, and its float neighbors; an argument
+    # is drawn there while the others stay inside their ranges (the
+    # efficiency range accepts 1.0 and rejects math.nextafter(1.0, 2.0))
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_constructor_field_at_its_ends(self, field):
+        make, rule = FIELDS[field]
+        for value in ends(rule):
+            assert accepts(make, (value,))[0] == within(value, rule), value
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_function_arguments_at_their_ends(self, name):
+        call, rules = FUNCTIONS[name]
+        for i, rule in enumerate(rules):
+            for value in ends(rule):
+                args = [inside(other) for other in rules]
+                args[i] = value
+                assert accepts(call, args)[0] == within(value, rule), (i, value)
 
     @given(kappa=FLOATS, length=FLOATS)
     def test_curved_buckling_force_half_turn(self, kappa, length):

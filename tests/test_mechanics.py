@@ -36,7 +36,6 @@ from vinebuckle import (
     min_inversion_pressure,
     predict_behavior,
     straight_transition_bisect,
-    straight_transition_length,
     tail_tension_to_invert,
     transition_length,
     units,
@@ -48,7 +47,7 @@ from vinebuckle.mechanics import (
     solve_pressure_row_unchecked,
 )
 
-from test_contract import smallest_radius
+from test_contract import largest_radius, smallest_radius
 
 K_SMALL = 1 / 4.55   # 455 cm radius of curvature
 K_MEDIUM = 1 / 2.25  # 225 cm
@@ -208,12 +207,12 @@ class TestMinBucklingMomentArm:
         )
 
     def test_arm_where_the_moment_overflows(self):
-        # P*A*R = 3.1e310 overflows; the arm is about 2R
-        arm = min_buckling_moment_arm(BodySpec(radius=1e100), 1e10)
-        assert arm == pytest.approx(2e100, rel=1e-12)
+        # P*A*R = 3.1e331 overflows; the arm is about 2R
+        arm = min_buckling_moment_arm(BodySpec(radius=1e77), 1e100)
+        assert arm == pytest.approx(2e77, rel=1e-12)
 
     @given(
-        radius=st.floats(-3.0, 150.0).map(lambda e: 10.0**e),
+        radius=st.floats(-3.0, 77.0).map(lambda e: 10.0**e),
         pressure=st.floats(0.0, 300.0).map(lambda e: 10.0**e),
     )
     def test_finite_arms_keep_their_bits(self, radius, pressure):
@@ -257,15 +256,13 @@ class TestStraightTransition:
         [(2e3, 2.3946188550377654), (10e3, 1.2779244935628533)],
     )
     def test_known_values(self, body, pressure, expected):
-        assert straight_transition_length(body, pressure) == pytest.approx(
-            expected, rel=1e-9
-        )
+        assert transition_length(body, pressure) == pytest.approx(expected, rel=1e-9)
 
     def test_below_minimum_pressure_has_no_transition(self, body):
-        assert straight_transition_length(body, 1e3) is None
+        assert transition_length(body, 1e3) is None
 
     def test_transition_sits_on_the_force_balance(self, body):
-        critical = straight_transition_length(body, 2e3)
+        critical = transition_length(body, 2e3)
         assert axial_buckling_force(body, 2e3, critical) == pytest.approx(
             tail_tension_to_invert(body, 2e3), rel=1e-9
         )
@@ -274,7 +271,7 @@ class TestStraightTransition:
     def test_non_increasing_in_pressure(self, p1, p2):
         body = BodySpec()
         lo, hi = sorted((p1, p2))
-        assert straight_transition_length(body, hi) <= straight_transition_length(body, lo)
+        assert transition_length(body, hi) <= transition_length(body, lo)
 
 
 class TestCurvedTransition:
@@ -350,9 +347,7 @@ class TestPredictBehavior:
     def test_barely_curved_body_dispatches_straight(self, body):
         # curvature above the straightness threshold but with a curved
         # transition longer than the straight one, so the straight model rules
-        assert curved_transition_length(body, 2e3, 1e-3) > straight_transition_length(
-            body, 2e3
-        )
+        assert curved_transition_length(body, 2e3, 1e-3) > transition_length(body, 2e3)
         prediction = predict_behavior(body, RobotState(length=1.0, pressure=2e3, curvature=1e-3))
         assert prediction.model_used is ModelUsed.STRAIGHT
 
@@ -653,7 +648,7 @@ class TestTransitionCrossCheck:
         # closed-form cross-check and of the oracle
         from vinebuckle import AxisRange, SweepRequest, classify_grid, diagrams_agree, oracle_scan
 
-        assert straight_transition_length(body, 1.287245690944424e29) < 1e-12
+        assert transition_length(body, 1.287245690944424e29) < 1e-12
         request = SweepRequest(body, K_MEDIUM, AxisRange(0.0, 1e30, 2), AxisRange(0.0, 1.0, 2))
         assert diagrams_agree(classify_grid(request), oracle_scan(request))
 
@@ -698,6 +693,21 @@ class TestValidation:
         assert BodySpec(radius=radius).cross_section_area >= sys.float_info.min
         with pytest.raises(ValueError, match="^radius"):
             BodySpec(radius=math.nextafter(radius, 0.0))
+
+    @pytest.mark.parametrize("radius", [1.2e77, 1e78, 1e160, 1e300])
+    def test_radius_whose_fourth_power_overflows(self, radius):
+        # R**4 raised OverflowError from the axial constants; from ~7.6e153 m
+        # pi*R^2 is inf too, and the crushing force was NaN
+        with pytest.raises(ValueError, match="^radius must give R\\^4"):
+            BodySpec(radius=radius)
+
+    def test_largest_radius_with_a_finite_fourth_power(self):
+        radius = largest_radius()
+        body = BodySpec(radius=radius)
+        # E*pi^3*R^4*t overflows to an infinite force, which the models handle
+        assert axial_buckling_force(body, 1.0, 1.0) == math.inf
+        with pytest.raises(ValueError, match="^radius"):
+            BodySpec(radius=math.nextafter(radius, math.inf))
 
     def test_body_is_immutable(self, body):
         with pytest.raises(AttributeError):
@@ -786,7 +796,7 @@ class TestCachedConstants:
         assert bits(axial_buckling_force(body, pressure, length)) == bits(
             reference_axial_force(body, pressure, length)
         )
-        assert bits(straight_transition_length(body, pressure)) == bits(
+        assert bits(transition_length(body, pressure)) == bits(
             reference_straight_transition(body, pressure)
         )
         device = DeviceSpec(max_motor_torque=torque)
@@ -823,7 +833,7 @@ class TestCachedConstants:
         assert bits(axial_buckling_force(moved, pressure, length)) == bits(
             reference_axial_force(moved, pressure, length)
         )
-        assert bits(straight_transition_length(moved, pressure)) == bits(
+        assert bits(transition_length(moved, pressure)) == bits(
             reference_straight_transition(moved, pressure)
         )
 
@@ -929,6 +939,10 @@ def reference_curved_bisect(body, pressure, curvature, required):
     def gap(length):
         return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
 
+    # the crush boundary: at exactly P_min, required == P*A and the gap at
+    # zero length rounds to 0 or just below it, where the transition is 0
+    if gap(0.0) <= 0.0:
+        return 0.0
     return reference_bisect_root(gap, 0.0, math.pi / curvature)
 
 

@@ -40,7 +40,6 @@ from vinebuckle import (
     simulate_growth,
     simulate_retraction,
     straight_transition_bisect,
-    straight_transition_length,
     tail_tension_to_invert,
     tail_tension_with_device,
     transition_length,
@@ -283,7 +282,7 @@ class TestBuiltRows:
         elif model is ModelUsed.CURVED:
             transition = curved_transition_length(BODY, pressure, curvature)
         else:
-            transition = straight_transition_length(BODY, pressure)
+            transition = transition_length(BODY, pressure)
         flags = {"extrapolated": True} if flagged else {"grounded": True} if grounded else {}
         expected = PressureRow(
             BODY, pressure, curvature, 0.0 if grounded else required, model, transition, **flags

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vinebuckle import (
@@ -23,6 +23,7 @@ from vinebuckle import (
     emit_transition_csv,
     min_inversion_pressure,
     oracle_scan,
+    transition_length,
 )
 from vinebuckle import units
 from vinebuckle.sweep import MAX_GRID_CELLS, PhaseDiagram
@@ -195,6 +196,22 @@ class TestOracleScan:
         )
         assert diagrams_agree(classify_grid(request), oracle_scan(request))
 
+    # the body on which the oracle first raised at exactly P_min
+    @example(body=BodySpec(radius=0.01778279410038923, wall_thickness=1e-4, youngs_modulus=1e8,
+                           shear_modulus=1e7, inversion_force=1.7782794100389228),
+             curvature=0.5)
+    @given(body=RANDOM_BODIES, curvature=log_uniform(-6.0, 1.5))
+    def test_matches_at_the_minimum_inversion_pressure(self, body, curvature):
+        # The one pressure center is exactly P_min, where the required
+        # tension is P*A: the curved kernel's gap at zero length rounded
+        # below 0 on some bodies, and the oracle raised CrossCheckError.
+        pressure = min_inversion_pressure(body)
+        request = SweepRequest(
+            body, curvature, AxisRange(0.0, 2.0 * pressure, 1), AxisRange(0.0, 1.0, 3)
+        )
+        assert request.pressure_range.centers() == [pressure]
+        assert diagrams_agree(classify_grid(request), oracle_scan(request))
+
     def test_single_cell_matches_predictor(self):
         request = SweepRequest(
             body=BodySpec(),
@@ -241,7 +258,104 @@ class TestOracleScan:
         assert sum(len(row) for row in diagram.grid) == 4
 
 
+class TestCurvedReachability:
+    @settings(max_examples=30)
+    @given(body=RANDOM_BODIES, kappa_r=st.floats(2.0, 20.0, exclude_min=True))
+    def test_curved_exactly_where_buckling_is_reachable(self, body, kappa_r):
+        # Curved buckling is reachable where P*A*R / (R + 2/kappa), the limit
+        # at the largest arm, is at most the required tension P*A/2 + F_I.
+        # Only kappa*R > 2 gives that boundary a pressure. The predictor and
+        # the oracle share their largest arm, so this test writes its own.
+        radius, force = body.radius, body.inversion_force
+        kappa = kappa_r / radius
+        area = math.pi * radius * radius
+
+        def reachable(pressure):
+            limit = pressure * area * radius / (radius + 2.0 / kappa)
+            return limit <= 0.5 * pressure * area + force
+
+        # the lowest pressure out of reach, by halving between floats
+        excess = radius / (radius + 2.0 / kappa) - 0.5
+        assume(excess > 0.0)
+        lo, hi = 0.0, force / (area * excess)
+        while reachable(hi):
+            hi *= 2.0
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if reachable(mid) else (lo, mid)
+        # a curved transition reaches at most pi/kappa, so where the straight
+        # one is longer, the dispatch names CURVED wherever the curved exists
+        assume(transition_length(body, hi) > math.pi / kappa)
+        pressures = [hi]
+        for direction in (0.0, math.inf):
+            pressure = hi
+            for _ in range(64):
+                pressure = math.nextafter(pressure, direction)
+                pressures.append(pressure)
+        for pressure in pressures:
+            request = SweepRequest(
+                body, kappa, AxisRange(0.0, 2.0 * pressure, 1), AxisRange(0.0, 1.0, 1)
+            )
+            for scan in (classify_grid, oracle_scan):
+                model = scan(request).grid[0][0].model_used
+                assert (model is ModelUsed.CURVED) == reachable(pressure), (scan, pressure)
+
+
+# A 2x2 straight diagram over 1-11 kPa and 50-350 cm, every byte: the frame,
+# the six ticks and labels per axis, the axis titles, the markers and the
+# transition polyline.
+SMALL_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="720" height="540" viewBox="0 0 720 540">
+<rect x="0" y="0" width="720" height="540" fill="white"/>
+<line x1="72.00" y1="482.00" x2="696.00" y2="482.00" stroke="black"/>
+<line x1="72.00" y1="482.00" x2="72.00" y2="24.00" stroke="black"/>
+<line x1="72.00" y1="482.00" x2="72.00" y2="487.00" stroke="black"/>
+<text x="72.00" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">1</text>
+<line x1="67.00" y1="482.00" x2="72.00" y2="482.00" stroke="black"/>
+<text x="63.00" y="486.00" font-size="12" text-anchor="end" font-family="sans-serif">50</text>
+<line x1="196.80" y1="482.00" x2="196.80" y2="487.00" stroke="black"/>
+<text x="196.80" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">3</text>
+<line x1="67.00" y1="390.40" x2="72.00" y2="390.40" stroke="black"/>
+<text x="63.00" y="394.40" font-size="12" text-anchor="end" font-family="sans-serif">110</text>
+<line x1="321.60" y1="482.00" x2="321.60" y2="487.00" stroke="black"/>
+<text x="321.60" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">5</text>
+<line x1="67.00" y1="298.80" x2="72.00" y2="298.80" stroke="black"/>
+<text x="63.00" y="302.80" font-size="12" text-anchor="end" font-family="sans-serif">170</text>
+<line x1="446.40" y1="482.00" x2="446.40" y2="487.00" stroke="black"/>
+<text x="446.40" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">7</text>
+<line x1="67.00" y1="207.20" x2="72.00" y2="207.20" stroke="black"/>
+<text x="63.00" y="211.20" font-size="12" text-anchor="end" font-family="sans-serif">230</text>
+<line x1="571.20" y1="482.00" x2="571.20" y2="487.00" stroke="black"/>
+<text x="571.20" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">9</text>
+<line x1="67.00" y1="115.60" x2="72.00" y2="115.60" stroke="black"/>
+<text x="63.00" y="119.60" font-size="12" text-anchor="end" font-family="sans-serif">290</text>
+<line x1="696.00" y1="482.00" x2="696.00" y2="487.00" stroke="black"/>
+<text x="696.00" y="502.00" font-size="12" text-anchor="middle" font-family="sans-serif">11</text>
+<line x1="67.00" y1="24.00" x2="72.00" y2="24.00" stroke="black"/>
+<text x="63.00" y="28.00" font-size="12" text-anchor="end" font-family="sans-serif">350</text>
+<text x="384.00" y="526.00" font-size="14" text-anchor="middle" font-family="sans-serif">pressure (kPa)</text>
+<text x="16" y="253.00" font-size="14" text-anchor="middle" font-family="sans-serif" transform="rotate(-90 16 253.00)">length (cm)</text>
+<circle cx="228.00" cy="367.50" r="3" fill="none" stroke="#1a9641" stroke-width="1.2" class="invert"/>
+<path d="M 225.00 135.50 L 231.00 141.50 M 225.00 141.50 L 231.00 135.50" stroke="#d7191c" stroke-width="1.2" class="buckle"/>
+<circle cx="540.00" cy="367.50" r="3" fill="none" stroke="#1a9641" stroke-width="1.2" class="invert"/>
+<path d="M 537.00 135.50 L 543.00 141.50 M 537.00 141.50 L 543.00 135.50" stroke="#d7191c" stroke-width="1.2" class="buckle"/>
+<polyline points="228.00,256.49 540.00,348.54" fill="none" stroke="black" stroke-width="1.5" stroke-dasharray="2 4" class="transition"/>
+</svg>
+"""
+
+
 class TestEmission:
+    def test_small_svg_text(self):
+        request = SweepRequest(
+            body=BodySpec(),
+            curvature=0.0,
+            pressure_range=AxisRange(1e3, 11e3, 2),
+            length_range=AxisRange(0.5, 3.5, 2),
+        )
+        assert emit_diagram(classify_grid(request), "svg").decode() == SMALL_SVG
+
+
     def test_csv_rows_and_header(self):
         diagram = classify_grid(straight_request(2, 2))
         lines = emit_diagram(diagram, "csv").decode().strip().split("\n")

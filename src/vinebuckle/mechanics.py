@@ -11,9 +11,11 @@ Each exported function checks its inputs. The request-level functions (the
 predictors here and in ``device``, the diagram scans and the episodes)
 check each input once per request and call kernels that trust them: the
 row primitives (``solve_pressure_row_unchecked``, ``length_terms_unchecked``,
-``predict_row``, ``predict_at_length_unchecked``, ``oracle_row_unchecked``)
-and the ``_unchecked`` twins of checked functions. They are public here,
-for the other modules, and not exported from the package.
+``predict_row``, ``oracle_row_unchecked``), the one-length kernel
+``predict_at_length_unchecked``, which states ``predict_row``'s cell rule
+for a single length without its generators, and the ``_unchecked`` twins
+of checked functions. They are public here, for the other modules, and
+not exported from the package.
 """
 
 from __future__ import annotations
@@ -404,11 +406,38 @@ def length_terms_unchecked(
 
 
 def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
-    """Evaluate a solved row at one finite length >= 0: ``predict_row``'s
-    one-length case."""
-    # unpacking runs the row to its end, so no suspended generator is closed
-    (cell,) = predict_row(row, length_terms_unchecked(row.body, row.curvature, (length,)))
-    return cell
+    """Evaluate a solved row at one finite length >= 0: the one-length
+    kernel of the predictors and of every scheduled episode step.
+
+    Each field has the bits ``predict_row`` gives at that length: the same
+    expressions in the same order, computed directly, with no generator
+    and no moment arm for a row modeled straight. Past kappa*L = pi the
+    clamped arm is R + 2/kappa, the arm ``predict_row`` holds there.
+    """
+    body, pressure, curvature, required, model, _, hint, grounded = row
+    if grounded:
+        mode, limit = _NONE, math.inf
+    elif model is _STRAIGHT:
+        mode, limit = _CRUSH, pressure * body.cross_section_area
+        if length > 0:
+            num, den_const, den_slope = _axial_terms(body, pressure)
+            axial = num / (den_const + den_slope * length * length)
+            if axial < limit:
+                mode, limit = _AXIAL, axial
+    else:
+        mode = _TRANSVERSE
+        limit = (
+            pressure * body.cross_section_area * body.radius
+            / _moment_arm_clamped(body, curvature, length)
+        )
+    if required < limit:
+        verdict, mode = _INVERT, _NONE
+    else:
+        verdict = _BUCKLE
+    return tuple.__new__(BehaviorPrediction, (
+        verdict, mode, required, limit, limit - required, model,
+        hint or curvature * length > math.pi,
+    ))
 
 
 def predict_row(
@@ -705,7 +734,10 @@ def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
     """(k1*P + k2, den_const, R*P + G*t): the axial buckling force at length
     L is num / (den_const + den_slope*L*L), each product left to right."""
     k1, k2, den_const, g_t = body._constants
-    return k1 * pressure + k2, den_const, body.radius * pressure + g_t
+    # at 0 Pa the numerator is k2: k1 overflows to inf on radii from ~1.2e74 m,
+    # and inf*0 is NaN (where k1 is finite, k1*0 + k2 is k2 exactly)
+    num = k1 * pressure + k2 if pressure else k2
+    return num, den_const, body.radius * pressure + g_t
 
 
 def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:

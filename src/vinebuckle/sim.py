@@ -30,6 +30,7 @@ from .mechanics import (
     BodySpec,
     Verdict,
     length_terms_unchecked,
+    predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
 )
@@ -254,12 +255,15 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
 
     Travel is measured from initial_length either way. A retraction ends at
     its first buckle, or after its first step when the device stalls at
-    zero motor speed; only a retraction pays out tail slack. Each tip's
-    length terms (``length_terms_unchecked``) are computed once, lazily, so
-    a retraction evaluates no tip past its first buckle. A constant-pressure
-    episode solves its one row up front and evaluates it over those terms;
-    under a pressure schedule each step solves the row at its own pressure
-    and evaluates it at the step's one term.
+    zero motor speed; only a retraction pays out tail slack. The tips are
+    evaluated lazily, so a retraction evaluates no tip past its first
+    buckle. A constant-pressure episode solves its one row up front and
+    evaluates it with ``predict_row`` over the tips' length terms
+    (``length_terms_unchecked``), which keeps the row's length-independent
+    work out of the steps. Under a pressure schedule each step solves the
+    row at its own pressure and evaluates it at its one tip with the
+    one-length kernel ``predict_at_length_unchecked``, which computes a
+    moment arm only for a row modeled curved.
 
     The scenario checked its inputs, and every tip lies within its checked
     lengths, so the steps call the unchecked kernels. The forces derived
@@ -283,7 +287,6 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     stalls = retracting and device is not None and tip_speed == 0.0
     pays_out = retracting and device is not None and not scenario.base_takeup
     scheduled = scenario.pressure is None
-    terms = length_terms_unchecked(body, curvature, tips)
     if scheduled:
         breakpoints = [pressure for _, pressure in scenario.pressure_points]
         for pressure in (max(breakpoints), min(breakpoints)):
@@ -292,8 +295,8 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         force, required = device_assist_unchecked(body, device, scenario.pressure, efficiency)
         check_assist(force, required)
         row = solve_pressure_row_unchecked(body, scenario.pressure, curvature, required)
-        terms, row_terms = itertools.tee(terms)
-        predictions = predict_row(row, row_terms)
+        tips, row_tips = itertools.tee(tips)
+        predictions = predict_row(row, length_terms_unchecked(body, curvature, row_tips))
     pressure_at = scenario.pressure_at
     start = scenario.initial_length
     records: list[StepRecord] = []
@@ -302,13 +305,12 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         TerminalKind.FULLY_RETRACTED, TerminalKind.BUCKLED, TerminalKind.STALLED
     )
     terminal = TerminalEvent(retracted)
-    for index, term in enumerate(terms):
-        tip = term[0]
+    for index, tip in enumerate(tips):
         if scheduled:
             pressure = pressure_at(tip)
             force, required = device_assist_unchecked(body, device, pressure, efficiency)
             row = solve_pressure_row_unchecked(body, pressure, curvature, required)
-            (prediction,) = predict_row(row, (term,))
+            prediction = predict_at_length_unchecked(row, tip)
         else:
             prediction = next(predictions)
         travelled = abs(tip - start)

@@ -16,6 +16,7 @@ ENUMS = {"Verdict", "FailureMode", "ModelUsed", "TerminalKind"}
 # run once per row or step: no member read anywhere in them
 WHOLE = [
     ("mechanics", "predict_row"),
+    ("mechanics", "predict_at_length_unchecked"),
     ("mechanics", "oracle_row_unchecked"),
     ("mechanics", "solve_pressure_row_unchecked"),
     ("mechanics", "_grounded_model"),

@@ -119,6 +119,17 @@ class TestAxialBuckling:
             body, pressure, length
         )
 
+    @pytest.mark.parametrize("radius", [1e74, 1e75, 1e77])
+    def test_zero_pressure_on_huge_radii_is_finite(self, radius):
+        # E*pi^3*R^4*t overflows from R ~ 1.2e74 m; the force at 0 Pa does
+        # not use it: E*G*pi^3*R^3*t^2 / (E*pi^2*R^2*t + G*t*L^2)
+        body = BodySpec(radius=radius)
+        e, g, t = body.youngs_modulus, body.shear_modulus, body.wall_thickness
+        expected = e * g * math.pi**3 * radius**3 * t * t / (e * math.pi**2 * radius**2 * t + g * t)
+        force = axial_buckling_force(body, 0.0, 1.0)
+        assert math.isfinite(force) and force > 0
+        assert force == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_nonpositive_length_rejected(self, body, length):
         with pytest.raises(ValueError):

@@ -24,6 +24,12 @@ from vinebuckle import (
     simulate_retraction,
 )
 from vinebuckle import units
+from vinebuckle.mechanics import (
+    ModelUsed,
+    length_terms_unchecked,
+    predict_row,
+    solve_pressure_row_unchecked,
+)
 from vinebuckle.sim import MAX_EPISODE_STEPS, EpisodeLog, TerminalEvent
 
 EPISODE_HEADER = "step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"
@@ -289,12 +295,18 @@ class TestPressureSchedule:
         assert walked.pressure_at(0.55) == linear_scan_pressure(SCHEDULE, 0.55)
         assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
 
-    @pytest.mark.parametrize("grow", [False, True])
-    def test_every_scheduled_step_takes_the_schedule_pressure(self, body, device, grow):
-        if grow:  # grounded, then saturated, then buckling, at kappa = 0.444
+    @pytest.mark.parametrize("shape", ["bare retraction", "device growth", "bare curved growth"])
+    def test_every_scheduled_step_takes_the_schedule_pressure(self, body, device, shape):
+        if shape == "device growth":  # grounded, then saturated, then buckling, at kappa = 0.444
             scenario = Scenario(
                 body, initial_length=0.2, target_length=2.9, curvature=0.444, device=device,
                 efficiency=0.3, pressure_points=SCHEDULE,
+            )
+            log = simulate_growth(scenario)
+        elif shape == "bare curved growth":  # tips from 2.26 m on are past kappa*L = pi
+            scenario = Scenario(
+                body, initial_length=0.2, target_length=2.9, curvature=1.389,
+                pressure_points=SCHEDULE,
             )
             log = simulate_growth(scenario)
         else:
@@ -302,8 +314,21 @@ class TestPressureSchedule:
             log = simulate_retraction(scenario)
         assert len(log.steps) > 100
         assert len({step.pressure for step in log.steps}) > 100
+        cells = []
         for step in log.steps:
             assert step.pressure.hex() == scenario.pressure_at(step.tip_position).hex()
+            # the cell the row's lazy evaluation gives over the step's one term
+            _, required = device_assist(body, scenario.device, step.pressure, scenario.efficiency)
+            row = solve_pressure_row_unchecked(body, step.pressure, scenario.curvature, required)
+            (cell,) = predict_row(
+                row, length_terms_unchecked(body, scenario.curvature, (step.tip_position,))
+            )
+            assert step.required_tension.hex() == cell.required_tension.hex()
+            assert step.verdict is cell.verdict
+            cells.append(cell)
+        if shape == "bare curved growth":
+            assert any(cell.model_used is ModelUsed.CURVED for cell in cells)
+            assert any(cell.extrapolated for cell in cells)
 
 
 class TestEpisodeCsv:

@@ -176,8 +176,9 @@ class PressureRow(NamedTuple):
     The model choice, the transition length and the extrapolation hint
     depend on (body, pressure, curvature, required tension) and never on
     length, so a phase-diagram row or a constant-pressure episode solves
-    them once (``solve_pressure_row_unchecked``) and evaluates
-    ``predict_row`` over its lengths. ``transition`` is None when no length
+    them once (``solve_pressure_row_unchecked``): the row evaluates
+    ``predict_row`` over its lengths, the episode locates its one flip with
+    ``predict_at_length_unchecked``. ``transition`` is None when no length
     inverts and inf when every length does. ``extrapolated`` is set when
     the curved model had no reachable buckling point. A ``grounded`` row
     has no finite buckling limit at any length: the tail force path is
@@ -392,9 +393,8 @@ def length_terms_unchecked(
 
     Every row of a phase diagram shares its lengths, so a diagram computes
     these once, after checking each length, and hands them to
-    ``predict_row`` or ``oracle_row_unchecked`` for each of its rows; an
-    episode computes them over its tips. Trusts its inputs: a finite
-    curvature and finite lengths >= 0.
+    ``predict_row`` or ``oracle_row_unchecked`` for each of its rows.
+    Trusts its inputs: a finite curvature and finite lengths >= 0.
     """
     pi = math.pi
     if curvature < KAPPA_STRAIGHT:
@@ -407,7 +407,9 @@ def length_terms_unchecked(
 
 def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
     """Evaluate a solved row at one finite length >= 0: the one-length
-    kernel of the predictors and of every scheduled episode step.
+    kernel of the predictors and of the episodes, which call it at every
+    scheduled step and at the few tips that locate a constant-pressure
+    row's one flip.
 
     Each field has the bits ``predict_row`` gives at that length: the same
     expressions in the same order, computed directly, with no generator
@@ -443,9 +445,9 @@ def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPred
 def predict_row(
     row: PressureRow, terms: Iterable[tuple[float, bool, Optional[float]]]
 ) -> Iterator[BehaviorPrediction]:
-    """Evaluate a solved row at each length in turn, lazily: the limiting
-    force of the row's model there, the verdict, and the kappa*L > pi
-    extrapolation flag.
+    """Evaluate a solved row at each length in turn: the limiting force of
+    the row's model there, the verdict, and the kappa*L > pi extrapolation
+    flag. The rows of a phase diagram (``sweep.classify_grid``) use it.
 
     ``terms`` are ``length_terms_unchecked`` of the row's body and
     curvature: they carry each length's flag and clamped moment arm, so the

@@ -5,12 +5,14 @@ each position gets the same independent static invert/buckle verdict, so
 both directions share one stepping loop. No dynamic state carries over
 beyond position, elapsed time and tail slack. Buckling ends a retraction,
 since the post-buckling shape is outside the model; growth logs every
-length and reports the first one that buckles.
+length and reports the first one that buckles. Under one constant pressure
+the verdicts along increasing length flip at most once, from INVERT to
+BUCKLE, so such an episode locates that flip instead of evaluating every
+tip: a retraction reads its first tip, a growth bisects its tips.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -29,9 +31,7 @@ from .device import (
 from .mechanics import (
     BodySpec,
     Verdict,
-    length_terms_unchecked,
     predict_at_length_unchecked,
-    predict_row,
     solve_pressure_row_unchecked,
 )
 
@@ -256,14 +256,28 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     Travel is measured from initial_length either way. A retraction ends at
     its first buckle, or after its first step when the device stalls at
     zero motor speed; only a retraction pays out tail slack. The tips are
-    evaluated lazily, so a retraction evaluates no tip past its first
-    buckle. A constant-pressure episode solves its one row up front and
-    evaluates it with ``predict_row`` over the tips' length terms
-    (``length_terms_unchecked``), which keeps the row's length-independent
-    work out of the steps. Under a pressure schedule each step solves the
-    row at its own pressure and evaluates it at its one tip with the
-    one-length kernel ``predict_at_length_unchecked``, which computes a
-    moment arm only for a row modeled curved.
+    generated lazily, so a retraction generates no tip past its first
+    buckle. Under a pressure schedule each step solves the row at its own
+    pressure and evaluates it at its one tip with the one-length kernel
+    ``predict_at_length_unchecked``.
+
+    A constant-pressure episode solves its one row up front and finds the
+    row's one flip with the same kernel instead of evaluating every tip.
+    Every step's verdict is ``required < limit(tip)`` and the row's limit
+    never rises with length in floating point: straight, min(P*A, num /
+    (den_const + den_slope*L*L)) with non-negative terms (where num
+    overflows, each axial force is inf or inf/inf = NaN, and the limit is
+    P*A at every length); curved, P*A*R over the arm R +
+    2*sin^2(kappa*L/2)/kappa, whose sin is monotone on [0, pi/2] (as
+    ``bisect_root`` relies on) and which is held at its maximum R + 2/kappa
+    past kappa*L = pi; grounded, inf. So the verdicts run INVERT, then
+    BUCKLE, along increasing length. A retraction's tips shorten from
+    initial_length, its first tip: either that tip buckles, or every tip
+    inverts. A growth's tips lengthen and are all logged, so it keeps them
+    and bisects them for the first that buckles, in ceil(log2(n + 1))
+    kernel calls for n tips. Each step then carries the verdict its index
+    gives and the row's one required tension object: the bits and objects
+    that evaluating the row at every tip gave.
 
     The scenario checked its inputs, and every tip lies within its checked
     lengths, so the steps call the unchecked kernels. The forces derived
@@ -286,33 +300,45 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         tip_speed, takeup_speed = kin.tip_speed, kin.base_takeup_speed
     stalls = retracting and device is not None and tip_speed == 0.0
     pays_out = retracting and device is not None and not scenario.base_takeup
+    start = scenario.initial_length
+    invert, buckle = Verdict.INVERT, Verdict.BUCKLE
     scheduled = scenario.pressure is None
     if scheduled:
         breakpoints = [pressure for _, pressure in scenario.pressure_points]
         for pressure in (max(breakpoints), min(breakpoints)):
             check_assist(*device_assist_unchecked(body, device, pressure, efficiency))
     else:
-        force, required = device_assist_unchecked(body, device, scenario.pressure, efficiency)
+        pressure = scenario.pressure
+        force, required = device_assist_unchecked(body, device, pressure, efficiency)
         check_assist(force, required)
-        row = solve_pressure_row_unchecked(body, scenario.pressure, curvature, required)
-        tips, row_tips = itertools.tee(tips)
-        predictions = predict_row(row, length_terms_unchecked(body, curvature, row_tips))
+        row = solve_pressure_row_unchecked(body, pressure, curvature, required)
+        required = row.required_tension
+        # the index of the first tip that buckles: -1 when every tip of a
+        # retraction inverts, len(tips) when every tip of a growth does
+        if retracting:
+            flip = 0 if predict_at_length_unchecked(row, start).verdict is buckle else -1
+        else:
+            tips = list(tips)
+            flip = bisect_left(
+                tips, True, key=lambda tip: predict_at_length_unchecked(row, tip).verdict is buckle
+            )
     pressure_at = scenario.pressure_at
-    start = scenario.initial_length
     records: list[StepRecord] = []
-    append, build, buckle = records.append, tuple.__new__, Verdict.BUCKLE
+    append, build = records.append, tuple.__new__
     retracted, buckled, stalled = (
         TerminalKind.FULLY_RETRACTED, TerminalKind.BUCKLED, TerminalKind.STALLED
     )
     terminal = TerminalEvent(retracted)
+    verdict = invert
     for index, tip in enumerate(tips):
         if scheduled:
             pressure = pressure_at(tip)
             force, required = device_assist_unchecked(body, device, pressure, efficiency)
             row = solve_pressure_row_unchecked(body, pressure, curvature, required)
-            prediction = predict_at_length_unchecked(row, tip)
-        else:
-            prediction = next(predictions)
+            required = row.required_tension
+            verdict = predict_at_length_unchecked(row, tip).verdict
+        elif index == flip:
+            verdict = buckle
         travelled = abs(tip - start)
         if device is None:
             elapsed = math.nan
@@ -320,10 +346,9 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             elapsed = travelled / tip_speed if tip_speed > 0 else 0.0
         slack = 2.0 * travelled if pays_out else 0.0
         append(build(StepRecord, (
-            index, tip, row.pressure, prediction.required_tension, force,
-            prediction.verdict, elapsed, slack,
+            index, tip, pressure, required, force, verdict, elapsed, slack,
         )))
-        if prediction.verdict is buckle:
+        if verdict is buckle:
             if terminal.kind is retracted:
                 terminal = TerminalEvent(buckled, length=tip)
             if retracting:

@@ -422,27 +422,43 @@ class TestPredictRow:
             tail = [cell for cell, beyond in zip(cells, past) if beyond]
             assert len({id(cell) for cell in tail}) == 1 and tail[0].extrapolated
 
+    @staticmethod
+    def counted_lengths(monkeypatch):
+        """The lengths at which the simulator calls the one-length kernel."""
+        seen, kernel = [], sim.predict_at_length_unchecked
+
+        def counting(row, length):
+            seen.append(length)
+            return kernel(row, length)
+
+        monkeypatch.setattr(sim, "predict_at_length_unchecked", counting)
+        return seen
+
     def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
-        # the tips that reach the length terms, and the terms that reach the row
-        reached, advanced = [], []
-        terms_rule, row_evaluator = sim.length_terms_unchecked, sim.predict_row
-
-        def counted(items, seen, key):
-            for item in items:
-                seen.append(key(item))
-                yield item
-
-        def counting_terms(body, curvature, lengths):
-            return terms_rule(body, curvature, counted(lengths, reached, float))
-
-        def counting_row(row, terms):
-            return row_evaluator(row, counted(terms, advanced, lambda term: term[0]))
-
-        monkeypatch.setattr(sim, "length_terms_unchecked", counting_terms)
-        monkeypatch.setattr(sim, "predict_row", counting_row)
+        seen = self.counted_lengths(monkeypatch)
         log = simulate_retraction(Scenario(body=BODY, initial_length=3.0, pressure=2e3))
         assert log.terminal.kind is TerminalKind.BUCKLED and len(log.steps) == 1
-        assert reached == advanced == [3.0]
+        assert seen == [3.0]
+
+    def test_a_full_retraction_evaluates_its_first_tip_only(self, monkeypatch):
+        seen = self.counted_lengths(monkeypatch)
+        log = simulate_retraction(Scenario(body=BODY, initial_length=1.0, pressure=2e3))
+        assert log.terminal.kind is TerminalKind.FULLY_RETRACTED and len(log.steps) == 100
+        assert seen == [1.0]
+
+    @pytest.mark.parametrize("target", [0.21, 0.3, 1.0, 2.39, 2.4, 2.9, 5.0])
+    def test_growth_bisects_its_tips(self, monkeypatch, target):
+        # a growth from 0.2 m buckles only past the 2 kPa transition (2.39 m),
+        # and takes ceil(log2(n + 1)) kernel calls for n tips either way
+        seen = self.counted_lengths(monkeypatch)
+        log = simulate_growth(
+            Scenario(body=BODY, initial_length=0.2, target_length=target, pressure=2e3)
+        )
+        n = len(log.steps)
+        buckles = target > transition_length(BODY, 2e3)
+        assert (log.terminal.kind is TerminalKind.BUCKLED) is buckles
+        assert 0 < len(seen) <= math.ceil(math.log2(n + 1))
+        assert set(seen) <= {step.tip_position for step in log.steps}
 
 
 # Bodies from 3 mm to 20 cm in radius, 10-316 um walls, E over 2.5 decades,
@@ -505,6 +521,60 @@ class TestOneFlipPerRow:
                 assert verdict is Verdict.INVERT
             elif length > transition * (1.0 + 1e-9):
                 assert verdict is Verdict.BUCKLE
+
+
+def ulp_neighbours(x, count=64):
+    """x and the floats 1 to ``count`` ulps either side of it."""
+    lengths, below, above = [x], x, x
+    for _ in range(count):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        lengths += [below, above]
+    return lengths
+
+
+class TestLimitNeverRises:
+    # The property a constant-pressure episode's flip search rests on: in
+    # floating point, a row's limiting force never rises with length, so its
+    # verdicts along increasing length flip at most once.
+    @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=0.0)
+    @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=1 / 0.72)
+    @example(body=BODY, device_efficiency=(DEVICE, 0.3), p_scale=4.0, curvature=1 / 2.25)
+    @given(
+        body=FLIP_BODIES,
+        device_efficiency=st.just((None, 1.0)) | st.tuples(st.just(DEVICE), st.floats(0.0, 1.0)),
+        p_scale=log_uniform(math.log10(0.6), 3.0),
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.0),
+    )
+    def test_limit_never_rises_with_length(self, body, device_efficiency, p_scale, curvature):
+        # a grid of lengths, plus the floats within 64 ulps of kappa*L = pi,
+        # of the row's transition and of the straight crush/axial crossover
+        assume(not in_the_cross_check_band(curvature, p_scale))
+        device, efficiency = device_efficiency
+        row = case_row(body, device, efficiency, p_scale, curvature)
+        pressure = row.pressure
+        marks = [row.critical_length]
+        if curvature:
+            marks.append(math.pi / curvature)
+        num, den_const, den_slope = mechanics._axial_terms(body, pressure)
+        pa = pressure * body.cross_section_area
+        if pa > 0 and num / pa > den_const:
+            marks.append(math.sqrt((num / pa - den_const) / den_slope))
+        marks = [mark for mark in marks if mark]
+        l_hi = 2.0 * max(marks, default=15.0)
+        lengths = [l_hi * i / 200 for i in range(201)]
+        for mark in marks:
+            lengths += ulp_neighbours(mark)
+        lengths.sort()
+        limits = [predict_at_length_unchecked(row, length).limiting_force for length in lengths]
+        assert all(b <= a for a, b in zip(limits, limits[1:]))
+
+    def test_examples_cover_both_models_past_pi(self):
+        straight = case_row(BODY, None, 1.0, 4.0, 0.0)
+        assert straight.model_used is ModelUsed.STRAIGHT and straight.critical_length
+        for device, efficiency, curvature in [(None, 1.0, 1 / 0.72), (DEVICE, 0.3, 1 / 2.25)]:
+            curved = case_row(BODY, device, efficiency, 4.0, curvature)
+            assert curved.model_used is ModelUsed.CURVED and not curved.grounded
+            assert curved.critical_length < math.pi / curvature
 
 
 class TestMoreDeviceIsNeverWorse:

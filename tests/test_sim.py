@@ -1,11 +1,14 @@
 """Quasistatic episode simulator: retraction, growth, device effects."""
 
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from test_rows import FLIP_BODIES, in_the_cross_check_band
+from test_sweep import log_uniform
 
 from vinebuckle import (
     BodySpec,
@@ -27,6 +30,8 @@ from vinebuckle import units
 from vinebuckle.mechanics import (
     ModelUsed,
     length_terms_unchecked,
+    min_inversion_pressure,
+    predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
 )
@@ -217,6 +222,135 @@ class TestGrowth:
     def test_growth_needs_a_target(self, body):
         with pytest.raises(ValueError, match="target_length"):
             simulate_growth(Scenario(body=body, initial_length=0.0, pressure=2e3))
+
+
+def flip_scenario(body, device_efficiency, p_scale, curvature, grow, reach, start, steps, motor):
+    """A constant-pressure episode scaled to its row: its span is ``reach``
+    times the row's longest feature (the transition, or kappa*L = pi where
+    that is longer, or 1 m), in ``steps`` steps; a growth starts at
+    ``start`` times its target. Returns the scenario and its row."""
+    device, efficiency = device_efficiency
+    pressure = min_inversion_pressure(body) * p_scale
+    _, required = device_assist(body, device, pressure, efficiency)
+    row = solve_pressure_row_unchecked(body, pressure, curvature, required)
+    marks = [row.critical_length, math.pi / curvature if curvature else None]
+    length = reach * max((mark for mark in marks if mark), default=1.0)
+    kwargs = dict(
+        body=body, pressure=pressure, curvature=curvature, device=device,
+        efficiency=efficiency, motor_speed=motor,
+    )
+    if grow:
+        initial = start * length
+        scenario = Scenario(
+            initial_length=initial, target_length=length, step=(length - initial) / steps, **kwargs
+        )
+    else:
+        scenario = Scenario(initial_length=length, step=length / steps, **kwargs)
+    return scenario, row
+
+
+def episode_tips(scenario, grow):
+    """Every tip an episode could log, with the stepping rule written out."""
+    start, step = scenario.initial_length, scenario.step
+    if not grow:
+        shorter = (start - k * step for k in itertools.count())
+        return list(itertools.takewhile(lambda tip: tip > 0.0, shorter))
+    target = scenario.target_length
+    longer = (start + k * step for k in itertools.count(1))
+    return list(itertools.takewhile(lambda tip: tip < target, longer)) + [target]
+
+
+FLIP_CASES = {  # name: (device_efficiency, p_scale, curvature, grow, reach, start, steps, motor)
+    "growth from zero length": ((None, 1.0), 4.0, 0.0, True, 2.0, 0.0, 120, None),
+    "growth whose first tip buckles": ((None, 1.0), 4.0, 0.0, True, 3.0, 0.9, 40, None),
+    "growth that never buckles": ((None, 1.0), 4.0, 0.0, True, 0.9, 0.0, 90, None),
+    "curved growth past kappa*L = pi": (
+        (DeviceSpec(), 0.3), 4.0, 1 / 0.72, True, 2.0, 0.0, 200, None
+    ),
+    "retraction that buckles at its first tip": (
+        (None, 1.0), 4.0, 1 / 2.25, False, 2.0, 0.0, 50, None
+    ),
+    "device stalled at zero motor speed": ((DeviceSpec(), 1.0), 4.0, 0.0, False, 2.0, 0.0, 50, 0.0),
+}
+
+
+def flip_case_examples(test):
+    for case in FLIP_CASES.values():
+        test = example(BodySpec(), *case)(test)
+    return test
+
+
+class TestConstantPressureFlip:
+    # A constant-pressure episode finds its row's one flip instead of
+    # evaluating every tip; every step still has the bits the one-length
+    # kernel gives at its tip.
+    @flip_case_examples
+    @given(
+        body=FLIP_BODIES,
+        device_efficiency=(
+            st.just((None, 1.0)) | st.tuples(st.just(DeviceSpec()), st.floats(0.0, 1.0))
+        ),
+        p_scale=log_uniform(math.log10(0.6), 3.0),
+        curvature=st.just(0.0) | log_uniform(-5.0, 1.0),
+        grow=st.booleans(),
+        reach=log_uniform(-1.0, 0.6),
+        start=st.just(0.0) | st.floats(0.0, 0.95),
+        steps=st.integers(1, 300),
+        motor=st.sampled_from([None, 0.0]),
+    )
+    def test_steps_equal_per_tip_evaluation(
+        self, body, device_efficiency, p_scale, curvature, grow, reach, start, steps, motor
+    ):
+        assume(not in_the_cross_check_band(curvature, p_scale))
+        scenario, row = flip_scenario(
+            body, device_efficiency, p_scale, curvature, grow, reach, start, steps, motor
+        )
+        log = (simulate_growth if grow else simulate_retraction)(scenario)
+        tips = episode_tips(scenario, grow)
+        cells = [predict_at_length_unchecked(row, tip) for tip in tips]
+        first = next((i for i, cell in enumerate(cells) if cell.verdict is Verdict.BUCKLE), None)
+        stalls = not grow and scenario.device is not None and motor == 0.0
+        logged = len(tips)
+        if stalls:
+            logged = min(logged, 1)
+        if not grow and first is not None:
+            logged = min(logged, first + 1)
+        assert [step.tip_position for step in log.steps] == tips[:logged]
+        for step, cell in zip(log.steps, cells):
+            assert step.verdict is cell.verdict
+            assert step.required_tension.hex() == cell.required_tension.hex()
+            assert step.pressure.hex() == row.pressure.hex()
+        if first is not None and first < logged:
+            assert log.terminal == TerminalEvent(TerminalKind.BUCKLED, tips[first])
+        elif stalls and tips:
+            assert log.terminal == TerminalEvent(TerminalKind.STALLED)
+        else:
+            assert log.terminal == TerminalEvent(TerminalKind.FULLY_RETRACTED)
+
+    @pytest.mark.parametrize("name", sorted(FLIP_CASES))
+    def test_flip_cases_cover_their_kind(self, name):
+        grow = FLIP_CASES[name][3]
+        scenario, row = flip_scenario(BodySpec(), *FLIP_CASES[name])
+        log = (simulate_growth if grow else simulate_retraction)(scenario)
+        verdicts = [step.verdict for step in log.steps]
+        kind = log.terminal.kind
+        if name == "growth from zero length":
+            assert scenario.initial_length == 0.0 and kind is TerminalKind.BUCKLED
+            assert verdicts[0] is Verdict.INVERT
+        elif name == "growth whose first tip buckles":
+            assert set(verdicts) == {Verdict.BUCKLE}
+        elif name == "growth that never buckles":
+            assert kind is TerminalKind.FULLY_RETRACTED and set(verdicts) == {Verdict.INVERT}
+        elif name == "curved growth past kappa*L = pi":
+            assert row.model_used is ModelUsed.CURVED and not row.grounded
+            assert scenario.target_length * scenario.curvature > math.pi
+            assert kind is TerminalKind.BUCKLED
+        elif name == "retraction that buckles at its first tip":
+            assert kind is TerminalKind.BUCKLED and len(verdicts) == 1
+            assert row.model_used is ModelUsed.CURVED
+        else:
+            assert kind is TerminalKind.STALLED and len(verdicts) == 1
+            assert row.grounded
 
 
 def linear_scan_pressure(points, tip):

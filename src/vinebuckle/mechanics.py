@@ -13,8 +13,10 @@ check each input once per request and call kernels that trust them: the
 row primitives (``solve_pressure_row_unchecked``, ``length_terms_unchecked``,
 ``predict_row``, ``oracle_row_unchecked``), the one-length kernel
 ``predict_at_length_unchecked``, which states ``predict_row``'s cell rule
-for a single length without its generators, and the ``_unchecked`` twins
-of checked functions. They are public here, for the other modules, and
+for a single length without its generators, the verdict kernel
+``verdict_at_unchecked``, which gives that cell's verdict and solves the
+row only where the two models disagree, and the ``_unchecked`` twins of
+checked functions. They are public here, for the other modules, and
 not exported from the package.
 """
 
@@ -183,9 +185,9 @@ class PressureRow(NamedTuple):
     the curved model had no reachable buckling point. A ``grounded`` row
     has no finite buckling limit at any length: the tail force path is
     grounded at the tip, as when the retraction device covers the whole
-    zero-tension need. Since a scheduled episode solves one row per step,
-    the row solver builds it by position with ``tuple.__new__``; that
-    applies no defaults, so every field is given.
+    zero-tension need. Since a diagram solves one row per pressure, the
+    row solver builds it by position with ``tuple.__new__``; that applies
+    no defaults, so every field is given.
     """
 
     body: BodySpec
@@ -352,7 +354,10 @@ def solve_pressure_row_unchecked(
     body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
 ) -> PressureRow:
     """Solve the model dispatch once for every length at one pressure: the
-    row solver of the predictors, the diagram rows and every scheduled step.
+    row solver of the predictors, the diagram rows, the constant-pressure
+    episodes and the scheduled steps whose two models' verdicts differ
+    (``verdict_at_unchecked``). This is the one place the dispatch rule is
+    written.
 
     ``required_tension`` is ``device.device_assist``'s answer: the tail
     tension the base must supply, or None for a grounded row, which skips
@@ -407,9 +412,9 @@ def length_terms_unchecked(
 
 def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
     """Evaluate a solved row at one finite length >= 0: the one-length
-    kernel of the predictors and of the episodes, which call it at every
-    scheduled step and at the few tips that locate a constant-pressure
-    row's one flip.
+    kernel of the predictors and of the constant-pressure episodes, which
+    call it at the few tips that locate the row's one flip. A scheduled
+    step asks ``verdict_at_unchecked``, which gives this cell's verdict.
 
     Each field has the bits ``predict_row`` gives at that length: the same
     expressions in the same order, computed directly, with no generator
@@ -440,6 +445,47 @@ def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPred
         verdict, mode, required, limit, limit - required, model,
         hint or curvature * length > math.pi,
     ))
+
+
+def verdict_at_unchecked(
+    body: BodySpec,
+    pressure: float,
+    curvature: float,
+    required_tension: Optional[float],
+    length: float,
+) -> Verdict:
+    """The verdict ``predict_at_length_unchecked`` gives at one finite length
+    >= 0 on the row that ``solve_pressure_row_unchecked`` solves from these
+    inputs, with the row solved only where its model decides the verdict:
+    the kernel of the scheduled episode steps, which keep only the verdict.
+
+    Whichever model the row solver picks, the verdict is ``required <
+    limit(length)`` of that model, with these same expressions. Below the
+    straightness threshold the solver always picks the straight model, so
+    the straight verdict is the answer. Above it the curved verdict is
+    computed too, and where the two agree no model choice can change the
+    verdict. Only where they differ is the row solved, and its model's
+    verdict returned. So the closed forms' residual tests and bisection
+    fallbacks run only at those lengths. A None ``required_tension`` is a
+    grounded row, which inverts. Trusts its inputs as the row solver does.
+    """
+    if required_tension is None:
+        return _INVERT
+    limit = pa = pressure * body.cross_section_area
+    if length > 0:
+        num, den_const, den_slope = _axial_terms(body, pressure)
+        axial = num / (den_const + den_slope * length * length)
+        if axial < limit:
+            limit = axial
+    straight = _INVERT if required_tension < limit else _BUCKLE
+    if curvature < KAPPA_STRAIGHT:
+        return straight
+    arm = _moment_arm_clamped(body, curvature, length)
+    curved = _INVERT if required_tension < pa * body.radius / arm else _BUCKLE
+    if curved is straight:
+        return straight
+    row = solve_pressure_row_unchecked(body, pressure, curvature, required_tension)
+    return straight if row.model_used is _STRAIGHT else curved
 
 
 def predict_row(

@@ -33,6 +33,7 @@ from .mechanics import (
     Verdict,
     predict_at_length_unchecked,
     solve_pressure_row_unchecked,
+    verdict_at_unchecked,
 )
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
@@ -257,15 +258,17 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     its first buckle, or after its first step when the device stalls at
     zero motor speed; only a retraction pays out tail slack. The tips are
     generated lazily, so a retraction generates no tip past its first
-    buckle. Under a pressure schedule each step solves the row at its own
-    pressure and evaluates it at its one tip with the one-length kernel
-    ``predict_at_length_unchecked``.
+    buckle. Under a pressure schedule each step has its own pressure and
+    keeps only the verdict at its one tip, so it asks the verdict kernel
+    ``verdict_at_unchecked``, which solves the step's row only where the
+    straight and curved verdicts differ there. The step's required tension
+    is the row's: the device's answer, or 0.0 for a grounded row.
 
     A constant-pressure episode solves its one row up front and finds the
-    row's one flip with the same kernel instead of evaluating every tip.
-    Every step's verdict is ``required < limit(tip)`` and the row's limit
-    never rises with length in floating point: straight, min(P*A, num /
-    (den_const + den_slope*L*L)) with non-negative terms (where num
+    row's one flip with the one-length kernel instead of evaluating every
+    tip. Every step's verdict is ``required < limit(tip)`` and the row's
+    limit never rises with length in floating point: straight, min(P*A,
+    num / (den_const + den_slope*L*L)) with non-negative terms (where num
     overflows, each axial force is inf or inf/inf = NaN, and the limit is
     P*A at every length); curved, P*A*R over the arm R +
     2*sin^2(kappa*L/2)/kappa, whose sin is monotone on [0, pi/2] (as
@@ -322,7 +325,7 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             flip = bisect_left(
                 tips, True, key=lambda tip: predict_at_length_unchecked(row, tip).verdict is buckle
             )
-    pressure_at = scenario.pressure_at
+    pressure_at, verdict_at = scenario.pressure_at, verdict_at_unchecked
     records: list[StepRecord] = []
     append, build = records.append, tuple.__new__
     retracted, buckled, stalled = (
@@ -334,9 +337,9 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
         if scheduled:
             pressure = pressure_at(tip)
             force, required = device_assist_unchecked(body, device, pressure, efficiency)
-            row = solve_pressure_row_unchecked(body, pressure, curvature, required)
-            required = row.required_tension
-            verdict = predict_at_length_unchecked(row, tip).verdict
+            verdict = verdict_at(body, pressure, curvature, required, tip)
+            if required is None:  # grounded: the row's zero required tension
+                required = 0.0
         elif index == flip:
             verdict = buckle
         travelled = abs(tip - start)

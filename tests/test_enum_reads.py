@@ -17,6 +17,7 @@ ENUMS = {"Verdict", "FailureMode", "ModelUsed", "TerminalKind"}
 WHOLE = [
     ("mechanics", "predict_row"),
     ("mechanics", "predict_at_length_unchecked"),
+    ("mechanics", "verdict_at_unchecked"),
     ("mechanics", "oracle_row_unchecked"),
     ("mechanics", "solve_pressure_row_unchecked"),
     ("mechanics", "_grounded_model"),

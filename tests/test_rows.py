@@ -45,12 +45,14 @@ from vinebuckle import (
     transition_length,
 )
 from vinebuckle.mechanics import (
+    CrossCheckError,
     PressureRow,
     length_terms_unchecked,
     oracle_row_unchecked,
     predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
+    verdict_at_unchecked,
 )
 
 BODY = BodySpec()
@@ -575,6 +577,192 @@ class TestLimitNeverRises:
             curved = case_row(BODY, device, efficiency, 4.0, curvature)
             assert curved.model_used is ModelUsed.CURVED and not curved.grounded
             assert curved.critical_length < math.pi / curvature
+
+
+def model_verdict(body, pressure, curvature, required, model, length):
+    """One model's verdict at one length: the one-length kernel on a row
+    that names that model, whatever the row solver would pick."""
+    row = PressureRow(body, pressure, curvature, required, model, None)
+    return predict_at_length_unchecked(row, length).verdict
+
+
+def kernel_lengths(body, pressure, curvature, required):
+    """0 m, a grid, and the floats within 64 ulps of each model's
+    transition (by its bisection kernel) and of kappa*L = pi."""
+    marks = []
+    if required is not None:
+        marks.append(mechanics._straight_bisect_for(body, pressure, required))
+        marks.append(mechanics._curved_bisect_for(body, pressure, curvature, required))
+    if curvature:
+        marks.append(math.pi / curvature)
+    marks = [mark for mark in marks if mark and not math.isinf(mark)]
+    l_hi = 2.0 * max(marks, default=15.0)
+    lengths = [l_hi * i / 100 for i in range(101)]
+    for mark in marks:
+        lengths += ulp_neighbours(mark)
+    return sorted(lengths)
+
+
+def check_verdict_kernel(body, pressure, curvature, required):
+    """The kernel's verdict is the solved row's at every length. Where the
+    row solver raises CrossCheckError, the kernel gives the verdict both
+    models agree on, and raises only where they differ."""
+    try:
+        row = solve_pressure_row_unchecked(body, pressure, curvature, required)
+    except CrossCheckError:
+        row = None
+    for length in kernel_lengths(body, pressure, curvature, required):
+        if row is not None:
+            expected = predict_at_length_unchecked(row, length).verdict
+            assert verdict_at_unchecked(body, pressure, curvature, required, length) is expected
+            continue
+        straight, curved = (
+            model_verdict(body, pressure, curvature, required, model, length)
+            for model in (ModelUsed.STRAIGHT, ModelUsed.CURVED)
+        )
+        if straight is curved:
+            assert verdict_at_unchecked(body, pressure, curvature, required, length) is straight
+        else:
+            with pytest.raises(CrossCheckError):
+                verdict_at_unchecked(body, pressure, curvature, required, length)
+
+
+# the near-straight defect of the curved closed form: the row solver raises
+NEAR_STRAIGHT_DEFECT = (BodySpec(radius=0.001), 2238721.138568338, 1e-6)
+BELOW_STRAIGHT = math.nextafter(mechanics.KAPPA_STRAIGHT, 0.0)
+
+# (device_efficiency, p_scale, curvature) on the reference body
+KERNEL_CASES = {
+    "bare straight": ((None, 1.0), 4.0, 0.0),
+    "bare curved past kappa*L = pi": ((None, 1.0), 4.0, 1 / 0.72),
+    "saturated curved": ((DEVICE, 0.3), 4.0, 1 / 2.25),
+    "grounded curved": ((DEVICE, 1.0), 1.6, 1 / 0.72),
+    "required above P*A": ((None, 1.0), 0.6, 1 / 2.25),
+    "curved unreachable": ((None, 1.0), 4.0, 100.0),
+    "at the straightness threshold": ((None, 1.0), 4.0, mechanics.KAPPA_STRAIGHT),
+    "just below the straightness threshold": ((None, 1.0), 4.0, BELOW_STRAIGHT),
+}
+
+
+def kernel_case_examples(test):
+    for device_efficiency, p_scale, curvature in KERNEL_CASES.values():
+        test = example(
+            body=BODY, device_efficiency=device_efficiency, p_scale=p_scale, curvature=curvature
+        )(test)
+    return test
+
+
+class TestVerdictKernel:
+    # A scheduled step keeps only the verdict, so it asks the verdict
+    # kernel, which solves the row only where the two models disagree.
+    @kernel_case_examples
+    @given(
+        body=st.just(BODY) | FLIP_BODIES,
+        device_efficiency=st.just((None, 1.0))
+        | st.tuples(st.just(DEVICE), st.just(1.0) | st.floats(0.0, 1.0)),
+        p_scale=st.just(0.0) | log_uniform(math.log10(0.3), 3.0),
+        curvature=st.sampled_from([0.0, mechanics.KAPPA_STRAIGHT, BELOW_STRAIGHT])
+        | log_uniform(-5.0, math.log10(50.0)),
+    )
+    def test_verdict_is_the_row_verdict(self, body, device_efficiency, p_scale, curvature):
+        device, efficiency = device_efficiency
+        pressure = min_inversion_pressure(body) * p_scale
+        _, required = device_assist(body, device, pressure, efficiency)
+        check_verdict_kernel(body, pressure, curvature, required)
+
+    def test_near_straight_defect_raises_only_where_the_models_differ(self):
+        body, pressure, curvature = NEAR_STRAIGHT_DEFECT
+        required = tail_tension_to_invert(body, pressure)
+        with pytest.raises(CrossCheckError):
+            solve_pressure_row_unchecked(body, pressure, curvature, required)
+        check_verdict_kernel(body, pressure, curvature, required)
+        assert verdict_at_unchecked(body, pressure, curvature, required, 0.005) is Verdict.INVERT
+        assert verdict_at_unchecked(body, pressure, curvature, required, 3.0) is Verdict.BUCKLE
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_kernel_cases_cover_their_kind(self, name):
+        (device, efficiency), p_scale, curvature = KERNEL_CASES[name]
+        row = case_row(BODY, device, efficiency, p_scale, curvature)
+        pa = row.pressure * BODY.cross_section_area
+        if name == "bare straight":
+            assert row.model_used is ModelUsed.STRAIGHT and row.critical_length
+        elif name == "bare curved past kappa*L = pi":
+            assert row.model_used is ModelUsed.CURVED
+            assert row.critical_length < math.pi / curvature
+        elif name == "saturated curved":
+            assert not row.grounded and row.required_tension > 0
+            assert row.model_used is ModelUsed.CURVED
+        elif name == "grounded curved":
+            assert row.grounded
+        elif name == "required above P*A":
+            assert row.required_tension > pa and row.transition is None
+        elif name == "curved unreachable":
+            assert row.extrapolated and row.model_used is ModelUsed.STRAIGHT
+        elif name == "at the straightness threshold":
+            # the curved transition is longer, so between the two the models
+            # differ and the kernel solves the row, which is modeled straight
+            assert curvature == mechanics.KAPPA_STRAIGHT
+            assert row.model_used is ModelUsed.STRAIGHT
+            required = row.required_tension
+            assert any(
+                model_verdict(BODY, row.pressure, curvature, required, ModelUsed.STRAIGHT, length)
+                is not model_verdict(
+                    BODY, row.pressure, curvature, required, ModelUsed.CURVED, length
+                )
+                for length in kernel_lengths(BODY, row.pressure, curvature, required)
+            )
+        else:
+            assert curvature < mechanics.KAPPA_STRAIGHT
+            assert row.model_used is ModelUsed.STRAIGHT
+
+    @staticmethod
+    def counted_rows(monkeypatch):
+        """The (pressure, curvature) of each row the verdict kernel solves."""
+        seen, solver = [], mechanics.solve_pressure_row_unchecked
+
+        def counting(body, pressure, curvature, required):
+            seen.append((pressure, curvature))
+            return solver(body, pressure, curvature, required)
+
+        monkeypatch.setattr(mechanics, "solve_pressure_row_unchecked", counting)
+        return seen
+
+    def test_a_scheduled_straight_episode_solves_no_row(self, monkeypatch):
+        seen = self.counted_rows(monkeypatch)
+        log = simulate_retraction(
+            Scenario(body=BODY, initial_length=1.25, pressure_points=((0.0, 300.0), (1.25, 5e3)))
+        )
+        assert len(log.steps) > 100 and len({step.pressure for step in log.steps}) > 100
+        assert log.terminal.kind is TerminalKind.BUCKLED
+        assert seen == []
+
+    @pytest.mark.parametrize("device,efficiency", [(None, 1.0), (DEVICE, 0.3)])
+    def test_a_scheduled_curved_episode_solves_rows_where_the_models_differ(
+        self, monkeypatch, device, efficiency
+    ):
+        # a growth past kappa*L = pi whose pressure rises from 2 to 25 kPa
+        curvature = 0.444
+        seen = self.counted_rows(monkeypatch)
+        log = simulate_growth(Scenario(
+            body=BODY, initial_length=0.2, target_length=2.9, curvature=curvature,
+            device=device, efficiency=efficiency,
+            pressure_points=((0.0, 2e3), (1.5, 8e3), (3.0, 25e3)),
+        ))
+        differ = []
+        for step in log.steps:
+            _, required = device_assist(BODY, device, step.pressure, efficiency)
+            if required is None:
+                continue
+            straight, curved = (
+                model_verdict(
+                    BODY, step.pressure, curvature, required, model, step.tip_position
+                )
+                for model in (ModelUsed.STRAIGHT, ModelUsed.CURVED)
+            )
+            if straight is not curved:
+                differ.append((step.pressure, curvature))
+        assert 0 < len(differ) < len(log.steps)
+        assert seen == differ
 
 
 class TestMoreDeviceIsNeverWorse:

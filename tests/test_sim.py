@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from test_rows import FLIP_BODIES, in_the_cross_check_band
+from test_rows import FLIP_BODIES, NEAR_STRAIGHT_DEFECT, in_the_cross_check_band
 from test_sweep import log_uniform
 
 from vinebuckle import (
@@ -28,9 +28,11 @@ from vinebuckle import (
 )
 from vinebuckle import units
 from vinebuckle.mechanics import (
+    CrossCheckError,
     ModelUsed,
     length_terms_unchecked,
     min_inversion_pressure,
+    oracle_row_unchecked,
     predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
@@ -463,6 +465,58 @@ class TestPressureSchedule:
         if shape == "bare curved growth":
             assert any(cell.model_used is ModelUsed.CURVED for cell in cells)
             assert any(cell.extrapolated for cell in cells)
+
+
+# A 1 mm body just at the straightness threshold, where the curved closed
+# form misses the bisection root (ROADMAP item 1) and the row solver raises
+# CrossCheckError. Its straight transition is ~0.93 cm, its curved one
+# ~217 cm.
+SMALL, DEFECT_PRESSURE, DEFECT_KAPPA = NEAR_STRAIGHT_DEFECT
+
+
+def defect_episode(initial, target=None):
+    """A flat schedule at the defect pressure: a retraction from
+    ``initial``, or a growth from it to ``target``."""
+    scenario = Scenario(
+        SMALL, initial_length=initial, target_length=target, step=0.001, curvature=DEFECT_KAPPA,
+        pressure_points=((0.0, DEFECT_PRESSURE), (3.0, DEFECT_PRESSURE)),
+    )
+    return simulate_retraction(scenario) if target is None else simulate_growth(scenario)
+
+
+class TestNearStraightSchedule:
+    # A scheduled step solves its row only where the two models' verdicts
+    # differ, so an episode whose every tip lies where they agree no longer
+    # meets the closed form's defect, which used to raise at every step.
+    @pytest.mark.parametrize(
+        "initial,target,kind",
+        [
+            (0.009, None, TerminalKind.FULLY_RETRACTED),  # short of both transitions
+            (0.0, 0.009, TerminalKind.FULLY_RETRACTED),
+            (3.0, None, TerminalKind.BUCKLED),  # past both: buckles at its first tip
+        ],
+    )
+    def test_episode_where_the_models_agree_completes(self, initial, target, kind):
+        with pytest.raises(CrossCheckError):
+            solve_pressure_row_unchecked(
+                SMALL, DEFECT_PRESSURE, DEFECT_KAPPA, device_assist(SMALL, None, DEFECT_PRESSURE)[1]
+            )
+        log = defect_episode(initial, target)
+        assert log.steps and log.terminal.kind is kind
+        for step in log.steps:
+            # the oracle's dispatch bisects both models and never raises here
+            terms = list(length_terms_unchecked(SMALL, DEFECT_KAPPA, (step.tip_position,)))
+            (cell,) = oracle_row_unchecked(
+                SMALL, step.pressure, DEFECT_KAPPA, step.required_tension, terms
+            )
+            assert step.verdict is cell.verdict
+
+    @pytest.mark.parametrize("initial,target", [(0.05, None), (0.0, 0.05)])
+    def test_episode_that_reaches_a_tip_where_the_models_differ_still_raises(
+        self, initial, target
+    ):
+        with pytest.raises(CrossCheckError, match="disagrees"):
+            defect_episode(initial, target)
 
 
 class TestEpisodeCsv:

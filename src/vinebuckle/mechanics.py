@@ -12,12 +12,18 @@ predictors here and in ``device``, the diagram scans and the episodes)
 check each input once per request and call kernels that trust them: the
 row primitives (``solve_pressure_row_unchecked``, ``length_terms_unchecked``,
 ``predict_row``, ``oracle_row_unchecked``), the one-length kernel
-``predict_at_length_unchecked``, which states ``predict_row``'s cell rule
-for a single length without its generators, the verdict kernel
-``verdict_at_unchecked``, which gives that cell's verdict and solves the
-row only where the two models disagree, and the ``_unchecked`` twins of
-checked functions. They are public here, for the other modules, and
-not exported from the package.
+``predict_at_length_unchecked``, which evaluates a solved row at one length,
+the verdict kernel ``verdict_at_unchecked``, which gives that cell's verdict
+and solves the row only where the two models disagree, and the
+``_unchecked`` twins of checked functions. They are public here, for the
+other modules, and not exported from the package.
+
+Each model's limit at one length is stated once: ``_straight_limit``,
+min(P*A, axial buckling) with the axial force from ``_axial_force``, and
+``_curved_limit``, P*A*R over the clamped moment arm. The one-length
+kernels, the public force functions and the closed forms' residuals call
+them. ``predict_row``'s loop keeps a copy for speed; the bisection gaps and
+the oracle's row keep theirs to stay independent checks.
 """
 
 from __future__ import annotations
@@ -236,8 +242,7 @@ def axial_buckling_force(body: BodySpec, pressure: float, length: float) -> floa
     """
     units.check("pressure", pressure)
     units.check("length", length, lo_open=True)
-    num, den_const, den_slope = _axial_terms(body, pressure)
-    return num / (den_const + den_slope * length * length)
+    return _axial_force(body, pressure, length)
 
 
 def min_inversion_pressure(body: BodySpec) -> float:
@@ -265,9 +270,10 @@ def curved_buckling_force(
     """Tail tension that transversely buckles a curved body: P*A*R / D,
     valid for kappa*L in [0, pi]."""
     units.check("pressure", pressure)
-    arm = clamped_moment_arm(body, curvature, length)
+    units.check("curvature", curvature, lo_open=True)
+    units.check("length", length)
     units.check("kappa*L", curvature * length, hi=math.pi)
-    return pressure * body.cross_section_area * body.radius / arm
+    return _curved_limit(body, pressure, curvature, length)
 
 
 def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:
@@ -416,27 +422,16 @@ def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPred
     call it at the few tips that locate the row's one flip. A scheduled
     step asks ``verdict_at_unchecked``, which gives this cell's verdict.
 
-    Each field has the bits ``predict_row`` gives at that length: the same
-    expressions in the same order, computed directly, with no generator
-    and no moment arm for a row modeled straight. Past kappa*L = pi the
-    clamped arm is R + 2/kappa, the arm ``predict_row`` holds there.
+    The limit is the row's model's, from ``_straight_limit`` or
+    ``_curved_limit``; ``predict_row`` gives the same bits at every length.
     """
     body, pressure, curvature, required, model, _, hint, grounded = row
     if grounded:
         mode, limit = _NONE, math.inf
     elif model is _STRAIGHT:
-        mode, limit = _CRUSH, pressure * body.cross_section_area
-        if length > 0:
-            num, den_const, den_slope = _axial_terms(body, pressure)
-            axial = num / (den_const + den_slope * length * length)
-            if axial < limit:
-                mode, limit = _AXIAL, axial
+        mode, limit = _straight_limit(body, pressure, length)
     else:
-        mode = _TRANSVERSE
-        limit = (
-            pressure * body.cross_section_area * body.radius
-            / _moment_arm_clamped(body, curvature, length)
-        )
+        mode, limit = _TRANSVERSE, _curved_limit(body, pressure, curvature, length)
     if required < limit:
         verdict, mode = _INVERT, _NONE
     else:
@@ -460,28 +455,22 @@ def verdict_at_unchecked(
     the kernel of the scheduled episode steps, which keep only the verdict.
 
     Whichever model the row solver picks, the verdict is ``required <
-    limit(length)`` of that model, with these same expressions. Below the
-    straightness threshold the solver always picks the straight model, so
-    the straight verdict is the answer. Above it the curved verdict is
-    computed too, and where the two agree no model choice can change the
-    verdict. Only where they differ is the row solved, and its model's
-    verdict returned. So the closed forms' residual tests and bisection
-    fallbacks run only at those lengths. A None ``required_tension`` is a
-    grounded row, which inverts. Trusts its inputs as the row solver does.
+    limit(length)`` of that model. Below the straightness threshold the
+    solver always picks the straight model. Above it the curved verdict is
+    computed too, and only where the two differ is the row solved, and its
+    model's verdict returned. A None ``required_tension`` is a grounded
+    row, which inverts. Trusts its inputs as the row solver does.
     """
     if required_tension is None:
         return _INVERT
-    limit = pa = pressure * body.cross_section_area
-    if length > 0:
-        num, den_const, den_slope = _axial_terms(body, pressure)
-        axial = num / (den_const + den_slope * length * length)
-        if axial < limit:
-            limit = axial
-    straight = _INVERT if required_tension < limit else _BUCKLE
+    straight = (
+        _INVERT if required_tension < _straight_limit(body, pressure, length)[1] else _BUCKLE
+    )
     if curvature < KAPPA_STRAIGHT:
         return straight
-    arm = _moment_arm_clamped(body, curvature, length)
-    curved = _INVERT if required_tension < pa * body.radius / arm else _BUCKLE
+    curved = (
+        _INVERT if required_tension < _curved_limit(body, pressure, curvature, length) else _BUCKLE
+    )
     if curved is straight:
         return straight
     row = solve_pressure_row_unchecked(body, pressure, curvature, required_tension)
@@ -498,7 +487,9 @@ def predict_row(
     ``terms`` are ``length_terms_unchecked`` of the row's body and
     curvature: they carry each length's flag and clamped moment arm, so the
     rows of a diagram share that work. The row's length-independent terms
-    are computed once. A cell whose limit is one of the row's
+    are computed once, and the loop copies ``_straight_limit``'s and
+    ``_curved_limit``'s expressions, since a call per cell would cost more
+    than the cell's other work. A cell whose limit is one of the row's
     length-independent limits (P*A, the clamped-arm limit beyond
     kappa*L = pi, or the grounded inf) and whose flag matches the cell
     before it is that same cell object again, since every field then has
@@ -648,7 +639,8 @@ def _straight_bisect_for(body: BodySpec, pressure: float, required: float) -> Op
         return math.inf
 
     # every length the solver tries is positive and finite, so the gap
-    # evaluates the force unchecked, from the row's axial terms
+    # evaluates the force unchecked, from the row's axial terms: its own copy
+    # of ``_axial_force``, since this is the oracle's solver
     num, den_const, den_slope = _axial_terms(body, pressure)
 
     def gap(length: float) -> float:
@@ -688,7 +680,8 @@ def _curved_bisect_for(
         return math.inf
 
     # every length the solver tries is in [0, pi/kappa] and kappa > 0, so the
-    # gap calls the check-free arm helper
+    # gap calls the check-free arm helper: its own copy of ``_curved_limit``,
+    # since this is the oracle's solver
     def gap(length: float) -> float:
         return par / _moment_arm_clamped(body, curvature, length) - required
 
@@ -715,8 +708,9 @@ def oracle_row_unchecked(
     closed forms, and each cell compares ``required`` with the limiting
     force of that model at its length: the smaller of crushing and axial
     buckling when straight, from the row's axial terms, and the transverse
-    limit P*A*R / arm when curved, from the term's arm. These are the public
-    force functions' formulas without their checks. A cell carries its
+    limit P*A*R / arm when curved, from the term's arm: its own copies of
+    ``_straight_limit`` and ``_curved_limit``, so that a fault in either
+    shows as a disagreement. A cell carries its
     verdict, the forces and the model; its mode is NONE and its flag False.
     A cell whose limit is the same object as the previous cell's (where
     crushing binds) is that same cell object again, as in ``predict_row``.
@@ -788,6 +782,31 @@ def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
     return num, den_const, body.radius * pressure + g_t
 
 
+def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
+    """The axial buckling force at a length > 0, unchecked."""
+    num, den_const, den_slope = _axial_terms(body, pressure)
+    return num / (den_const + den_slope * length * length)
+
+
+def _straight_limit(body: BodySpec, pressure: float, length: float) -> tuple[FailureMode, float]:
+    """The straight model's failure mode and limit at a length >= 0:
+    min(P*A, axial force) as a comparison, so crushing wherever the axial
+    force is not smaller: at zero length, at a tie, or where it is NaN."""
+    crush = pressure * body.cross_section_area
+    if length > 0:
+        axial = _axial_force(body, pressure, length)
+        if axial < crush:
+            return _AXIAL, axial
+    return _CRUSH, crush
+
+
+def _curved_limit(body: BodySpec, pressure: float, curvature: float, length: float) -> float:
+    """The curved model's limit at a length >= 0: P*A*R over the clamped arm."""
+    return pressure * body.cross_section_area * body.radius / _moment_arm_clamped(
+        body, curvature, length
+    )
+
+
 def _moment_arm_clamped(body: BodySpec, curvature: float, length: float) -> float:
     # Beyond kappa*L = pi the arm is held at its maximum R + 2/kappa so that
     # a triggered buckling verdict persists instead of oscillating.
@@ -843,7 +862,7 @@ def _straight_transition_for(
     if required <= 0 or num == math.inf:  # k1*P overflowed: inf force at any length
         return math.inf
     closed = math.sqrt((num / required - den_const) / den_slope)
-    residual = num / (den_const + den_slope * closed * closed) - required
+    residual = _axial_force(body, pressure, closed) - required
     if _within_rounding(residual, required):
         return closed
     return _confirmed(closed, _straight_bisect_for(body, pressure, required))
@@ -864,7 +883,7 @@ def _curved_transition_for(
         return None
     if required <= 0 or curvature < KAPPA_STRAIGHT:
         return math.inf
-    if pa * body.radius / _moment_arm_clamped(body, curvature, math.inf) > required:
+    if _curved_limit(body, pressure, curvature, math.inf) > required:
         return math.inf
     d_min = pa * body.radius / required
     cos_arg = 1.0 - curvature * (d_min - body.radius)
@@ -874,7 +893,7 @@ def _curved_transition_for(
     elif not cos_arg > -1.0:
         cos_arg = -1.0
     closed = math.acos(cos_arg) / curvature
-    residual = pa * body.radius / _moment_arm_clamped(body, curvature, closed) - required
+    residual = _curved_limit(body, pressure, curvature, closed) - required
     if _within_rounding(residual, required):
         return closed
     return _confirmed(closed, _curved_bisect_for(body, pressure, curvature, required))

@@ -266,21 +266,20 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
 
     A constant-pressure episode solves its one row up front and finds the
     row's one flip with the one-length kernel instead of evaluating every
-    tip. Every step's verdict is ``required < limit(tip)`` and the row's
-    limit never rises with length in floating point: straight, min(P*A,
-    num / (den_const + den_slope*L*L)) with non-negative terms (where num
-    overflows, each axial force is inf or inf/inf = NaN, and the limit is
-    P*A at every length); curved, P*A*R over the arm R +
-    2*sin^2(kappa*L/2)/kappa, whose sin is monotone on [0, pi/2] (as
-    ``bisect_root`` relies on) and which is held at its maximum R + 2/kappa
-    past kappa*L = pi; grounded, inf. So the verdicts run INVERT, then
-    BUCKLE, along increasing length. A retraction's tips shorten from
-    initial_length, its first tip: either that tip buckles, or every tip
-    inverts. A growth's tips lengthen and are all logged, so it keeps them
-    and bisects them for the first that buckles, in ceil(log2(n + 1))
-    kernel calls for n tips. Each step then carries the verdict its index
-    gives and the row's one required tension object: the bits and objects
-    that evaluating the row at every tip gave.
+    tip. Every step's verdict is ``required < limit(tip)``, with the limit
+    from ``mechanics._straight_limit`` or ``_curved_limit`` (or inf on a
+    grounded row), and neither limit rises with length in floating point:
+    the axial force's terms are non-negative (where one overflows, the
+    force is inf or NaN and crushing binds), and the clamped arm grows with
+    length, since its sin is monotone on [0, pi/2] (as ``bisect_root``
+    relies on) and it is held at its maximum past kappa*L = pi. So the
+    verdicts run INVERT, then BUCKLE, along increasing length. A
+    retraction's tips shorten from initial_length, its first tip: either
+    that tip buckles, or every tip inverts. A growth's tips lengthen and
+    are all logged, so it keeps them and bisects them for the first that
+    buckles, in ceil(log2(n + 1)) kernel calls for n tips. Each step then
+    carries the verdict its index gives and the row's one required tension
+    object: the bits and objects that evaluating the row at every tip gave.
 
     The scenario checked its inputs, and every tip lies within its checked
     lengths, so the steps call the unchecked kernels. The forces derived

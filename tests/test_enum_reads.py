@@ -18,6 +18,7 @@ WHOLE = [
     ("mechanics", "predict_row"),
     ("mechanics", "predict_at_length_unchecked"),
     ("mechanics", "verdict_at_unchecked"),
+    ("mechanics", "_straight_limit"),
     ("mechanics", "oracle_row_unchecked"),
     ("mechanics", "solve_pressure_row_unchecked"),
     ("mechanics", "_grounded_model"),

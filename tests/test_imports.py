@@ -1,7 +1,8 @@
 """Import hygiene. numpy stays off the import path: only the aperture fit
 loads it. Each CLI command loads only the vinebuckle modules it runs, and
-the package namespace loads a module on first use of one of its names. And no
-module imports a private name from a sibling module.
+the package namespace loads a module on first use of one of its names. No
+module imports a private name from a sibling module, and ``mechanics`` states
+each model's limit in its helper and in the copies it names.
 
 Each numpy and module-loading check runs in a fresh interpreter, since the
 test process has imported every module already.
@@ -12,8 +13,10 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,3 +234,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     sources = sorted((SRC / "vinebuckle").glob("*.py"))
     assert len(sources) >= 9
     assert [hit for path in sources for hit in _private_sibling_imports(path)] == []
+
+
+# the axial force's divisor, den_const + den_slope * L * L
+AXIAL_DIVISOR = re.compile(r"\w+ \+ \w+ \* (\w+) \* \1")
+
+
+def _limit_divisions(tree: ast.Module) -> tuple[Counter, Counter]:
+    """The divisions that state a limit, counted per top-level function: the
+    axial force, and P*A*R over the clamped moment arm (a
+    ``_moment_arm_clamped`` call, or a name ``arm``)."""
+    axial, curved = Counter(), Counter()
+    for function in tree.body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                divisor = ast.unparse(node.right)
+                if AXIAL_DIVISOR.fullmatch(divisor):
+                    axial[function.name] += 1
+                elif divisor == "arm" or divisor.startswith("_moment_arm_clamped("):
+                    curved[function.name] += 1
+    return axial, curved
+
+
+def test_each_limit_is_stated_in_its_helper_and_the_named_copies():
+    # the one-length kernels, the force functions and the closed forms'
+    # residuals call the helpers; the row evaluator's loop keeps a copy for
+    # speed, and the bisection gaps and the oracle's row keep theirs to stay
+    # independent checks
+    tree = ast.parse((SRC / "vinebuckle" / "mechanics.py").read_text())
+    axial, curved = _limit_divisions(tree)
+    assert axial == {
+        "_axial_force": 1, "predict_row": 1, "_straight_bisect_for": 1, "oracle_row_unchecked": 1,
+    }
+    assert curved == {
+        "_curved_limit": 1, "predict_row": 2, "_curved_bisect_for": 2, "oracle_row_unchecked": 1,
+    }

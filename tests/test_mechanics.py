@@ -311,6 +311,13 @@ class TestCurvedTransition:
         with pytest.raises(ValueError):
             curved_transition_length(body, 2e3, 0.0)
 
+    def test_frictionless_tip_at_zero_pressure_has_no_transition(self):
+        # zero pressure and zero required tension: no finite transition, and
+        # the closed form returns before it would divide by the tension
+        body = BodySpec(inversion_force=0.0)
+        assert curved_transition_length(body, 0.0, K_MEDIUM) is None
+        assert transition_length(body, 0.0, K_MEDIUM) is None
+
     @given(pressure=st.floats(min_value=1.4e3, max_value=20e3), k1=curvatures, k2=curvatures)
     def test_non_increasing_in_curvature(self, pressure, k1, k2):
         body = BodySpec()
@@ -372,6 +379,28 @@ class TestPredictBehavior:
         state = RobotState(length=1.0, pressure=2e3, curvature=K_LARGE)
         prediction = predict_behavior(body, state)
         assert not prediction.extrapolated
+
+    @pytest.mark.parametrize("pressure", [5.5e21, 7.9e21])
+    def test_zero_length_limit_is_crushing_where_the_axial_form_rounds_below(
+        self, body, pressure
+    ):
+        # the axial force holds at lengths > 0 only: at zero length its
+        # expression, num / den_const, rounds below P*A at these pressures,
+        # and the straight limit is still P*A
+        crush = crushing_force(body, pressure)
+        assert reference_axial_force(body, pressure, 0.0) < crush
+        prediction = predict_behavior(body, RobotState(length=0.0, pressure=pressure))
+        assert prediction.model_used is ModelUsed.STRAIGHT
+        assert prediction.limiting_force == crush
+
+    def test_axial_force_equal_to_crushing_is_a_crush(self, body):
+        # at this length the axial force equals P*A to the bit; axial
+        # buckling binds only where it is strictly smaller
+        pressure, length = 344.7124558091775, 5.195025915333571
+        assert reference_axial_force(body, pressure, length) == crushing_force(body, pressure)
+        prediction = predict_behavior(body, RobotState(length=length, pressure=pressure))
+        assert prediction.verdict is Verdict.BUCKLE
+        assert prediction.mode is FailureMode.CRUSH
 
     @given(pressure=pressures, curvature=curvatures)
     def test_crush_equivalence_at_zero_length(self, pressure, curvature):
@@ -520,6 +549,10 @@ class TestTransitionCrossCheck:
         with pytest.raises(CrossCheckError, match="disagrees"):
             # true root is near 2.39 m
             _confirmed(1.0, straight_transition_bisect(body, 2e3, required))
+        # only a difference of more than 1e-6 m raises
+        assert _confirmed(0.0, 1e-6) == 0.0
+        with pytest.raises(CrossCheckError):
+            _confirmed(0.0, math.nextafter(1e-6, 1.0))
 
     # (bisection kernel, closed form) on the reference body at 2 kPa, whose
     # residuals are -1.8e-15 N and -3.6e-15 N: nonzero, so a tolerance can

@@ -44,8 +44,8 @@ class TensionSample:
     tail_tension: float   # N
 
     def __post_init__(self) -> None:
-        units.check("pressure", self.pressure)
-        units.check("tail_tension", self.tail_tension)
+        units.check("pressure", self.pressure, *units.PRESSURE)
+        units.check("tail_tension", self.tail_tension, *units.FORCE)
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class ApertureSample:
     shape_tag: ApertureShape = ApertureShape.CIRCULAR
 
     def __post_init__(self) -> None:
-        units.check("aperture_area", self.aperture_area, lo_open=True)
-        units.check("inversion_force", self.inversion_force, lo_open=True)
+        units.check("aperture_area", self.aperture_area, *units.AREA)
+        units.check("inversion_force", self.inversion_force, units.FORCE.floor, units.FORCE.hi)
 
 
 @dataclass(frozen=True)
@@ -102,19 +102,15 @@ def fit_inversion_force(samples: Sequence[TensionSample], area: float) -> Invers
     The constrained least squares estimate is the mean of
     tension - pressure*area/2 over all samples; duplicate trials count as
     individual equally weighted samples. Both means add from 0.0 in numpy's
-    order (``_pairwise_sum``), so the fit is bit for bit ``np.mean``'s. A
-    result that overflows raises FloatingPointError.
+    order (``_pairwise_sum``), so the fit is bit for bit ``np.mean``'s.
     """
-    units.check("area", area, lo_open=True)
+    units.check("area", area, *units.AREA)
     if not samples:
         raise ValueError("need at least one tension sample")
     n = len(samples)
     offsets = [s.tail_tension - 0.5 * s.pressure * area for s in samples]
     f_i = (0.0 + _pairwise_sum(offsets)) / n
     rms = math.sqrt((0.0 + _pairwise_sum([(o - f_i) * (o - f_i) for o in offsets])) / n)
-    # inf or NaN in f_i carries into rms
-    if not math.isfinite(rms):
-        raise FloatingPointError("overflow encountered in the tension fit")
     return InversionFit(inversion_force=f_i, residual_rms=rms)
 
 

@@ -9,10 +9,9 @@ document, printed as JSON with ``--json`` and otherwise as aligned
 stdout closed by its reader (``| head``, with no message), 2 input
 validation, 3 numeric cross-check failure (``sweep --oracle-check`` exits 3
 when the grid and the oracle differ in a verdict or a model). Errors go to
-stderr with an ``error:`` prefix. Every non-finite, out-of-range or
-wrongly typed input that a command uses exits 2, and so does a finite input
-so extreme that the model's arithmetic overflows or divides by an
-underflowed zero.
+stderr with an ``error:`` prefix. Every non-finite or wrongly typed input
+that a command uses exits 2, and so does one outside its range: the
+model's numeric domain (``units``), stated in SI.
 """
 
 from __future__ import annotations
@@ -90,9 +89,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    except ArithmeticError as exc:  # overflow or underflow to zero from extreme inputs
-        print(f"error: inputs out of the model's numeric range ({exc})", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -138,7 +134,7 @@ def _or_null(read: Callable[[str, Any], Any]) -> Callable[[str, Any], Any]:
 
 
 def _efficiency(label: str, value: Any) -> float:
-    return units.check(label, _number(label, value), hi=1.0)
+    return units.check(label, _number(label, value), *units.EFFICIENCY)
 
 
 def _ring_area(diameter_cm: float) -> float:
@@ -341,7 +337,7 @@ def _render(doc: dict, as_json: bool) -> str:
     try:
         encoded = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:
-        raise ArithmeticError("a result is not finite") from None
+        raise ValueError("a result is not finite") from None
     if as_json:
         return encoded
     pairs = [*doc.get("input", {}).items(), *((k, v) for k, v in doc.items() if k != "input")]
@@ -388,7 +384,7 @@ def _cmd_predict(args: argparse.Namespace) -> dict:
     # checked even without --device, as sweep checks it
     efficiency = cfg_eff
     if args.efficiency is not None:
-        efficiency = units.check("efficiency", args.efficiency, hi=1.0)
+        efficiency = units.check("efficiency", args.efficiency, *units.EFFICIENCY)
     state = RobotState(
         length=units.cm_to_m(args.length_cm),
         pressure=units.kpa_to_pa(args.pressure_kpa),

@@ -59,20 +59,21 @@ class DeviceSpec:
     aperture_c2: float = 3.3                  # N
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_motor_torque",
-            "roller_radius",
-            "motor_speed_max",
-            "tip_ring_area",
-            "routing_aperture_area",
-            "aperture_c1",
-            "aperture_c2",
+        positive_force = units.FORCE.floor, units.FORCE.hi
+        for name, bounds in (
+            ("max_motor_torque", units.TORQUE),
+            ("roller_radius", units.RADIUS),
+            ("motor_speed_max", (units.SPEED.floor, units.SPEED.hi)),
+            ("tip_ring_area", units.AREA),
+            ("routing_aperture_area", units.AREA),
+            ("aperture_c1", units.APERTURE_C1),
+            ("aperture_c2", positive_force),
+            ("static_friction", units.FRICTION),
+            ("roller_normal_force", positive_force),
         ):
-            units.check(name, getattr(self, name), lo_open=True)
-        for name in ("static_friction", "roller_normal_force"):
             value = getattr(self, name)
-            if value is not None:
-                units.check(name, value, lo_open=True)
+            if value is not None:  # the friction pair is optional
+                units.check(name, value, *bounds)
 
     @property
     def min_aperture_area(self) -> float:
@@ -109,11 +110,11 @@ def aperture_inversion_force(device: DeviceSpec, area: Optional[float] = None) -
     """
     if area is None:
         return device._constants[1]
+    units.check("aperture area", area, *units.AREA)
     return _aperture_force(device, area)
 
 
 def _aperture_force(device: DeviceSpec, area: float) -> float:
-    units.check("aperture area", area, lo_open=True)
     return device.aperture_c1 / area + device.aperture_c2
 
 
@@ -125,8 +126,8 @@ def tail_tension_with_device(
     T_T = P*A/2 + F_I(device aperture) - F_d/2. May be negative when the
     device over-drives; clamping is a simulation policy, not done here.
     """
-    units.check("pressure", pressure)
-    units.check("device_force", device_force)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("device_force", device_force, *units.FORCE)
     return _residual_tension(body, pressure, aperture_inversion_force(device), device_force)
 
 
@@ -134,7 +135,7 @@ def device_force_for_zero_tension(
     body: BodySpec, device: DeviceSpec, pressure: float
 ) -> float:
     """Device force that inverts the body with zero tail tension: P*A + 2*F_I."""
-    units.check("pressure", pressure)
+    units.check("pressure", pressure, *units.PRESSURE)
     return _zero_tension_need(body, pressure, aperture_inversion_force(device))
 
 
@@ -167,14 +168,14 @@ def max_zero_tension_pressure(
 
     (efficiency * F_max - 2*F_I) / A for efficiency in [0, 1], floored at
     zero. ``inversion_force`` defaults to the aperture model value; pass
-    ``body.inversion_force`` for the device-free bare offset. Raises
-    ValueError where the available force efficiency * F_max overflows.
+    ``body.inversion_force`` for the device-free bare offset.
     """
-    units.check("efficiency", efficiency, hi=1.0)
-    f_i = aperture_inversion_force(device) if inversion_force is None else inversion_force
-    units.check("inversion_force", f_i, lo=-math.inf)
+    units.check("efficiency", efficiency, *units.EFFICIENCY)
+    if inversion_force is None:
+        f_i = aperture_inversion_force(device)
+    else:
+        f_i = units.check("inversion_force", inversion_force, *units.TENSION)
     available = efficiency * max_device_force(device)
-    units.check("device_force", available)
     ceiling = (available - 2.0 * f_i) / body.cross_section_area
     return max(ceiling, 0.0)
 
@@ -187,12 +188,10 @@ def efficiency_for_pressure_ceiling(
     Back-solves ``max_zero_tension_pressure`` for efficiency, so field data on
     the highest self-retraction pressure calibrates the drivetrain losses.
     Raises ValueError when the ceiling is above the lossless one, which no
-    efficiency in [0, 1] reaches, or where the zero-tension need there
-    overflows.
+    efficiency in [0, 1] reaches.
     """
-    units.check("max_pressure", max_pressure)
+    units.check("max_pressure", max_pressure, *units.PRESSURE)
     needed = _zero_tension_need(body, max_pressure, aperture_inversion_force(device))
-    units.check("device_force", needed)
     efficiency = needed / max_device_force(device)
     if efficiency > 1.0:
         raise ValueError(
@@ -216,7 +215,7 @@ def retraction_kinematics(device: DeviceSpec, motor_speed: float) -> RetractionK
     units of tail per unit of tip travel, so the tip moves at half that and
     the base must take up the full roller surface speed to hold slack.
     """
-    units.check("motor_speed", motor_speed, hi=device.motor_speed_max)
+    units.check("motor_speed", motor_speed, hi=device.motor_speed_max, floor=units.SPEED.floor)
     surface = motor_speed * device.roller_radius
     return RetractionKinematics(
         roller_surface_speed=surface,
@@ -239,22 +238,17 @@ def device_assist(
     P*A + 2*F_I: that need and None, since the tail needs no tension from
     the base. Saturated otherwise: the available force and the residual
     tail tension P*A/2 + F_I - F_avail/2. The efficiency is checked first,
-    with or without a device, then the pressure, and then the derived
-    forces by ``check_assist``, the drivers' rule: a force or tension that
-    overflowed raises ValueError, a grounded row's force included.
+    with or without a device, then the pressure.
     """
-    units.check("efficiency", efficiency, hi=1.0)
-    units.check("pressure", pressure)
-    force, required = device_assist_unchecked(body, device, pressure, efficiency)
-    check_assist(force, required)
-    return force, required
+    units.check("efficiency", efficiency, *units.EFFICIENCY)
+    units.check("pressure", pressure, *units.PRESSURE)
+    return device_assist_unchecked(body, device, pressure, efficiency)
 
 
 def device_assist_unchecked(
     body: BodySpec, device: Optional[DeviceSpec], pressure: float, efficiency: float
 ) -> tuple[float, Optional[float]]:
-    """``device_assist`` for inputs already checked. The forces it derives
-    may overflow; ``check_assist`` checks them once per request."""
+    """``device_assist`` for inputs already checked."""
     if device is None:
         return 0.0, tail_tension_to_invert_unchecked(body, pressure)
     force_max, f_i = device._constants
@@ -263,16 +257,6 @@ def device_assist_unchecked(
     if needed <= available:
         return needed, None
     return available, _residual_tension(body, pressure, f_i, available)
-
-
-def check_assist(force: float, required: Optional[float]) -> None:
-    """Check the forces ``device_assist_unchecked`` derived: the applied
-    force (0 without a device, the zero-tension need on a grounded row) and,
-    where the row needs tension from the base, that tension. Raises
-    ValueError for one that overflowed."""
-    units.check("device_force", force)
-    if required is not None:
-        units.check("required_tension", required, lo=-math.inf)
 
 
 def predict_with_device(
@@ -287,9 +271,8 @@ def predict_with_device(
     must come from the base, and the ordinary model comparison runs with
     that residual (a model extension beyond the zero-tension regime).
     """
-    units.check("efficiency", efficiency, hi=1.0)
+    units.check("efficiency", efficiency, *units.EFFICIENCY)
     pressure = state.pressure
-    force, required = device_assist_unchecked(body, device, pressure, efficiency)
-    check_assist(force, required)
+    _, required = device_assist_unchecked(body, device, pressure, efficiency)
     row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
     return predict_at_length_unchecked(row, state.length)

@@ -96,24 +96,11 @@ class BodySpec:
     inversion_force: float = 3.5      # N, tip deformation force offset
 
     def __post_init__(self) -> None:
-        for name in ("radius", "wall_thickness", "youngs_modulus", "shear_modulus"):
-            units.check(name, getattr(self, name), lo_open=True)
-        units.check("inversion_force", self.inversion_force)
-        # every force scales with or divides by the area; a subnormal one has
-        # lost digits, and a zero one divides by zero
-        if math.pi * self.radius * self.radius < sys.float_info.min:
-            raise ValueError(
-                "radius must give a cross-section area pi*R^2 within the normal "
-                f"numeric range, got {self.radius}"
-            )
-        # the axial buckling force takes R**4, which raises where it overflows
-        # (R above ~1.16e77 m, well below where pi*R^2 does)
-        try:
-            self.radius**4
-        except OverflowError:
-            raise ValueError(
-                f"radius must give R^4 within the numeric range, got {self.radius}"
-            ) from None
+        units.check("radius", self.radius, *units.RADIUS)
+        units.check("wall_thickness", self.wall_thickness, *units.RADIUS)
+        units.check("youngs_modulus", self.youngs_modulus, *units.MODULUS)
+        units.check("shear_modulus", self.shear_modulus, *units.MODULUS)
+        units.check("inversion_force", self.inversion_force, *units.FORCE)
 
     # Derived constants are computed on first use and kept in the instance
     # ``__dict__``, which no field, ``==``, ``hash`` or ``repr`` reads. Each
@@ -152,9 +139,9 @@ class RobotState:
     curvature: float = 0.0      # 1/m, >= 0
 
     def __post_init__(self) -> None:
-        units.check("length", self.length)
-        units.check("pressure", self.pressure)
-        units.check("curvature", self.curvature)
+        units.check("length", self.length, *units.LENGTH)
+        units.check("pressure", self.pressure, *units.PRESSURE)
+        units.check("curvature", self.curvature, *units.CURVATURE)
 
 
 class BehaviorPrediction(NamedTuple):
@@ -218,19 +205,18 @@ def tail_tension_to_invert(body: BodySpec, pressure: float) -> float:
     Affine in pressure with slope equal to half the cross-sectional area,
     offset by the tip deformation force.
     """
-    units.check("pressure", pressure)
+    units.check("pressure", pressure, *units.PRESSURE)
     return tail_tension_to_invert_unchecked(body, pressure)
 
 
 def tail_tension_to_invert_unchecked(body: BodySpec, pressure: float) -> float:
-    """``tail_tension_to_invert`` for inputs already checked. The result may
-    overflow; its caller checks it once per request."""
+    """``tail_tension_to_invert`` for inputs already checked."""
     return 0.5 * pressure * body.cross_section_area + body.inversion_force
 
 
 def crushing_force(body: BodySpec, pressure: float) -> float:
     """Axial load that collapses the wall by crushing: P*A, length independent."""
-    units.check("pressure", pressure)
+    units.check("pressure", pressure, *units.PRESSURE)
     return pressure * body.cross_section_area
 
 
@@ -240,8 +226,8 @@ def axial_buckling_force(body: BodySpec, pressure: float, length: float) -> floa
     Strictly decreasing in length; tends to P*A + pi*R*G*t as length -> 0.
     Raises ValueError for length <= 0.
     """
-    units.check("pressure", pressure)
-    units.check("length", length, lo_open=True)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("length", length, *units.LENGTH, lo_open=True)
     return _axial_force(body, pressure, length)
 
 
@@ -259,8 +245,8 @@ def clamped_moment_arm(body: BodySpec, curvature: float, length: float) -> float
     is R exactly. 1 - cos is evaluated as 2*sin^2(x/2) to stay accurate near
     zero curvature.
     """
-    units.check("curvature", curvature, lo_open=True)
-    units.check("length", length)
+    units.check("curvature", curvature, *units.CURVATURE, lo_open=True)
+    units.check("length", length, *units.LENGTH)
     return _moment_arm_clamped(body, curvature, length)
 
 
@@ -269,9 +255,9 @@ def curved_buckling_force(
 ) -> float:
     """Tail tension that transversely buckles a curved body: P*A*R / D,
     valid for kappa*L in [0, pi]."""
-    units.check("pressure", pressure)
-    units.check("curvature", curvature, lo_open=True)
-    units.check("length", length)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("curvature", curvature, *units.CURVATURE, lo_open=True)
+    units.check("length", length, *units.LENGTH)
     units.check("kappa*L", curvature * length, hi=math.pi)
     return _curved_limit(body, pressure, curvature, length)
 
@@ -280,17 +266,12 @@ def min_buckling_moment_arm(body: BodySpec, pressure: float) -> float:
     """Smallest moment arm at which buckling wins over inversion.
 
     Equals R at the minimum inversion pressure and approaches 2R at high
-    pressure. Requires pressure > 0. Raises ValueError where the required
-    tension P*A/2 + F_I overflows.
+    pressure. Requires a pressure of at least the pressure floor, where P*A
+    is a normal float.
     """
-    units.check("pressure", pressure, lo_open=True)
+    units.check("pressure", pressure, units.PRESSURE.floor, units.PRESSURE.hi)
     pa = pressure * body.cross_section_area
-    required = 0.5 * pa + body.inversion_force
-    units.check("required_tension", required, lo=-math.inf)
-    par = pa * body.radius
-    if par == math.inf:  # P*A*R overflows, though the arm is below 2R
-        return pa / required * body.radius
-    return par / required
+    return pa * body.radius / (0.5 * pa + body.inversion_force)
 
 
 def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> float:
@@ -300,8 +281,8 @@ def wall_tension(body: BodySpec, pressure: float, device_force: float = 0.0) -> 
     gone slack and the body is in the crushing regime. With no device force
     the sign flips exactly at the minimum inversion pressure.
     """
-    units.check("pressure", pressure)
-    units.check("device_force", device_force)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("device_force", device_force, *units.FORCE)
     return (
         0.5 * pressure * body.cross_section_area
         - body.inversion_force
@@ -320,10 +301,9 @@ def curved_transition_length(
     unreachable). The closed form's force residual is tested on every call,
     and a bisection runs only where that test fails.
     """
-    units.check("pressure", pressure)
-    units.check("curvature", curvature, lo_open=True)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("curvature", curvature, *units.CURVATURE, lo_open=True)
     required = tail_tension_to_invert_unchecked(body, pressure)
-    units.check("required_tension", required, lo=-math.inf)
     result = _curved_transition_for(body, pressure, curvature, required)
     return None if result is None or math.isinf(result) else result
 
@@ -332,10 +312,9 @@ def transition_length(
     body: BodySpec, pressure: float, curvature: float = 0.0
 ) -> Optional[float]:
     """Critical length under whichever model the dispatcher would apply."""
-    units.check("pressure", pressure)
-    units.check("curvature", curvature)
+    units.check("pressure", pressure, *units.PRESSURE)
+    units.check("curvature", curvature, *units.CURVATURE)
     required = tail_tension_to_invert_unchecked(body, pressure)
-    units.check("required_tension", required, lo=-math.inf)
     return solve_pressure_row_unchecked(body, pressure, curvature, required).critical_length
 
 
@@ -346,12 +325,10 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
     buckling and crushing). Curved bodies use the transverse model unless it
     would predict a longer transition length than the straight model, in
     which case the body behaves as straight. Exact ties classify as BUCKLE.
-    The state was checked when it was built, so the one check left is the
-    required tension's, which overflows on a large enough body.
+    The state was checked when it was built, so this makes no check.
     """
     pressure = state.pressure
     required = tail_tension_to_invert_unchecked(body, pressure)
-    units.check("required_tension", required, lo=-math.inf)
     row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
     return predict_at_length_unchecked(row, state.length)
 
@@ -627,8 +604,8 @@ def straight_transition_bisect(
     force balance, sharing no algebra with the closed form. Its kernel,
     ``_straight_bisect_for``, is the closed form's fallback and the oracle's
     solver. None: crush at zero length. inf: inverts everywhere."""
-    units.check("required_tension", required, lo=-math.inf)
-    units.check("pressure", pressure)
+    units.check("required_tension", required, *units.TENSION)
+    units.check("pressure", pressure, *units.PRESSURE)
     return _straight_bisect_for(body, pressure, required)
 
 
@@ -661,9 +638,9 @@ def curved_transition_bisect(
     is the closed form's fallback and the oracle's solver. None and inf as
     for ``curved_transition_length``. The arm is clamped because
     kappa * (pi/kappa) may round past pi."""
-    units.check("curvature", curvature)
-    units.check("required_tension", required, lo=-math.inf)
-    units.check("pressure", pressure)
+    units.check("curvature", curvature, *units.CURVATURE)
+    units.check("required_tension", required, *units.TENSION)
+    units.check("pressure", pressure, *units.PRESSURE)
     return _curved_bisect_for(body, pressure, curvature, required)
 
 
@@ -673,7 +650,9 @@ def _curved_bisect_for(
     pa = pressure * body.cross_section_area
     if required > pa:
         return None
-    if required <= 0 or curvature < KAPPA_STRAIGHT:
+    if required == pa:  # the crush boundary, as for the closed form
+        return 0.0
+    if curvature < KAPPA_STRAIGHT:
         return math.inf
     par = pa * body.radius
     if par / _moment_arm_clamped(body, curvature, math.inf) > required:
@@ -776,10 +755,7 @@ def _axial_terms(body: BodySpec, pressure: float) -> tuple[float, float, float]:
     """(k1*P + k2, den_const, R*P + G*t): the axial buckling force at length
     L is num / (den_const + den_slope*L*L), each product left to right."""
     k1, k2, den_const, g_t = body._constants
-    # at 0 Pa the numerator is k2: k1 overflows to inf on radii from ~1.2e74 m,
-    # and inf*0 is NaN (where k1 is finite, k1*0 + k2 is k2 exactly)
-    num = k1 * pressure + k2 if pressure else k2
-    return num, den_const, body.radius * pressure + g_t
+    return k1 * pressure + k2, den_const, body.radius * pressure + g_t
 
 
 def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
@@ -858,9 +834,9 @@ def _straight_transition_for(
     """
     if required >= pressure * body.cross_section_area:
         return None
-    num, den_const, den_slope = _axial_terms(body, pressure)
-    if required <= 0 or num == math.inf:  # k1*P overflowed: inf force at any length
+    if required <= 0:
         return math.inf
+    num, den_const, den_slope = _axial_terms(body, pressure)
     closed = math.sqrt((num / required - den_const) / den_slope)
     residual = _axial_force(body, pressure, closed) - required
     if _within_rounding(residual, required):
@@ -874,14 +850,20 @@ def _curved_transition_for(
     """Transition arc length of the curved model at an arbitrary required tension.
 
     None: crushing binds already at zero length. At the exact crush boundary
-    (required == P*A) the transition is 0. inf: the moment arm cannot reach
-    the buckling threshold anywhere in its valid range (or the body is below
-    the straightness threshold, where the curved limit is P*A at every length).
+    (required == P*A) the transition is 0, since the cell rule buckles on
+    the tie at every length, at 0 Pa with no inversion force too. inf: the
+    moment arm cannot reach the buckling threshold anywhere in its valid
+    range (or the body is below the straightness threshold, where the
+    curved limit is P*A at every length). A required tension <= 0 is below
+    the curved limit at every length, so the reachability test returns inf
+    for it, and every divisor below is positive.
     """
     pa = pressure * body.cross_section_area
     if required > pa:
         return None
-    if required <= 0 or curvature < KAPPA_STRAIGHT:
+    if required == pa:
+        return 0.0
+    if curvature < KAPPA_STRAIGHT:
         return math.inf
     if _curved_limit(body, pressure, curvature, math.inf) > required:
         return math.inf

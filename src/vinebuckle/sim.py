@@ -24,7 +24,6 @@ from . import units
 from .device import (
     DEFAULT_EFFICIENCY,
     DeviceSpec,
-    check_assist,
     device_assist_unchecked,
     retraction_kinematics,
 )
@@ -62,9 +61,8 @@ class Scenario:
     position (``pressure_points`` as (tip m, Pa) breakpoints). A tip on a
     breakpoint uses the segment that ends there, and the interpolant is
     held within that segment's end pressures. A tip outside the span, or a
-    NaN tip, raises ValueError, and so does a tip on a segment whose span
-    overflows, where the interpolant is NaN. The segments are computed once
-    per scenario, on first use. ``target_length`` is only used by growth
+    NaN tip, raises ValueError. The segments are computed once per
+    scenario, on first use. ``target_length`` is only used by growth
     episodes. ``motor_speed`` defaults to the device maximum. Neither span
     may take more than ``MAX_EPISODE_STEPS`` steps.
     """
@@ -84,21 +82,25 @@ class Scenario:
     def __post_init__(self) -> None:
         if (self.pressure is None) == (self.pressure_points is None):
             raise ValueError("give exactly one of pressure or pressure_points")
-        units.check("initial_length", self.initial_length)
-        units.check("step", self.step, lo_open=True)
-        units.check("curvature", self.curvature)
-        units.check("efficiency", self.efficiency, hi=1.0)
-        for name in ("pressure", "target_length", "motor_speed"):
+        units.check("initial_length", self.initial_length, *units.LENGTH)
+        units.check("step", self.step, *units.LENGTH, lo_open=True)
+        units.check("curvature", self.curvature, *units.CURVATURE)
+        units.check("efficiency", self.efficiency, *units.EFFICIENCY)
+        for name, bounds in (
+            ("pressure", units.PRESSURE),
+            ("target_length", units.LENGTH),
+            ("motor_speed", units.SPEED),
+        ):
             value = getattr(self, name)
             if value is not None:
-                units.check(name, value)
+                units.check(name, value, *bounds)
         if self.pressure_points is not None:
             points = self.pressure_points
             if len(points) < 2:
                 raise ValueError("pressure_points needs at least two breakpoints")
             for position, pressure in points:
-                units.check("pressure_points position", position, lo=-math.inf)
-                units.check("pressure_points pressure", pressure)
+                units.check("pressure_points position", position, *units.POSITION)
+                units.check("pressure_points pressure", pressure, *units.PRESSURE)
             positions = [p for p, _ in points]
             if any(b <= a for a, b in zip(positions, positions[1:])):
                 raise ValueError("pressure_points positions must be strictly increasing")
@@ -127,10 +129,7 @@ class Scenario:
         # p1 == 0); it is held within [lo, hi]: min(max(p, lo), hi) as
         # comparisons, which returns the same object for every float.
         p = p0 + rise * (tip - x0) / run
-        p = lo if lo > p else hi if hi < p else p
-        if p != p:  # NaN: x1 - x0 overflowed, so the interpolant is inf/inf
-            units.check("pressure", p)
-        return p
+        return lo if lo > p else hi if hi < p else p
 
     # Kept in the instance ``__dict__``, which no field, ``==``, ``hash`` or
     # ``repr`` reads, like ``BodySpec._constants``.
@@ -269,8 +268,7 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     tip. Every step's verdict is ``required < limit(tip)``, with the limit
     from ``mechanics._straight_limit`` or ``_curved_limit`` (or inf on a
     grounded row), and neither limit rises with length in floating point:
-    the axial force's terms are non-negative (where one overflows, the
-    force is inf or NaN and crushing binds), and the clamped arm grows with
+    the axial force's terms are non-negative, and the clamped arm grows with
     length, since its sin is monotone on [0, pi/2] (as ``bisect_root``
     relies on) and it is held at its maximum past kappa*L = pi. So the
     verdicts run INVERT, then BUCKLE, along increasing length. A
@@ -281,16 +279,9 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     carries the verdict its index gives and the row's one required tension
     object: the bits and objects that evaluating the row at every tip gave.
 
-    The scenario checked its inputs, and every tip lies within its checked
-    lengths, so the steps call the unchecked kernels. The forces derived
-    from a pressure (the required tension and the device's applied force:
-    its available force, or a grounded row's zero-tension need) are checked
-    before the first step: at the one pressure, or at the largest and
-    smallest breakpoint pressures of a schedule. A scheduled step's
-    pressure lies between two breakpoint pressures and each force is
-    monotone in pressure, so those checks cover every step; the smallest
-    catches a zero pressure times an infinite area. ``Scenario.pressure_at``
-    rejects a NaN interpolant.
+    The scenario checked its inputs, every tip lies within its checked
+    lengths, and a scheduled step's pressure lies between two checked
+    breakpoint pressures, so the steps call the unchecked kernels.
     """
     body, device, curvature, efficiency = (
         scenario.body, scenario.device, scenario.curvature, scenario.efficiency
@@ -305,14 +296,9 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     start = scenario.initial_length
     invert, buckle = Verdict.INVERT, Verdict.BUCKLE
     scheduled = scenario.pressure is None
-    if scheduled:
-        breakpoints = [pressure for _, pressure in scenario.pressure_points]
-        for pressure in (max(breakpoints), min(breakpoints)):
-            check_assist(*device_assist_unchecked(body, device, pressure, efficiency))
-    else:
+    if not scheduled:
         pressure = scenario.pressure
         force, required = device_assist_unchecked(body, device, pressure, efficiency)
-        check_assist(force, required)
         row = solve_pressure_row_unchecked(body, pressure, curvature, required)
         required = row.required_tension
         # the index of the first tip that buckles: -1 when every tip of a

@@ -8,11 +8,9 @@ required tension from ``device.device_assist_unchecked`` (bare, saturated
 or grounded) and hands it to ``mechanics.oracle_row_unchecked``, which
 dispatches with the bisection solvers (the closed forms' fallback, sharing
 no transition algebra with them); the two diagrams must agree cell for cell
-in verdict and model. The request is checked when it is built; both scans
-check each length once per diagram (building its terms), and each pressure
-and the forces derived from it once per row, and call the unchecked kernels
-behind those checks. Diagrams serialize to CSV and to a deterministic
-standalone SVG.
+in verdict and model. The request is checked when it is built, its cell
+centers included, so both scans call the unchecked kernels. Diagrams
+serialize to CSV and to a deterministic standalone SVG.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import units
-from .device import DEFAULT_EFFICIENCY, DeviceSpec, check_assist, device_assist_unchecked
+from .device import DEFAULT_EFFICIENCY, DeviceSpec, device_assist_unchecked
 from .mechanics import (
     BehaviorPrediction,
     BodySpec,
@@ -69,11 +67,19 @@ class SweepRequest:
     efficiency: float = DEFAULT_EFFICIENCY
 
     def __post_init__(self) -> None:
-        units.check("curvature", self.curvature)
-        units.check("efficiency", self.efficiency, hi=1.0)
+        units.check("curvature", self.curvature, *units.CURVATURE)
+        units.check("efficiency", self.efficiency, *units.EFFICIENCY)
         cells = self.pressure_range.steps * self.length_range.steps
         if cells > MAX_GRID_CELLS:
             raise ValueError(f"grid of {cells} cells exceeds {MAX_GRID_CELLS} cells")
+        # an axis' cell centers ascend, so its first and last bound the rest
+        for name, axis, bounds in (
+            ("length", self.length_range, units.LENGTH),
+            ("pressure", self.pressure_range, units.PRESSURE),
+        ):
+            centers = axis.centers()
+            units.check(name, centers[0], *bounds)
+            units.check(name, centers[-1], *bounds)
 
 
 @dataclass(frozen=True)
@@ -90,18 +96,19 @@ class PhaseDiagram:
 def classify_grid(request: SweepRequest) -> PhaseDiagram:
     """Classify every cell center and trace the modeled transition curve.
 
-    Each length is checked, and its flag and moment arm computed, once for
-    the whole grid; the dispatch and the transition length are solved once
-    per pressure row; each cell then only evaluates its length-dependent
-    limit, and a cell equal in every bit to the one before it is that same
-    object. Raises ValueError for a negative length before any row.
+    Each length's flag and moment arm are computed once for the whole
+    grid; the dispatch and the transition length are solved once per
+    pressure row; each cell then only evaluates its length-dependent limit,
+    and a cell equal in every bit to the one before it is that same object.
     """
-    body, curvature = request.body, request.curvature
+    body, curvature, device, efficiency = (
+        request.body, request.curvature, request.device, request.efficiency
+    )
     pressures, lengths, terms = _axes(request)
     grid = []
     curve = []
     for pressure in pressures:
-        required = _row_tension(request, pressure)
+        _, required = device_assist_unchecked(body, device, pressure, efficiency)
         row = solve_pressure_row_unchecked(body, pressure, curvature, required)
         grid.append(list(predict_row(row, terms)))
         critical = row.critical_length
@@ -127,13 +134,15 @@ def oracle_scan(request: SweepRequest) -> PhaseDiagram:
     ``classify_grid``; where the device covers the zero-tension need,
     ``oracle_row_unchecked`` makes the row invert at every length with an
     infinite limit. The lengths' terms are built once, as for
-    ``classify_grid``, so a negative length raises ValueError before any row.
+    ``classify_grid``.
     """
-    body, curvature = request.body, request.curvature
+    body, curvature, device, efficiency = (
+        request.body, request.curvature, request.device, request.efficiency
+    )
     pressures, lengths, terms = _axes(request)
     grid = []
     for pressure in pressures:
-        required = _row_tension(request, pressure)
+        _, required = device_assist_unchecked(body, device, pressure, efficiency)
         grid.append(oracle_row_unchecked(body, pressure, curvature, required, terms))
     return PhaseDiagram(
         pressures=pressures,
@@ -180,24 +189,11 @@ def emit_transition_csv(diagram: PhaseDiagram) -> bytes:
 
 def _axes(request: SweepRequest) -> tuple[list[float], list[float], tuple]:
     """The cell centers of both axes, and the length terms of the length
-    axis, each length checked once."""
+    axis."""
     pressures = request.pressure_range.centers()
     lengths = request.length_range.centers()
-    for length in lengths:
-        units.check("length", length)
     terms = tuple(length_terms_unchecked(request.body, request.curvature, lengths))
     return pressures, lengths, terms
-
-
-def _row_tension(request: SweepRequest, pressure: float) -> Optional[float]:
-    """The required tension of one row, ``device_assist``'s, with the row's
-    pressure and the forces derived from it checked."""
-    units.check("pressure", pressure)
-    force, required = device_assist_unchecked(
-        request.body, request.device, pressure, request.efficiency
-    )
-    check_assist(force, required)
-    return required
 
 
 def _metadata(request: SweepRequest) -> dict:

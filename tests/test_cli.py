@@ -20,7 +20,6 @@ from vinebuckle import (
     Verdict,
     cli,
     crushing_force,
-    device_assist,
     diagrams_agree,
     max_device_force,
     mechanics,
@@ -473,15 +472,16 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: no samples with shape 'rect'") and err.count("\n") == 1
 
-    @pytest.mark.needs_numpy
-    def test_overflowing_aperture_fit_exits_2(self, capsys, tmp_path, recwarn):
+    def test_aperture_below_the_box_exits_2(self, capsys, tmp_path, recwarn):
         # 1/area squared overflowed inside polyfit, which warned and exited 0
-        # with c1 0 and c2 5.125; the exact fit of these two points is c2 = 5.5
+        # with c1 0 and c2 5.125; the area is now below the box's 1e-18 m^2
         path = tmp_path / "tiny.csv"
         path.write_text("area_cm2,force_n,shape\n1e-300,10,circle\n2e-300,10.5,circle\n")
         code, out, err = run(capsys, "fit", "aperture", "--csv", str(path), "--json")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
+        assert err == (
+            "error: row 1: aperture_area must be finite and in [1e-18, 1e+13], got 1e-304\n"
+        )
         assert not recwarn.list
 
     @pytest.mark.needs_numpy
@@ -659,11 +659,12 @@ class TestConfig:
             ('{"body": {"radius_cm": 1e400}}', PREDICT, "body.radius_cm must be finite"),
             ('{"body": {"e_mpa": "300"}}', PREDICT, "body.e_mpa must be a number"),
             ('{"device": {"efficiency": 1.5}}', DEVICE_INFO, "device.efficiency must be finite"),
-            # R**4 overflowed, pi*R*R underflowed to a division by zero: tracebacks
-            ('{"body": {"radius_cm": 1e100}}', PREDICT, "numeric range"),
-            ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO, "numeric range"),
-            # pi*R^2 is 0: predict exited 0 with limit_n 0
-            ('{"body": {"radius_cm": 1e-168}}', PREDICT, "radius must give a cross-section area"),
+            # R**4 overflowed, pi*R*R underflowed to a division by zero: tracebacks;
+            # pi*R^2 was 0 and predict exited 0 with limit_n 0. Each radius is
+            # now outside the box, in SI
+            ('{"body": {"radius_cm": 1e100}}', PREDICT, "radius must be finite and in [1e-09, 1e+06]"),
+            ('{"body": {"radius_cm": 1e-201}}', DEVICE_INFO, "radius must be finite and in [1e-09"),
+            ('{"body": {"radius_cm": 1e-168}}', PREDICT, "radius must be finite and in [1e-09"),
             ("[]", PREDICT, "config document must be a JSON object"),
             ('{"motor": {}}', PREDICT, "unknown config sections: ['motor']"),
             ('{"body": 1}', DEVICE_INFO, "config section 'body' must be a JSON object"),
@@ -680,7 +681,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("rendering", [["--json"], []], ids=["json", "text"])
     def test_non_finite_result_exits_2_in_both_renderings(self, capsys, tmp_path, rendering):
-        # the force overflows to inf: text printed "inf" and exited 0, --json exited 2
+        # the force overflowed to inf: text printed "inf" and exited 0, --json
+        # exited 2; the torque is now outside the box in both
         config = tmp_path / "config.json"
         overflow = {"device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-300}}
         config.write_text(json.dumps(overflow))
@@ -700,8 +702,9 @@ class TestConfig:
     def test_overflowing_device_at_zero_efficiency_exits_2(
         self, capsys, tmp_path, argv, rendering
     ):
-        # efficiency 0 times an infinite device force is NaN: the saturated
-        # path's device_force check names it, in both renderings
+        # efficiency 0 times an infinite device force was NaN, which the
+        # saturated path's device_force check named; the torque is now outside
+        # the box, in both renderings
         config = tmp_path / "config.json"
         overflow = {"device": {"torque_ncm": 1e300, "roller_radius_cm": 1e-300}}
         config.write_text(json.dumps(overflow))
@@ -709,11 +712,8 @@ class TestConfig:
             capsys, *argv, "--device", "--efficiency", "0", "--config", str(config), *rendering
         )
         assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "device_force" in err
-        device = cli.load_config(str(config))[1]
-        with pytest.raises(ValueError, match="device_force"):
-            device_assist(BodySpec(), device, 2e3, 0.0)
+        assert err.startswith("error: max_motor_torque must be finite and in [1e-09, 1e+09], got")
+        assert err.count("\n") == 1
 
     def test_device_config_changes_info(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -721,4 +721,14 @@ class TestConfig:
         _, out, _ = run(capsys, "device", "info", "--config", str(config), "--json")
         assert json.loads(out)["max_device_force_n"] == pytest.approx(
             20.416666666666664, rel=1e-12
+        )
+
+    def test_aperture_constant_is_read_in_n_cm2(self, capsys, tmp_path):
+        # 6.1 N*cm^2 is the default 6.1e-4 N*m^2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"device": {"c1_ncm2": 6.1}}))
+        _, out, _ = run(capsys, "device", "info", "--config", str(config), "--json")
+        _, default, _ = run(capsys, "device", "info", "--json")
+        assert json.loads(out)["aperture_inversion_n"] == pytest.approx(
+            json.loads(default)["aperture_inversion_n"], rel=1e-12
         )

@@ -41,13 +41,12 @@ from vinebuckle import (
     units,
     wall_tension,
 )
+from vinebuckle.device import device_assist_unchecked
 from vinebuckle.mechanics import (
     bisect_root,
     predict_at_length_unchecked,
     solve_pressure_row_unchecked,
 )
-
-from test_contract import largest_radius, smallest_radius
 
 K_SMALL = 1 / 4.55   # 455 cm radius of curvature
 K_MEDIUM = 1 / 2.25  # 225 cm
@@ -118,17 +117,6 @@ class TestAxialBuckling:
         assert axial_buckling_force(body, pressure, length * factor) < axial_buckling_force(
             body, pressure, length
         )
-
-    @pytest.mark.parametrize("radius", [1e74, 1e75, 1e77])
-    def test_zero_pressure_on_huge_radii_is_finite(self, radius):
-        # E*pi^3*R^4*t overflows from R ~ 1.2e74 m; the force at 0 Pa does
-        # not use it: E*G*pi^3*R^3*t^2 / (E*pi^2*R^2*t + G*t*L^2)
-        body = BodySpec(radius=radius)
-        e, g, t = body.youngs_modulus, body.shear_modulus, body.wall_thickness
-        expected = e * g * math.pi**3 * radius**3 * t * t / (e * math.pi**2 * radius**2 * t + g * t)
-        force = axial_buckling_force(body, 0.0, 1.0)
-        assert math.isfinite(force) and force > 0
-        assert force == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_nonpositive_length_rejected(self, body, length):
@@ -217,26 +205,32 @@ class TestMinBucklingMomentArm:
             0.05257317086665625, rel=1e-12
         )
 
-    def test_arm_where_the_moment_overflows(self):
-        # P*A*R = 3.1e331 overflows; the arm is about 2R
-        arm = min_buckling_moment_arm(BodySpec(radius=1e77), 1e100)
-        assert arm == pytest.approx(2e77, rel=1e-12)
+    def test_pressure_above_the_box_is_rejected(self, body):
+        # P*A*R = 3.1e331 overflowed on a 1e77 m body at 1e100 Pa: both
+        # inputs are now outside the box
+        with pytest.raises(ValueError, match=r"^pressure must be finite and in \[1e-06, 1e\+30\]"):
+            min_buckling_moment_arm(body, 1e100)
+
+    @pytest.mark.parametrize("pressure", [5e-324, 1e-320, math.nextafter(1e-6, 0.0)])
+    def test_pressure_below_the_floor_is_rejected(self, pressure):
+        # with no inversion force the arm is 2R at every positive pressure;
+        # P*A underflowed: 5e-324 Pa divided 0 by 0 (ZeroDivisionError), and
+        # 1e-320 Pa returned 0.0
+        body = BodySpec(inversion_force=0.0)
+        with pytest.raises(ValueError, match=r"^pressure must be finite and in \[1e-06, "):
+            min_buckling_moment_arm(body, pressure)
+        assert min_buckling_moment_arm(body, 1e-6) == pytest.approx(2 * body.radius, rel=1e-15)
 
     @given(
-        radius=st.floats(-3.0, 77.0).map(lambda e: 10.0**e),
-        pressure=st.floats(0.0, 300.0).map(lambda e: 10.0**e),
+        radius=st.floats(-9.0, 6.0).map(lambda e: 10.0**e),
+        pressure=st.floats(-6.0, 30.0).map(lambda e: 10.0**e),
     )
-    def test_finite_arms_keep_their_bits(self, radius, pressure):
+    def test_arms_keep_their_bits(self, radius, pressure):
         body = BodySpec(radius=radius)
         pa = pressure * body.cross_section_area
-        required = 0.5 * pa + body.inversion_force
-        assume(math.isfinite(required))
-        expected = pa * body.radius / required
+        expected = pa * body.radius / (0.5 * pa + body.inversion_force)
         arm = min_buckling_moment_arm(body, pressure)
-        if math.isfinite(expected):
-            assert arm.hex() == expected.hex()
-        else:  # P*A*R overflowed; the arm is still between R and 2R
-            assert body.radius <= arm <= 2 * body.radius
+        assert arm.hex() == expected.hex() and 0.0 < arm <= 2 * body.radius * (1 + 1e-15)
 
 
 class TestWallTension:
@@ -311,12 +305,33 @@ class TestCurvedTransition:
         with pytest.raises(ValueError):
             curved_transition_length(body, 2e3, 0.0)
 
-    def test_frictionless_tip_at_zero_pressure_has_no_transition(self):
-        # zero pressure and zero required tension: no finite transition, and
-        # the closed form returns before it would divide by the tension
+    def test_frictionless_tip_at_zero_pressure_is_the_crush_boundary(self):
+        # zero pressure and zero required tension: required == P*A, where the
+        # cell rule buckles on the tie at every length, so the curved
+        # transition is 0. Both curved solvers returned inf ("inverts
+        # everywhere") and flagged the prediction extrapolated at kappa*L < pi.
         body = BodySpec(inversion_force=0.0)
-        assert curved_transition_length(body, 0.0, K_MEDIUM) is None
+        assert curved_transition_length(body, 0.0, K_MEDIUM) == 0.0
+        assert curved_transition_bisect(body, 0.0, K_MEDIUM, 0.0) == 0.0
         assert transition_length(body, 0.0, K_MEDIUM) is None
+        prediction = predict_behavior(body, RobotState(1.0, 0.0, 0.444))
+        assert prediction.verdict is Verdict.BUCKLE and prediction.mode is FailureMode.CRUSH
+        assert not prediction.extrapolated
+        # the oracle's row agrees: one 0 Pa row, lengths up to kappa*L < pi
+        from vinebuckle import AxisRange, SweepRequest, classify_grid, diagrams_agree, oracle_scan
+
+        request = SweepRequest(body, 0.444, AxisRange(-1.0, 1.0, 1), AxisRange(0.0, 7.0, 4))
+        grid = classify_grid(request)
+        assert grid.pressures == [0.0] and diagrams_agree(grid, oracle_scan(request))
+        assert not any(cell.extrapolated for cell in grid.grid[0])
+
+    @pytest.mark.parametrize("pressure", [0.0, 2e3])
+    def test_required_tension_at_or_below_zero_inverts_everywhere(self, body, pressure):
+        # below the curved limit at every length, so the reachability test
+        # returns inf; 0 N at 0 Pa is the crush boundary above
+        for required in (-1.0, 0.0) if pressure else (-1.0,):
+            assert curved_transition_bisect(body, pressure, K_MEDIUM, required) == math.inf
+            assert mechanics._curved_transition_for(body, pressure, K_MEDIUM, required) == math.inf
 
     @given(pressure=st.floats(min_value=1.4e3, max_value=20e3), k1=curvatures, k2=curvatures)
     def test_non_increasing_in_curvature(self, pressure, k1, k2):
@@ -671,12 +686,12 @@ class TestTransitionCrossCheck:
         assert transition_length(small, 2238721.138568338, 1e-6) > 0
 
     @pytest.mark.parametrize("kappa", [0.0, 0.3])
-    def test_overflowing_pressure_inverts_everywhere(self, body, kappa):
-        # k1*P overflows to inf above ~8.0049e307 Pa on this body, so the
+    def test_overflowing_pressure_is_outside_the_box(self, body, kappa):
+        # k1*P overflows to inf above ~8.0049e307 Pa on this body, where the
         # straight force is inf at every length; the closed form's NaN residual
         # once sent this to a bisection that stopped where the force turns NaN
-        row = solve_pressure_row_unchecked(body, 8.004924629771919e307, kappa, 1.0)
-        assert row.transition == math.inf
+        with pytest.raises(ValueError, match="^pressure must be finite and in"):
+            transition_length(body, 8.004924629771919e307, kappa)
 
     def test_root_finder(self):
         from vinebuckle.mechanics import CrossCheckError
@@ -725,33 +740,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             RobotState(**kwargs)
 
-    @pytest.mark.parametrize("radius", [1e-160, 1e-170, 5e-324])
-    def test_radius_whose_area_underflows(self, radius):
-        # pi*R^2 subnormal (at 1e-160 m max_zero_tension_pressure returned
-        # inf) or zero (at 1e-170 m min_inversion_pressure divided by zero)
-        with pytest.raises(ValueError, match="^radius must give a cross-section area"):
+    @pytest.mark.parametrize(
+        "radius", [5e-324, 1e-170, 1e-160, 1e74, 1e75, 1.2e77, 1e78, 1e160, 1e300]
+    )
+    def test_radius_outside_the_box(self, radius):
+        # each broke the model: pi*R^2 subnormal (max_zero_tension_pressure
+        # returned inf at 1e-160 m) or zero (min_inversion_pressure divided
+        # by zero at 1e-170 m); E*pi^3*R^4*t inf from ~1.2e74 m (the axial
+        # force was inf at 1 Pa and NaN at 0 Pa); R**4 raising OverflowError
+        # from ~1.16e77 m, and pi*R^2 inf from ~7.6e153 m
+        with pytest.raises(ValueError, match=r"^radius must be finite and in \[1e-09, 1e\+06\]"):
             BodySpec(radius=radius)
 
-    def test_smallest_radius_with_a_normal_area(self):
-        radius = smallest_radius()
-        assert BodySpec(radius=radius).cross_section_area >= sys.float_info.min
-        with pytest.raises(ValueError, match="^radius"):
-            BodySpec(radius=math.nextafter(radius, 0.0))
-
-    @pytest.mark.parametrize("radius", [1.2e77, 1e78, 1e160, 1e300])
-    def test_radius_whose_fourth_power_overflows(self, radius):
-        # R**4 raised OverflowError from the axial constants; from ~7.6e153 m
-        # pi*R^2 is inf too, and the crushing force was NaN
-        with pytest.raises(ValueError, match="^radius must give R\\^4"):
-            BodySpec(radius=radius)
-
-    def test_largest_radius_with_a_finite_fourth_power(self):
-        radius = largest_radius()
+    @pytest.mark.parametrize("radius", [1e-9, 1e6])
+    def test_radius_at_the_ends_of_the_box(self, radius):
         body = BodySpec(radius=radius)
-        # E*pi^3*R^4*t overflows to an infinite force, which the models handle
-        assert axial_buckling_force(body, 1.0, 1.0) == math.inf
+        assert body.cross_section_area >= sys.float_info.min
+        for pressure in (0.0, 1.0, 1e30):
+            assert math.isfinite(axial_buckling_force(body, pressure, 1.0))
+        beyond = math.nextafter(radius, 0.0 if radius < 1.0 else math.inf)
         with pytest.raises(ValueError, match="^radius"):
-            BodySpec(radius=math.nextafter(radius, math.inf))
+            BodySpec(radius=beyond)
 
     def test_body_is_immutable(self, body):
         with pytest.raises(AttributeError):
@@ -850,9 +859,12 @@ class TestCachedConstants:
 
     def test_device_assist_where_pressure_times_area_overflows(self):
         # P*A is inf here while (0.5*P)*A is finite, so the residual tail
-        # tension must not be derived from the overflowed P*A
+        # tension is not derived from the overflowed P*A. The pressure is
+        # outside the box, so only the kernel takes it.
         body, device = BodySpec(radius=1.0), DeviceSpec()
-        force, residual = device_assist(body, device, 1e308, 1.0)
+        with pytest.raises(ValueError, match="^pressure must be finite and in"):
+            device_assist(body, device, 1e308, 1.0)
+        force, residual = device_assist_unchecked(body, device, 1e308, 1.0)
         assert math.isfinite(residual)
         assert (bits(force), bits(residual)) == tuple(
             map(bits, reference_device_assist(body, device, 1e308, 1.0))
@@ -923,8 +935,9 @@ class TestCachedConstants:
 
 
 # The bisection solvers as they were written before their gaps called the
-# check-free force helpers: every gap evaluation goes through the public
-# checked force functions, and the root finder is plain halving. The solvers
+# check-free force helpers, with the root finder as plain halving. Each gap
+# spells out its force from the body's fields, since a solver's bracket may
+# leave the length box that the public force functions check. The solvers
 # must find the same roots.
 
 
@@ -954,14 +967,14 @@ def reference_bisect_root(f, lo, hi):
 
 
 def reference_straight_bisect(body, pressure, required):
-    units.check("required_tension", required, lo=-math.inf)
+    units.check("required_tension", required, *units.TENSION)
     if required >= crushing_force(body, pressure):
         return None
     if required <= 0:
         return math.inf
 
     def gap(length):
-        return axial_buckling_force(body, pressure, length) - required
+        return reference_axial_force(body, pressure, length) - required
 
     hi = 1.0
     while gap(hi) > 0:
@@ -969,19 +982,30 @@ def reference_straight_bisect(body, pressure, required):
     return reference_bisect_root(gap, math.ulp(0.0), hi)
 
 
+def reference_arm(body, curvature, length):
+    """The clamped moment arm, spelled out: R + 2*sin^2(kappa*L/2)/kappa up
+    to kappa*L = pi, and R + 2/kappa beyond."""
+    if curvature * length > math.pi:
+        return body.radius + 2.0 / curvature
+    s = math.sin(0.5 * length * curvature)
+    return body.radius + 2.0 * s * s / curvature
+
+
 def reference_curved_bisect(body, pressure, curvature, required):
-    units.check("curvature", curvature)
-    units.check("required_tension", required, lo=-math.inf)
+    units.check("curvature", curvature, *units.CURVATURE)
+    units.check("required_tension", required, *units.TENSION)
     pa = crushing_force(body, pressure)
     if required > pa:
         return None
-    if required <= 0 or curvature < 1e-6:
+    if required == pa:  # the crush boundary: a tie at every length
+        return 0.0
+    if curvature < 1e-6:
         return math.inf
     if pa * body.radius / (body.radius + 2.0 / curvature) > required:
         return math.inf
 
     def gap(length):
-        return pa * body.radius / clamped_moment_arm(body, curvature, length) - required
+        return pa * body.radius / reference_arm(body, curvature, length) - required
 
     # the crush boundary: at exactly P_min, required == P*A and the gap at
     # zero length rounds to 0 or just below it, where the transition is 0
@@ -1008,7 +1032,7 @@ class TestBisectMatchesReference:
         body=st.just(BodySpec())
         | st.just(OVERFLOW_BODY)
         | st.fixed_dictionaries(TestCachedConstants.BODY_FIELDS).map(lambda f: BodySpec(**f)),
-        pressure=decades(1.0, 308.23),
+        pressure=decades(1.0, 30.0),
         sign=st.sampled_from([-1.0, 1.0]),
         scale=decades(-2.0, 0.5),
         kappa=st.sampled_from([1e-6, 2e-6, 0.444, 1.389, 1000.0]),
@@ -1025,7 +1049,7 @@ class TestBisectMatchesReference:
         )
 
     @pytest.mark.parametrize("kappa", [1e-6, 2e-6, 0.444, 1.389, 1000.0])
-    @pytest.mark.parametrize("pressure", [10.0, 2e3, 1e6, 1e12, 1e100, 1e298, 1.7e308])
+    @pytest.mark.parametrize("pressure", [10.0, 2e3, 1e6, 1e12, 1e30])
     @pytest.mark.parametrize("body", [BodySpec(), OVERFLOW_BODY], ids=["reference", "overflow"])
     def test_pressure_ladder(self, body, pressure, kappa):
         for required in (tail_tension_to_invert(body, pressure), -1.0, 0.5):
@@ -1036,12 +1060,28 @@ class TestBisectMatchesReference:
                 reference_curved_bisect, body, pressure, kappa, required
             )
 
-    def test_overflowing_force_keeps_its_root(self):
-        # the axial force is inf until its denominator overflows too, and NaN
-        # beyond; bisection stops where the two meet
-        required = tail_tension_to_invert(OVERFLOW_BODY, 1e298)
-        assert straight_transition_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0
-        assert reference_straight_bisect(OVERFLOW_BODY, 1e298, required) == 262144.0
+    @pytest.mark.parametrize("pressure", [1e100, 1e298, 1.7e308])
+    @pytest.mark.parametrize("body", [BodySpec(), OVERFLOW_BODY], ids=["reference", "overflow"])
+    def test_root_finder_above_the_box(self, body, pressure):
+        # the ladder's rungs above the box: no solver takes them, and the root
+        # finder alone still finds halving's root of the straight gap there
+        with pytest.raises(ValueError, match="^pressure must be finite and in"):
+            straight_transition_bisect(body, pressure, 1.0)
+        num, den_const, den_slope = mechanics._axial_terms(body, pressure)
+        required = 0.5 * pressure * body.cross_section_area + body.inversion_force
+
+        def gap(length):
+            return num / (den_const + den_slope * length * length) - required
+
+        hi = 1.0
+        while gap(hi) > 0:
+            hi *= 2.0
+        root = bisect_root(gap, math.ulp(0.0), hi)
+        assert bits(root) == bits(reference_bisect_root(gap, math.ulp(0.0), hi))
+        if body is OVERFLOW_BODY and pressure == 1e298:
+            # the force is inf until its denominator overflows too, and NaN
+            # beyond; bisection stops where the two meet
+            assert root == 262144.0
 
 
 # Random bodies over the ranges of the physics-invariant tests: radius

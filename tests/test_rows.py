@@ -121,49 +121,53 @@ class TestGridRows:
             (0.0, DEVICE, 10e3),
             (1 / 2.25, DEVICE, 4e3),
         ):
-            req = SweepRequest(BODY, kappa, AxisRange(0.0, p_hi, 3), lengths, device)
             with pytest.raises(ValueError, match="length"):
-                oracle_scan(req)
+                SweepRequest(BODY, kappa, AxisRange(0.0, p_hi, 3), lengths, device)
 
     @pytest.mark.parametrize("kappa", [0.0, 1 / 2.25])
     @pytest.mark.parametrize("device", [None, DEVICE])
-    def test_each_length_is_checked_once_per_diagram(self, monkeypatch, kappa, device):
-        req = SweepRequest(
-            BODY, kappa, AxisRange(0.0, 10e3, 100), AxisRange(0.0, 3.0, 100), device
-        )
+    def test_lengths_are_checked_when_the_request_is_built(self, monkeypatch, kappa, device):
+        # the centers ascend, so the first and the last bound them all; the
+        # scans check nothing
         checked = []
         check = mechanics.units.check
 
         def counting(name, value, *args, **kwargs):
-            if name == "length":
-                checked.append(value)
+            checked.append((name, value))
             return check(name, value, *args, **kwargs)
 
         monkeypatch.setattr(mechanics.units, "check", counting)
+        lengths = AxisRange(0.0, 3.0, 100)
+        req = SweepRequest(BODY, kappa, AxisRange(0.0, 10e3, 100), lengths, device)
+        centers = lengths.centers()
+        assert [value for name, value in checked if name == "length"] == [
+            centers[0], centers[-1]
+        ]
         for scan in (classify_grid, oracle_scan):
             checked.clear()
             assert len(scan(req).grid) == 100
-            assert checked == req.length_range.centers()
+            assert checked == []
 
-    @pytest.mark.parametrize("scan", [classify_grid, oracle_scan])
     @pytest.mark.parametrize("device", [None, DEVICE], ids=["bare", "device"])
     @pytest.mark.parametrize(
-        # the first center is negative; a span that overflows puts every center at inf
-        "pressures", [AxisRange(-10e3, 10e3, 4), AxisRange(-1.7e308, 1.7e308, 2)],
-        ids=["negative", "inf"],
+        # the first center is negative, or below the 1e-6 Pa floor; the last is
+        # above the 1e30 Pa box; a span that overflows puts every center at inf
+        "pressures",
+        [AxisRange(-10e3, 10e3, 4), AxisRange(0.0, 1e-6, 4), AxisRange(2e30, 4e30, 2),
+         AxisRange(-1.7e308, 1.7e308, 2)],
+        ids=["negative", "floor", "box", "inf"],
     )
-    def test_each_row_pressure_is_checked(self, scan, device, pressures):
-        # the pressure is checked before the device decides whether a row is grounded
-        req = SweepRequest(BODY, 0.444, pressures, AxisRange(0.0, 3.0, 4), device)
-        with pytest.raises(ValueError, match="^pressure must be finite and >= 0"):
-            scan(req)
+    def test_each_row_pressure_is_checked(self, device, pressures):
+        with pytest.raises(ValueError, match=r"^pressure must be finite and in \[0, 1e\+30\]"):
+            SweepRequest(BODY, 0.444, pressures, AxisRange(0.0, 3.0, 4), device)
+
+    def test_length_above_the_box_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^length must be finite and in \[0, 1e\+06\]"):
+            SweepRequest(BODY, 0.0, AxisRange(0.0, 10e3, 4), AxisRange(0.0, 3e6, 1))
 
     def test_length_is_named_before_pressure(self):
-        # every row shares the lengths, so they are checked before any row
-        req = SweepRequest(BODY, 0.0, AxisRange(-10e3, 10e3, 4), AxisRange(-0.5, 3.0, 4))
-        for scan in (classify_grid, oracle_scan):
-            with pytest.raises(ValueError, match="^length"):
-                scan(req)
+        with pytest.raises(ValueError, match="^length"):
+            SweepRequest(BODY, 0.0, AxisRange(-10e3, 10e3, 4), AxisRange(-0.5, 3.0, 4))
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("device,efficiency", DEVICE_CASES)

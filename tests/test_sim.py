@@ -40,6 +40,8 @@ from vinebuckle.mechanics import (
 from vinebuckle.sim import MAX_EPISODE_STEPS, EpisodeLog, TerminalEvent
 
 EPISODE_HEADER = "step,tip_cm,pressure_kpa,required_n,device_n,verdict,time_s"
+# 0 Pa, or a pressure above the numeric box's floor of 1e-6 Pa
+PRESSURES = st.just(0.0) | st.floats(1e-6, 12e3)
 
 
 class TestRetraction:
@@ -370,14 +372,16 @@ def linear_scan_pressure(points, tip):
 def schedules(draw):
     """2-6 breakpoints from a first position that may be negative, with
     pressures that rise, fall and reach 0 Pa, and interior fractions at
-    which each segment is also evaluated."""
+    which each segment is also evaluated. Positions and pressures are 0 or
+    above their floors in the numeric box, 1e-9 m and 1e-6 Pa."""
     n = draw(st.integers(2, 6))
     position = draw(st.floats(-3.0, 3.0))
     positions = [position]
     for _ in range(n - 1):
         position += draw(st.floats(1e-3, 2.0))
         positions.append(position)
-    pressures = draw(st.lists(st.just(0.0) | st.floats(0.0, 12e3), min_size=n, max_size=n))
+    assume(all(x == 0.0 or abs(x) >= 1e-9 for x in positions))
+    pressures = draw(st.lists(st.just(0.0) | st.floats(1e-6, 12e3), min_size=n, max_size=n))
     fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
     return tuple(zip(positions, pressures)), fractions
 
@@ -560,7 +564,7 @@ class TestEpisodeCsvMatchesReference:
         initial_length=st.floats(0.0, 3.0),
         span=st.floats(0.01, 2.0),
         step=st.floats(0.01, 0.1),
-        pressures=st.tuples(st.floats(0.0, 12e3), st.none() | st.floats(0.0, 12e3)),
+        pressures=st.tuples(PRESSURES, st.none() | PRESSURES),
         curvature=st.just(0.0) | st.floats(1e-5, 2.0),
         efficiency=st.none() | st.floats(0.0, 1.0),
         motor_speed=st.none() | st.just(0.0),

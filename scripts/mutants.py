@@ -37,6 +37,11 @@ Known equivalent mutants of ``mechanics``, which survive every run:
   returns an end where the gap is 0.
 - ``_curved_transition_for``: ``not cos_arg < 1.0`` to ``<=``, and ``not
   cos_arg > -1.0`` to ``>=``: at the bound the clamp sets the value it had.
+- ``_straight_limit``: ``axial < crush`` to ``<=``: the helper returns only
+  the limit, and at a tie the two are the same value.
+
+``sim._episode`` has no known equivalent mutant: every one of its 7 sites
+is killed.
 
 Usage: python scripts/mutants.py [--module mechanics] [--count 20] [--seed 0]
        [--function NAME ...]

@@ -18,7 +18,8 @@ from .mechanics import (
     BehaviorPrediction,
     BodySpec,
     RobotState,
-    predict_at_length_unchecked,
+    length_terms_unchecked,
+    predict_row,
     solve_pressure_row_unchecked,
     tail_tension_to_invert_unchecked,
 )
@@ -272,7 +273,8 @@ def predict_with_device(
     that residual (a model extension beyond the zero-tension regime).
     """
     units.check("efficiency", efficiency, *units.EFFICIENCY)
-    pressure = state.pressure
+    pressure, curvature = state.pressure, state.curvature
     _, required = device_assist_unchecked(body, device, pressure, efficiency)
-    row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
-    return predict_at_length_unchecked(row, state.length)
+    row = solve_pressure_row_unchecked(body, pressure, curvature, required)
+    (cell,) = predict_row(row, length_terms_unchecked(body, curvature, (state.length,)))
+    return cell

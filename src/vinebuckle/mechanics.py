@@ -11,19 +11,20 @@ Each exported function checks its inputs. The request-level functions (the
 predictors here and in ``device``, the diagram scans and the episodes)
 check each input once per request and call kernels that trust them: the
 row primitives (``solve_pressure_row_unchecked``, ``length_terms_unchecked``,
-``predict_row``, ``oracle_row_unchecked``), the one-length kernel
-``predict_at_length_unchecked``, which evaluates a solved row at one length,
-the verdict kernel ``verdict_at_unchecked``, which gives that cell's verdict
-and solves the row only where the two models disagree, and the
-``_unchecked`` twins of checked functions. They are public here, for the
-other modules, and not exported from the package.
+``predict_row``, ``oracle_row_unchecked``), the verdict kernel
+``verdict_at_unchecked``, which gives one cell's verdict and solves the row
+only where the two models disagree, and the ``_unchecked`` twins of checked
+functions. They are public here, for the other modules, and not exported
+from the package. A prediction is its row evaluated by ``predict_row`` at
+its one length; an episode step keeps only a verdict, so the episodes ask
+the verdict kernel.
 
 Each model's limit at one length is stated once: ``_straight_limit``,
 min(P*A, axial buckling) with the axial force from ``_axial_force``, and
-``_curved_limit``, P*A*R over the clamped moment arm. The one-length
-kernels, the public force functions and the closed forms' residuals call
-them. ``predict_row``'s loop keeps a copy for speed; the bisection gaps and
-the oracle's row keep theirs to stay independent checks.
+``_curved_limit``, P*A*R over the clamped moment arm. The verdict kernel,
+the public force functions and the closed forms' residuals call them.
+``predict_row``'s loop keeps a copy for speed; the bisection gaps and the
+oracle's row keep theirs to stay independent checks.
 """
 
 from __future__ import annotations
@@ -170,10 +171,9 @@ class PressureRow(NamedTuple):
 
     The model choice, the transition length and the extrapolation hint
     depend on (body, pressure, curvature, required tension) and never on
-    length, so a phase-diagram row or a constant-pressure episode solves
-    them once (``solve_pressure_row_unchecked``): the row evaluates
-    ``predict_row`` over its lengths, the episode locates its one flip with
-    ``predict_at_length_unchecked``. ``transition`` is None when no length
+    length, so a phase-diagram row or a prediction solves them once
+    (``solve_pressure_row_unchecked``) and evaluates ``predict_row`` over
+    its lengths, or its one length. ``transition`` is None when no length
     inverts and inf when every length does. ``extrapolated`` is set when
     the curved model had no reachable buckling point. A ``grounded`` row
     has no finite buckling limit at any length: the tail force path is
@@ -327,20 +327,20 @@ def predict_behavior(body: BodySpec, state: RobotState) -> BehaviorPrediction:
     which case the body behaves as straight. Exact ties classify as BUCKLE.
     The state was checked when it was built, so this makes no check.
     """
-    pressure = state.pressure
+    pressure, curvature = state.pressure, state.curvature
     required = tail_tension_to_invert_unchecked(body, pressure)
-    row = solve_pressure_row_unchecked(body, pressure, state.curvature, required)
-    return predict_at_length_unchecked(row, state.length)
+    row = solve_pressure_row_unchecked(body, pressure, curvature, required)
+    (cell,) = predict_row(row, length_terms_unchecked(body, curvature, (state.length,)))
+    return cell
 
 
 def solve_pressure_row_unchecked(
     body: BodySpec, pressure: float, curvature: float, required_tension: Optional[float]
 ) -> PressureRow:
     """Solve the model dispatch once for every length at one pressure: the
-    row solver of the predictors, the diagram rows, the constant-pressure
-    episodes and the scheduled steps whose two models' verdicts differ
-    (``verdict_at_unchecked``). This is the one place the dispatch rule is
-    written.
+    row solver of the predictors, the diagram rows and the episode tips
+    where the two models' verdicts differ (``verdict_at_unchecked``). This
+    is the one place the dispatch rule is written.
 
     ``required_tension`` is ``device.device_assist``'s answer: the tail
     tension the base must supply, or None for a grounded row, which skips
@@ -393,32 +393,6 @@ def length_terms_unchecked(
             yield length, curvature * length > pi, _moment_arm_clamped(body, curvature, length)
 
 
-def predict_at_length_unchecked(row: PressureRow, length: float) -> BehaviorPrediction:
-    """Evaluate a solved row at one finite length >= 0: the one-length
-    kernel of the predictors and of the constant-pressure episodes, which
-    call it at the few tips that locate the row's one flip. A scheduled
-    step asks ``verdict_at_unchecked``, which gives this cell's verdict.
-
-    The limit is the row's model's, from ``_straight_limit`` or
-    ``_curved_limit``; ``predict_row`` gives the same bits at every length.
-    """
-    body, pressure, curvature, required, model, _, hint, grounded = row
-    if grounded:
-        mode, limit = _NONE, math.inf
-    elif model is _STRAIGHT:
-        mode, limit = _straight_limit(body, pressure, length)
-    else:
-        mode, limit = _TRANSVERSE, _curved_limit(body, pressure, curvature, length)
-    if required < limit:
-        verdict, mode = _INVERT, _NONE
-    else:
-        verdict = _BUCKLE
-    return tuple.__new__(BehaviorPrediction, (
-        verdict, mode, required, limit, limit - required, model,
-        hint or curvature * length > math.pi,
-    ))
-
-
 def verdict_at_unchecked(
     body: BodySpec,
     pressure: float,
@@ -426,10 +400,10 @@ def verdict_at_unchecked(
     required_tension: Optional[float],
     length: float,
 ) -> Verdict:
-    """The verdict ``predict_at_length_unchecked`` gives at one finite length
-    >= 0 on the row that ``solve_pressure_row_unchecked`` solves from these
-    inputs, with the row solved only where its model decides the verdict:
-    the kernel of the scheduled episode steps, which keep only the verdict.
+    """The verdict ``predict_row`` gives at one finite length >= 0 on the
+    row that ``solve_pressure_row_unchecked`` solves from these inputs, with
+    the row solved only where its model decides the verdict: the kernel of
+    the episode steps, which keep only the verdict.
 
     Whichever model the row solver picks, the verdict is ``required <
     limit(length)`` of that model. Below the straightness threshold the
@@ -441,7 +415,7 @@ def verdict_at_unchecked(
     if required_tension is None:
         return _INVERT
     straight = (
-        _INVERT if required_tension < _straight_limit(body, pressure, length)[1] else _BUCKLE
+        _INVERT if required_tension < _straight_limit(body, pressure, length) else _BUCKLE
     )
     if curvature < KAPPA_STRAIGHT:
         return straight
@@ -459,7 +433,8 @@ def predict_row(
 ) -> Iterator[BehaviorPrediction]:
     """Evaluate a solved row at each length in turn: the limiting force of
     the row's model there, the verdict, and the kappa*L > pi extrapolation
-    flag. The rows of a phase diagram (``sweep.classify_grid``) use it.
+    flag. The rows of a phase diagram (``sweep.classify_grid``) use it, and
+    so do the predictors, each over its one length.
 
     ``terms`` are ``length_terms_unchecked`` of the row's body and
     curvature: they carry each length's flag and clamped moment arm, so the
@@ -764,16 +739,16 @@ def _axial_force(body: BodySpec, pressure: float, length: float) -> float:
     return num / (den_const + den_slope * length * length)
 
 
-def _straight_limit(body: BodySpec, pressure: float, length: float) -> tuple[FailureMode, float]:
-    """The straight model's failure mode and limit at a length >= 0:
-    min(P*A, axial force) as a comparison, so crushing wherever the axial
-    force is not smaller: at zero length, at a tie, or where it is NaN."""
+def _straight_limit(body: BodySpec, pressure: float, length: float) -> float:
+    """The straight model's limit at a length >= 0: min(P*A, axial force)
+    as a comparison, so crushing wherever the axial force is not smaller:
+    at zero length, at a tie, or where it is NaN."""
     crush = pressure * body.cross_section_area
     if length > 0:
         axial = _axial_force(body, pressure, length)
         if axial < crush:
-            return _AXIAL, axial
-    return _CRUSH, crush
+            return axial
+    return crush
 
 
 def _curved_limit(body: BodySpec, pressure: float, curvature: float, length: float) -> float:

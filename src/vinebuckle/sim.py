@@ -5,10 +5,12 @@ each position gets the same independent static invert/buckle verdict, so
 both directions share one stepping loop. No dynamic state carries over
 beyond position, elapsed time and tail slack. Buckling ends a retraction,
 since the post-buckling shape is outside the model; growth logs every
-length and reports the first one that buckles. Under one constant pressure
-the verdicts along increasing length flip at most once, from INVERT to
-BUCKLE, so such an episode locates that flip instead of evaluating every
-tip: a retraction reads its first tip, a growth bisects its tips.
+length and reports the first one that buckles. Every step keeps only its
+verdict, so every episode asks the verdict kernel
+``mechanics.verdict_at_unchecked``. Under one constant pressure the
+verdicts along increasing length flip at most once, from INVERT to BUCKLE,
+so such an episode locates that flip instead of evaluating every tip: a
+retraction reads its first tip, a growth bisects its tips.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from .device import (
     device_assist_unchecked,
     retraction_kinematics,
 )
-from .mechanics import (
-    BodySpec,
-    Verdict,
-    predict_at_length_unchecked,
-    solve_pressure_row_unchecked,
-    verdict_at_unchecked,
-)
+from .mechanics import BodySpec, Verdict, verdict_at_unchecked
 
 # Most steps one episode may take, ceil(span / step), so that no scenario
 # can run for hours: the retraction span is initial_length, the growth span
@@ -257,27 +253,31 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     its first buckle, or after its first step when the device stalls at
     zero motor speed; only a retraction pays out tail slack. The tips are
     generated lazily, so a retraction generates no tip past its first
-    buckle. Under a pressure schedule each step has its own pressure and
-    keeps only the verdict at its one tip, so it asks the verdict kernel
-    ``verdict_at_unchecked``, which solves the step's row only where the
-    straight and curved verdicts differ there. The step's required tension
-    is the row's: the device's answer, or 0.0 for a grounded row.
+    buckle. Each step keeps only the verdict at its one tip, so the steps
+    ask the verdict kernel ``verdict_at_unchecked``, which solves the row
+    of the step's pressure only where the straight and curved verdicts
+    differ at that tip. The step's required tension is the row's: the
+    device's answer, or 0.0 for a grounded row. Under a pressure schedule
+    each step has its own pressure and its own kernel call.
 
-    A constant-pressure episode solves its one row up front and finds the
-    row's one flip with the one-length kernel instead of evaluating every
-    tip. Every step's verdict is ``required < limit(tip)``, with the limit
-    from ``mechanics._straight_limit`` or ``_curved_limit`` (or inf on a
-    grounded row), and neither limit rises with length in floating point:
-    the axial force's terms are non-negative, and the clamped arm grows with
-    length, since its sin is monotone on [0, pi/2] (as ``bisect_root``
-    relies on) and it is held at its maximum past kappa*L = pi. So the
-    verdicts run INVERT, then BUCKLE, along increasing length. A
-    retraction's tips shorten from initial_length, its first tip: either
-    that tip buckles, or every tip inverts. A growth's tips lengthen and
-    are all logged, so it keeps them and bisects them for the first that
-    buckles, in ceil(log2(n + 1)) kernel calls for n tips. Each step then
-    carries the verdict its index gives and the row's one required tension
-    object: the bits and objects that evaluating the row at every tip gave.
+    A constant-pressure episode finds its one flip with the same kernel
+    instead of calling it at every tip. Each model's verdict is ``required
+    < limit(tip)``, with the limit from ``mechanics._straight_limit`` or
+    ``_curved_limit``, and neither limit rises with length in floating
+    point: the axial force's terms are non-negative, and the clamped arm
+    grows with length, since its sin is monotone on [0, pi/2] (as
+    ``bisect_root`` relies on) and it is held at its maximum past kappa*L =
+    pi. So each model's verdicts run INVERT, then BUCKLE, along increasing
+    length, and so do the kernel's. A retraction's tips shorten from
+    initial_length, its first tip: either that tip buckles, or every tip
+    inverts. A growth's tips lengthen and are all logged, so it keeps them
+    and bisects them for the first that buckles, in ceil(log2(n + 1))
+    kernel calls for n tips. Each step then carries the verdict its index
+    gives and the one required tension object: the bits that calling the
+    kernel at every tip gives. The row is solved only at a tip the search
+    reads where the two models differ. Where they agree at every tip it
+    reads, they agree at every tip: the search reads the last tip that
+    inverts and the first that buckles, and each model flips only once.
 
     The scenario checked its inputs, every tip lies within its checked
     lengths, and a scheduled step's pressure lies between two checked
@@ -295,22 +295,21 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
     pays_out = retracting and device is not None and not scenario.base_takeup
     start = scenario.initial_length
     invert, buckle = Verdict.INVERT, Verdict.BUCKLE
+    pressure_at, verdict_at = scenario.pressure_at, verdict_at_unchecked
     scheduled = scenario.pressure is None
     if not scheduled:
         pressure = scenario.pressure
         force, required = device_assist_unchecked(body, device, pressure, efficiency)
-        row = solve_pressure_row_unchecked(body, pressure, curvature, required)
-        required = row.required_tension
         # the index of the first tip that buckles: -1 when every tip of a
         # retraction inverts, len(tips) when every tip of a growth does
         if retracting:
-            flip = 0 if predict_at_length_unchecked(row, start).verdict is buckle else -1
+            flip = 0 if verdict_at(body, pressure, curvature, required, start) is buckle else -1
         else:
             tips = list(tips)
             flip = bisect_left(
-                tips, True, key=lambda tip: predict_at_length_unchecked(row, tip).verdict is buckle
+                tips, True,
+                key=lambda tip: verdict_at(body, pressure, curvature, required, tip) is buckle,
             )
-    pressure_at, verdict_at = scenario.pressure_at, verdict_at_unchecked
     records: list[StepRecord] = []
     append, build = records.append, tuple.__new__
     retracted, buckled, stalled = (
@@ -323,10 +322,10 @@ def _episode(scenario: Scenario, tips: Iterator[float], retracting: bool) -> Epi
             pressure = pressure_at(tip)
             force, required = device_assist_unchecked(body, device, pressure, efficiency)
             verdict = verdict_at(body, pressure, curvature, required, tip)
-            if required is None:  # grounded: the row's zero required tension
-                required = 0.0
         elif index == flip:
             verdict = buckle
+        if required is None:  # grounded: the row's zero required tension
+            required = 0.0
         travelled = abs(tip - start)
         if device is None:
             elapsed = math.nan

@@ -259,13 +259,15 @@ def _emit_svg(diagram: PhaseDiagram) -> bytes:
     meta = diagram.metadata
     p_lo, p_hi = meta["pressure_kpa"][0], meta["pressure_kpa"][1]
     l_lo, l_hi = meta["length_cm"][0], meta["length_cm"][1]
+    # an axis whose span rounds to 0 in bench units plots at its low end
+    p_span, l_span = p_hi - p_lo, l_hi - l_lo
 
     def sx(p_kpa: float) -> float:
-        frac = (p_kpa - p_lo) / (p_hi - p_lo)
+        frac = (p_kpa - p_lo) / p_span if p_span else 0.0
         return _MARGIN_L + frac * (_SVG_W - _MARGIN_L - _MARGIN_R)
 
     def sy(l_cm: float) -> float:
-        frac = (l_cm - l_lo) / (l_hi - l_lo)
+        frac = (l_cm - l_lo) / l_span if l_span else 0.0
         return _SVG_H - _MARGIN_B - frac * (_SVG_H - _MARGIN_T - _MARGIN_B)
 
     def f(value: float) -> str:

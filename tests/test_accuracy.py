@@ -1,4 +1,5 @@
-"""Accuracy of the closed-form transition lengths against a 60-digit reference.
+"""Accuracy of the closed-form transition lengths and of the limiting forces
+against a 60-digit reference.
 
 The reference uses only the stdlib ``decimal`` module. A body's float
 parameters and the pressure are taken as exact, pi is a string constant, and
@@ -12,15 +13,20 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from test_sweep import RANDOM_BODIES, log_uniform
 
 from vinebuckle import (
     BodySpec,
+    ModelUsed,
+    axial_buckling_force,
+    curved_buckling_force,
     curved_transition_length,
     min_inversion_pressure,
     transition_length,
 )
+from vinebuckle.mechanics import PressureRow, length_terms_unchecked, predict_row
 
 DIGITS = 60
 PI = Decimal(
@@ -82,17 +88,43 @@ def _terms(body, pressure):
     return r, pa, pa / 2 + Decimal(body.inversion_force)
 
 
+def _axial_terms(body, pressure):
+    """(num, den_const, R*P + G*t) of the axial buckling force num /
+    (den_const + (R*P + G*t)*L^2), exact to the caller's precision."""
+    e, g = Decimal(body.youngs_modulus), Decimal(body.shear_modulus)
+    t, p, r = Decimal(body.wall_thickness), Decimal(pressure), Decimal(body.radius)
+    num = e * PI**3 * r**4 * t * p + e * g * PI**3 * r**3 * t * t
+    return num, e * PI**2 * r**2 * t, r * p + g * t
+
+
 def straight_reference(body, pressure):
     """sqrt((num/req - den_const) / (R*P + G*t)), where the axial buckling
     force num / (den_const + (R*P + G*t)*L^2) meets the bare tail tension."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        e, g = Decimal(body.youngs_modulus), Decimal(body.shear_modulus)
-        t, p = Decimal(body.wall_thickness), Decimal(pressure)
-        r, _, required = _terms(body, pressure)
-        num = e * PI**3 * r**4 * t * p + e * g * PI**3 * r**3 * t * t
-        den_const = e * PI**2 * r**2 * t
-        return ((num / required - den_const) / (r * p + g * t)).sqrt()
+        _, _, required = _terms(body, pressure)
+        num, den_const, den_slope = _axial_terms(body, pressure)
+        return ((num / required - den_const) / den_slope).sqrt()
+
+
+def axial_reference(body, pressure, length):
+    """The axial buckling force num / (den_const + (R*P + G*t)*L^2)."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        num, den_const, den_slope = _axial_terms(body, pressure)
+        length = Decimal(length)
+        return num / (den_const + den_slope * length * length)
+
+
+def curved_limit_reference(body, pressure, curvature, length):
+    """The transverse buckling limit P*A*R / (R + (1 - cos(kappa*L))/kappa),
+    with 1 - cos(x) as 2*sin(x/2)^2, for kappa*L in [0, pi]."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        k = Decimal(curvature)
+        r, pa, _ = _terms(body, pressure)
+        s = _sin(k * Decimal(length) / 2)
+        return pa * r / (r + 2 * s * s / k)
 
 
 def curved_reference(body, pressure, curvature):
@@ -208,3 +240,64 @@ def test_curved_closed_form(curvature):
             errors.append(ulps(closed, curved_reference(body, pressure, curvature)))
     assert len(errors) > 100
     assert max(errors) <= CURVED_ULP
+
+
+# The limiting forces against their references, over random bodies,
+# pressures 0.1 to 1000 times the minimum inversion pressure, lengths 1 mm
+# to 100 m and kappa*L in [0, pi] for the curved limit. Both are sums,
+# products and quotients of positive terms, with no cancellation, so each
+# rounding adds at most about one ulp: some 15 of them for the axial force
+# (pi**3, R**4 and the products and sums of its terms) and 10 for the curved
+# limit (P*A*R, the arm's sin and its products). On 460,000 draws the
+# largest errors were 7.6 ulp (axial) and 5.7 ulp (curved), at the two
+# examples below.
+AXIAL_ULP = 16
+CURVED_LIMIT_ULP = 12
+
+
+@example(  # 7.6 ulp, axial
+    body=BodySpec(
+        radius=0.06184020969161003, wall_thickness=0.0009188369101174907,
+        youngs_modulus=44146684.555219896, shear_modulus=131031928.74883977,
+        inversion_force=1.4153635336061223,
+    ),
+    p_scale=392.85087578570943, length=17.44935340094086, curvature=26.195551467011416,
+    fraction=0.6931975411970961,
+)
+@example(  # 5.7 ulp, curved
+    body=BodySpec(
+        radius=0.017660399547361993, wall_thickness=9.16067500329598e-05,
+        youngs_modulus=4148463449.512939, shear_modulus=5838946.039097186,
+        inversion_force=3.569789631552187,
+    ),
+    p_scale=0.5154307355403699, length=93.92021198292797, curvature=0.011147926006867103,
+    fraction=0.6029815123751319,
+)
+@given(
+    body=RANDOM_BODIES,
+    p_scale=log_uniform(-1.0, 3.0),
+    length=log_uniform(-3.0, 2.0),
+    curvature=log_uniform(-5.0, 1.5),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_limiting_forces_on_random_bodies(body, p_scale, length, curvature, fraction):
+    # the public force functions, and predict_row's own copies of the two
+    # limits, which give every prediction and every diagram cell its limit
+    pressure = min_inversion_pressure(body) * p_scale
+    arc = min(length, math.pi / curvature) * fraction
+    assume(curvature * arc <= math.pi)  # pi / kappa may round past pi
+    axial = axial_reference(body, pressure, length)
+    curved = curved_limit_reference(body, pressure, curvature, arc)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        straight = min(_terms(body, pressure)[1], axial)  # crushing P*A or axial
+
+    assert ulps(axial_buckling_force(body, pressure, length), axial) <= AXIAL_ULP
+    assert ulps(curved_buckling_force(body, pressure, curvature, arc), curved) <= CURVED_LIMIT_ULP
+    for model, kappa, at, reference, bound in [
+        (ModelUsed.STRAIGHT, 0.0, length, straight, AXIAL_ULP),
+        (ModelUsed.CURVED, curvature, arc, curved, CURVED_LIMIT_ULP),
+    ]:
+        row = PressureRow(body, pressure, kappa, 0.0, model, None)
+        (cell,) = predict_row(row, length_terms_unchecked(body, kappa, (at,)))
+        assert ulps(cell.limiting_force, reference) <= bound

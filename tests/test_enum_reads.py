@@ -16,7 +16,6 @@ ENUMS = {"Verdict", "FailureMode", "ModelUsed", "TerminalKind"}
 # run once per row or step: no member read anywhere in them
 WHOLE = [
     ("mechanics", "predict_row"),
-    ("mechanics", "predict_at_length_unchecked"),
     ("mechanics", "verdict_at_unchecked"),
     ("mechanics", "_straight_limit"),
     ("mechanics", "oracle_row_unchecked"),

@@ -257,7 +257,7 @@ def _limit_divisions(tree: ast.Module) -> tuple[Counter, Counter]:
 
 
 def test_each_limit_is_stated_in_its_helper_and_the_named_copies():
-    # the one-length kernels, the force functions and the closed forms'
+    # the verdict kernel, the force functions and the closed forms'
     # residuals call the helpers; the row evaluator's loop keeps a copy for
     # speed, and the bisection gaps and the oracle's row keep theirs to stay
     # independent checks

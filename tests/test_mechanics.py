@@ -44,7 +44,8 @@ from vinebuckle import (
 from vinebuckle.device import device_assist_unchecked
 from vinebuckle.mechanics import (
     bisect_root,
-    predict_at_length_unchecked,
+    length_terms_unchecked,
+    predict_row,
     solve_pressure_row_unchecked,
 )
 
@@ -482,7 +483,7 @@ class TestPredictionRecord:
             model_used=ModelUsed.STRAIGHT,
             extrapolated=False,
         )
-        actual = predict_at_length_unchecked(row, length)
+        (actual,) = predict_row(row, length_terms_unchecked(body, 0.0, (length,)))
         assert type(actual) is BehaviorPrediction
         assert actual == expected
 
@@ -500,7 +501,7 @@ class TestPredictionRecord:
             model_used=ModelUsed.STRAIGHT,
             extrapolated=False,
         )
-        assert predict_at_length_unchecked(row, length) == expected
+        assert list(predict_row(row, length_terms_unchecked(body, 0.0, (length,)))) == [expected]
 
     def test_transverse_buckle_row(self, body):
         pressure, length = 2e3, 0.5
@@ -516,7 +517,8 @@ class TestPredictionRecord:
             model_used=ModelUsed.CURVED,
             extrapolated=False,
         )
-        assert predict_at_length_unchecked(row, length) == expected
+        terms = length_terms_unchecked(body, K_MEDIUM, (length,))
+        assert list(predict_row(row, terms)) == [expected]
 
     def test_grounded_device_row(self, body):
         _, required = device_assist(body, DeviceSpec(), 2e3)
@@ -530,7 +532,7 @@ class TestPredictionRecord:
             margin=math.inf,
             model_used=ModelUsed.STRAIGHT,
         )
-        assert predict_at_length_unchecked(row, 1.0) == expected
+        assert list(predict_row(row, length_terms_unchecked(body, 0.0, (1.0,)))) == [expected]
 
 
 class TestTransitionCrossCheck:

@@ -49,7 +49,6 @@ from vinebuckle.mechanics import (
     PressureRow,
     length_terms_unchecked,
     oracle_row_unchecked,
-    predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
     verdict_at_unchecked,
@@ -182,9 +181,11 @@ class TestRowFunctions:
         row = solve_pressure_row_unchecked(BODY, 5e3, 1 / 2.25, required)
         assert row.model_used is ModelUsed.CURVED
         assert row.critical_length == transition_length(BODY, 5e3, 1 / 2.25)
-        for length in (0.0, 0.3, 1.2, 4.0, 20.0):
+        lengths = (0.0, 0.3, 1.2, 4.0, 20.0)
+        cells = predict_row(row, length_terms_unchecked(BODY, 1 / 2.25, lengths))
+        for length, cell in zip(lengths, cells):
             state = RobotState(length=length, pressure=5e3, curvature=1 / 2.25)
-            assert predict_at_length_unchecked(row, length) == predict_behavior(BODY, state)
+            assert cell_bits(cell) == cell_bits(predict_behavior(BODY, state))
 
     def test_no_critical_length_below_minimum_pressure(self):
         required = tail_tension_to_invert(BODY, 100.0)
@@ -197,8 +198,9 @@ class TestRowFunctions:
         assert required is None and row == solve_pressure_row_unchecked(BODY, 2e3, 0.0, None)
         assert row.grounded and row.required_tension == 0.0 and row.critical_length is None
         assert force == device_force_for_zero_tension(BODY, DEVICE, 2e3)
-        cell = predict_at_length_unchecked(row, 30.0)
-        assert cell.verdict is Verdict.INVERT and math.isinf(cell.limiting_force)
+        assert predict_with_device(BODY, DEVICE, RobotState(30.0, 2e3)) == (
+            Verdict.INVERT, FailureMode.NONE, 0.0, math.inf, math.inf, ModelUsed.STRAIGHT, False
+        )
 
     def test_bare_row_applies_no_force(self):
         force, required = device_assist(BODY, None, 2e3)
@@ -405,10 +407,6 @@ class TestPredictRow:
         for j in range(1, len(cells)):
             if cells[j] is cells[j - 1]:
                 assert expected[j] == expected[j - 1]
-        # the one-length kernel states the cell rule by itself: it gives the
-        # same bits at every length
-        kernel = [cell_bits(predict_at_length_unchecked(row, length)) for length in lengths]
-        assert kernel == expected
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
     def test_row_cases_cover_their_kind(self, name):
@@ -440,14 +438,14 @@ class TestPredictRow:
 
     @staticmethod
     def counted_lengths(monkeypatch):
-        """The lengths at which the simulator calls the one-length kernel."""
-        seen, kernel = [], sim.predict_at_length_unchecked
+        """The lengths at which the simulator calls the verdict kernel."""
+        seen, kernel = [], sim.verdict_at_unchecked
 
-        def counting(row, length):
+        def counting(body, pressure, curvature, required, length):
             seen.append(length)
-            return kernel(row, length)
+            return kernel(body, pressure, curvature, required, length)
 
-        monkeypatch.setattr(sim, "predict_at_length_unchecked", counting)
+        monkeypatch.setattr(sim, "verdict_at_unchecked", counting)
         return seen
 
     def test_retraction_evaluates_no_tip_past_its_first_buckle(self, monkeypatch):
@@ -550,8 +548,9 @@ def ulp_neighbours(x, count=64):
 
 class TestLimitNeverRises:
     # The property a constant-pressure episode's flip search rests on: in
-    # floating point, a row's limiting force never rises with length, so its
-    # verdicts along increasing length flip at most once.
+    # floating point, neither model's limiting force rises with length, so
+    # each model's verdicts along increasing length flip at most once, and
+    # so do a row's.
     @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=0.0)
     @example(body=BODY, device_efficiency=(None, 1.0), p_scale=4.0, curvature=1 / 0.72)
     @example(body=BODY, device_efficiency=(DEVICE, 0.3), p_scale=4.0, curvature=1 / 2.25)
@@ -563,7 +562,9 @@ class TestLimitNeverRises:
     )
     def test_limit_never_rises_with_length(self, body, device_efficiency, p_scale, curvature):
         # a grid of lengths, plus the floats within 64 ulps of kappa*L = pi,
-        # of the row's transition and of the straight crush/axial crossover
+        # of the row's transition and of the straight crush/axial crossover;
+        # the row's limits from the row evaluator, and each model's from its
+        # helper, which the verdict kernel calls
         assume(not in_the_cross_check_band(curvature, p_scale))
         device, efficiency = device_efficiency
         row = case_row(body, device, efficiency, p_scale, curvature)
@@ -581,8 +582,13 @@ class TestLimitNeverRises:
         for mark in marks:
             lengths += ulp_neighbours(mark)
         lengths.sort()
-        limits = [predict_at_length_unchecked(row, length).limiting_force for length in lengths]
-        assert all(b <= a for a, b in zip(limits, limits[1:]))
+        cells = predict_row(row, length_terms_unchecked(body, curvature, lengths))
+        for limits in (
+            [cell.limiting_force for cell in cells],
+            [mechanics._straight_limit(body, pressure, length) for length in lengths],
+            [mechanics._curved_limit(body, pressure, curvature, length) for length in lengths],
+        ):
+            assert all(b <= a for a, b in zip(limits, limits[1:]))
 
     def test_examples_cover_both_models_past_pi(self):
         straight = case_row(BODY, None, 1.0, 4.0, 0.0)
@@ -594,10 +600,11 @@ class TestLimitNeverRises:
 
 
 def model_verdict(body, pressure, curvature, required, model, length):
-    """One model's verdict at one length: the one-length kernel on a row
-    that names that model, whatever the row solver would pick."""
+    """One model's verdict at one length: the row evaluator on a row that
+    names that model, whatever the row solver would pick."""
     row = PressureRow(body, pressure, curvature, required, model, None)
-    return predict_at_length_unchecked(row, length).verdict
+    (cell,) = predict_row(row, length_terms_unchecked(body, curvature, (length,)))
+    return cell.verdict
 
 
 def kernel_lengths(body, pressure, curvature, required):
@@ -625,11 +632,13 @@ def check_verdict_kernel(body, pressure, curvature, required):
         row = solve_pressure_row_unchecked(body, pressure, curvature, required)
     except CrossCheckError:
         row = None
-    for length in kernel_lengths(body, pressure, curvature, required):
-        if row is not None:
-            expected = predict_at_length_unchecked(row, length).verdict
-            assert verdict_at_unchecked(body, pressure, curvature, required, length) is expected
-            continue
+    lengths = kernel_lengths(body, pressure, curvature, required)
+    if row is not None:
+        cells = predict_row(row, length_terms_unchecked(body, curvature, lengths))
+        for length, cell in zip(lengths, cells):
+            assert verdict_at_unchecked(body, pressure, curvature, required, length) is cell.verdict
+        return
+    for length in lengths:
         straight, curved = (
             model_verdict(body, pressure, curvature, required, model, length)
             for model in (ModelUsed.STRAIGHT, ModelUsed.CURVED)
@@ -667,7 +676,7 @@ def kernel_case_examples(test):
 
 
 class TestVerdictKernel:
-    # A scheduled step keeps only the verdict, so it asks the verdict
+    # An episode step keeps only the verdict, so it asks the verdict
     # kernel, which solves the row only where the two models disagree.
     @kernel_case_examples
     @given(
@@ -692,6 +701,24 @@ class TestVerdictKernel:
         check_verdict_kernel(body, pressure, curvature, required)
         assert verdict_at_unchecked(body, pressure, curvature, required, 0.005) is Verdict.INVERT
         assert verdict_at_unchecked(body, pressure, curvature, required, 3.0) is Verdict.BUCKLE
+
+    def test_zero_length_is_crush_bound_where_the_axial_force_rounds_below_p_a(self):
+        # at zero length the axial force is P*A + pi*R*G*t; on this body at
+        # 4.1e24 Pa it rounds one ulp below P*A, and the straight limit there
+        # is still crushing, as in the row evaluator and the oracle
+        body = BodySpec(
+            radius=0.0015501785793556322, wall_thickness=0.00036460906775280316,
+            youngs_modulus=9103828330.139704, shear_modulus=2259812.322329497,
+        )
+        pressure = 4.131175775371197e24
+        axial = mechanics._axial_force(body, pressure, 0.0)
+        crush = pressure * body.cross_section_area
+        assert axial < crush
+        assert mechanics._straight_limit(body, pressure, 0.0) == crush
+        row = PressureRow(body, pressure, 0.0, axial, ModelUsed.STRAIGHT, None)
+        (cell,) = predict_row(row, length_terms_unchecked(body, 0.0, (0.0,)))
+        assert cell.limiting_force == crush and cell.verdict is Verdict.INVERT
+        assert verdict_at_unchecked(body, pressure, 0.0, axial, 0.0) is Verdict.INVERT
 
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_kernel_cases_cover_their_kind(self, name):
@@ -777,6 +804,36 @@ class TestVerdictKernel:
                 differ.append((step.pressure, curvature))
         assert 0 < len(differ) < len(log.steps)
         assert seen == differ
+
+    def test_a_constant_pressure_straight_episode_solves_no_row(self, monkeypatch):
+        seen = self.counted_rows(monkeypatch)
+        log = simulate_growth(
+            Scenario(body=BODY, initial_length=0.2, target_length=2.9, pressure=2e3)
+        )
+        assert log.terminal.kind is TerminalKind.BUCKLED
+        assert seen == []
+
+    def test_a_constant_pressure_curved_growth_solves_rows_where_its_probes_differ(
+        self, monkeypatch
+    ):
+        # the flip search's kernel calls, and the rows they solve: one at each
+        # probed tip where the two models' verdicts differ
+        seen = self.counted_rows(monkeypatch)
+        probes = TestPredictRow.counted_lengths(monkeypatch)
+        curvature, pressure = 0.444, 3e3
+        log = simulate_growth(Scenario(
+            body=BODY, initial_length=0.2, target_length=2.9, curvature=curvature,
+            pressure=pressure,
+        ))
+        assert len(log.steps) == 270 and log.terminal.kind is TerminalKind.BUCKLED
+        required = tail_tension_to_invert(BODY, pressure)
+        differ = [
+            tip for tip in probes
+            if model_verdict(BODY, pressure, curvature, required, ModelUsed.STRAIGHT, tip)
+            is not model_verdict(BODY, pressure, curvature, required, ModelUsed.CURVED, tip)
+        ]
+        assert 0 < len(differ) < len(probes) <= math.ceil(math.log2(270 + 1))
+        assert seen == [(pressure, curvature)] * len(differ)
 
 
 class TestMoreDeviceIsNeverWorse:

@@ -33,7 +33,6 @@ from vinebuckle.mechanics import (
     length_terms_unchecked,
     min_inversion_pressure,
     oracle_row_unchecked,
-    predict_at_length_unchecked,
     predict_row,
     solve_pressure_row_unchecked,
 )
@@ -232,13 +231,15 @@ def flip_scenario(body, device_efficiency, p_scale, curvature, grow, reach, star
     """A constant-pressure episode scaled to its row: its span is ``reach``
     times the row's longest feature (the transition, or kappa*L = pi where
     that is longer, or 1 m), in ``steps`` steps; a growth starts at
-    ``start`` times its target. Returns the scenario and its row."""
+    ``start`` times its target, and the span stops at the numeric box's
+    longest length (pi / kappa alone is 3.1e5 m at 1e-5 /m). Returns the
+    scenario and its row."""
     device, efficiency = device_efficiency
     pressure = min_inversion_pressure(body) * p_scale
     _, required = device_assist(body, device, pressure, efficiency)
     row = solve_pressure_row_unchecked(body, pressure, curvature, required)
     marks = [row.critical_length, math.pi / curvature if curvature else None]
-    length = reach * max((mark for mark in marks if mark), default=1.0)
+    length = min(reach * max((mark for mark in marks if mark), default=1.0), units.LENGTH.hi)
     kwargs = dict(
         body=body, pressure=pressure, curvature=curvature, device=device,
         efficiency=efficiency, motor_speed=motor,
@@ -285,10 +286,18 @@ def flip_case_examples(test):
 
 
 class TestConstantPressureFlip:
-    # A constant-pressure episode finds its row's one flip instead of
-    # evaluating every tip; every step still has the bits the one-length
-    # kernel gives at its tip.
+    # A constant-pressure episode finds its one flip instead of evaluating
+    # every tip; every step still has the bits the row evaluator gives at
+    # its tip.
     @flip_case_examples
+    @example(  # pi / kappa times reach is 1.15e6 m, past the box's longest length
+        body=BodySpec(
+            radius=0.1, wall_thickness=1e-4, youngs_modulus=1e8, shear_modulus=1e8,
+            inversion_force=1.0,
+        ),
+        device_efficiency=(None, 1.0), p_scale=1.0, curvature=1e-5, grow=False,
+        reach=10.0**0.5625, start=0.0, steps=1, motor=None,
+    )
     @given(
         body=FLIP_BODIES,
         device_efficiency=(
@@ -311,7 +320,7 @@ class TestConstantPressureFlip:
         )
         log = (simulate_growth if grow else simulate_retraction)(scenario)
         tips = episode_tips(scenario, grow)
-        cells = [predict_at_length_unchecked(row, tip) for tip in tips]
+        cells = list(predict_row(row, length_terms_unchecked(body, curvature, tips)))
         first = next((i for i, cell in enumerate(cells) if cell.verdict is Verdict.BUCKLE), None)
         stalls = not grow and scenario.device is not None and motor == 0.0
         logged = len(tips)
@@ -478,35 +487,44 @@ class TestPressureSchedule:
 SMALL, DEFECT_PRESSURE, DEFECT_KAPPA = NEAR_STRAIGHT_DEFECT
 
 
-def defect_episode(initial, target=None):
-    """A flat schedule at the defect pressure: a retraction from
-    ``initial``, or a growth from it to ``target``."""
+def defect_episode(initial, target, constant):
+    """The defect pressure, held constant or on a flat schedule: a
+    retraction from ``initial``, or a growth from it to ``target``."""
+    if constant:
+        pressure = dict(pressure=DEFECT_PRESSURE)
+    else:
+        pressure = dict(pressure_points=((0.0, DEFECT_PRESSURE), (3.0, DEFECT_PRESSURE)))
     scenario = Scenario(
         SMALL, initial_length=initial, target_length=target, step=0.001, curvature=DEFECT_KAPPA,
-        pressure_points=((0.0, DEFECT_PRESSURE), (3.0, DEFECT_PRESSURE)),
+        **pressure,
     )
     return simulate_retraction(scenario) if target is None else simulate_growth(scenario)
 
 
+@pytest.mark.parametrize("constant", [False, True], ids=["schedule", "constant"])
 class TestNearStraightSchedule:
-    # A scheduled step solves its row only where the two models' verdicts
-    # differ, so an episode whose every tip lies where they agree no longer
-    # meets the closed form's defect, which used to raise at every step.
+    # Every episode step asks the verdict kernel, which solves its row only
+    # where the two models' verdicts differ, and a constant-pressure
+    # episode's flip search reads only some of its tips. So an episode whose
+    # every tip it reads lies where they agree does not meet the closed
+    # form's defect.
     @pytest.mark.parametrize(
-        "initial,target,kind",
+        "initial,target,kind,steps",
         [
-            (0.009, None, TerminalKind.FULLY_RETRACTED),  # short of both transitions
-            (0.0, 0.009, TerminalKind.FULLY_RETRACTED),
-            (3.0, None, TerminalKind.BUCKLED),  # past both: buckles at its first tip
+            (0.009, None, TerminalKind.FULLY_RETRACTED, 9),  # short of both transitions
+            (0.0, 0.009, TerminalKind.FULLY_RETRACTED, 9),
+            (3.0, None, TerminalKind.BUCKLED, 1),  # past both: buckles at its first tip
         ],
     )
-    def test_episode_where_the_models_agree_completes(self, initial, target, kind):
+    def test_episode_where_the_models_agree_completes(
+        self, initial, target, kind, steps, constant
+    ):
         with pytest.raises(CrossCheckError):
             solve_pressure_row_unchecked(
                 SMALL, DEFECT_PRESSURE, DEFECT_KAPPA, device_assist(SMALL, None, DEFECT_PRESSURE)[1]
             )
-        log = defect_episode(initial, target)
-        assert log.steps and log.terminal.kind is kind
+        log = defect_episode(initial, target, constant)
+        assert len(log.steps) == steps and log.terminal.kind is kind
         for step in log.steps:
             # the oracle's dispatch bisects both models and never raises here
             terms = list(length_terms_unchecked(SMALL, DEFECT_KAPPA, (step.tip_position,)))
@@ -517,10 +535,10 @@ class TestNearStraightSchedule:
 
     @pytest.mark.parametrize("initial,target", [(0.05, None), (0.0, 0.05)])
     def test_episode_that_reaches_a_tip_where_the_models_differ_still_raises(
-        self, initial, target
+        self, initial, target, constant
     ):
         with pytest.raises(CrossCheckError, match="disagrees"):
-            defect_episode(initial, target)
+            defect_episode(initial, target, constant)
 
 
 class TestEpisodeCsv:

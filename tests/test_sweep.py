@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -377,6 +378,40 @@ class TestEmission:
         assert text.count('class="buckle"') > 0
         assert 'class="transition"' in text
         assert "pressure (kPa)" in text and "length (cm)" in text
+
+    @pytest.mark.parametrize(
+        "axis,pressures,lengths",
+        [
+            (
+                "length",
+                AxisRange(0.0, 10e3, 2),
+                AxisRange(0.16965410318042606, 0.1696541031804261, 1),
+            ),
+            (
+                "pressure",
+                AxisRange(2047.7951453379285, math.nextafter(2047.7951453379285, 1e4), 1),
+                AxisRange(0.0, 3.0, 2),
+            ),
+        ],
+        ids=["length", "pressure"],
+    )
+    def test_axis_whose_span_rounds_to_zero_plots_at_its_low_end(self, axis, pressures, lengths):
+        # the ends are one ulp apart in SI units and one float in bench units
+        # (cm, kPa); that zero span divided every marker's coordinate
+        diagram = classify_grid(SweepRequest(BodySpec(), 0.0, pressures, lengths))
+        key = "length_cm" if axis == "length" else "pressure_kpa"
+        assert diagram.metadata[key][0] == diagram.metadata[key][1]
+        text = emit_diagram(diagram, "svg").decode()
+        x0, y0 = re.search(r'<line x1="([\d.]+)" y1="([\d.]+)"', text).groups()
+        centers = re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)"', text) + [
+            (f"{float(left) + 3:.2f}", f"{float(top) + 3:.2f}")
+            for left, top in re.findall(r'<path d="M ([\d.]+) ([\d.]+) ', text)
+        ]
+        assert len(centers) == len(diagram.pressures) * len(diagram.lengths) == 2
+        if axis == "length":
+            assert {y for _, y in centers} == {y0}
+        else:
+            assert {x for x, _ in centers} == {x0}
 
     def test_transition_csv(self):
         diagram = classify_grid(straight_request(5, 5))
